@@ -6,8 +6,12 @@ posterior by the per-bin likelihood and the MAP target is refreshed.  Because
 everything is phase-covariant, likelihoods depend only on the index difference
 ``delta = (m - target) mod 4`` and can be tabulated once per model.
 
-``enumerate_error_probability`` walks all 2^M outcome histories and is the
-exact oracle the Monte Carlo engine is checked against.
+``enumerate_error_probability`` is the exact answer the Monte Carlo engine
+is checked against.  It is a dynamic program with one layer per bin: outcome
+histories that leave the receiver in the same state (log-posterior vector and
+previous target) are merged, so a layer holds at most a few 10^4 states at
+M=16 where a plain walk visits 2^M histories.  The 2^M walk itself is kept in
+the test suite as the oracle for the dynamic program.
 """
 
 from __future__ import annotations
@@ -206,69 +210,87 @@ MAX_ENUM_STAGES = 20
 
 @dataclass
 class EnumerationDetail:
-    """Exact enumeration output with per-symbol bookkeeping."""
+    """Exact enumeration output with per-symbol bookkeeping.
+
+    ``peak_states`` is the size of the largest merged layer of the dynamic
+    program, against ``2^M`` histories for a plain walk.
+    """
 
     error_prob: float
     per_symbol_error: np.ndarray
     branch_totals: np.ndarray = field(repr=False)
+    peak_states: int
 
 
 def enumerate_detail(model: InferenceModel, truth: TruthTables | None = None,
                      max_stages: int = MAX_ENUM_STAGES) -> EnumerationDetail:
-    """Walk all 2^M outcome histories; exact up to floating point.
+    """Exact error probability, one layer of merged receiver states per bin.
 
-    Each history is weighted by its probability under the truth model while
-    the posterior is propagated with the inference model, mirroring the
-    receiver's actual feedback trajectory.
+    Each outcome history is weighted by its probability under the truth model
+    while the posterior is propagated with the inference model, mirroring the
+    receiver's actual feedback trajectory.  After bin i a history is fully
+    described by its un-normalized log-posterior ``lp`` and previous target
+    (the current target is the first-maximum argmax of ``lp``), so histories
+    with value-equal ``(lp, prev)`` are merged and their per-symbol linear
+    weights summed.  ``lp`` is accumulated with the same IEEE adds as the
+    batch kernels, so exact hypothesis ties are settled as in Monte Carlo;
+    only the order of summation of the weights differs from a 2^M walk.
     """
     M = model.stages
     if M > max_stages:
         raise ValueError(
-            f"enumeration is capped at {max_stages} stages (2^M histories); got M={M}")
+            f"enumeration is capped at {max_stages} stages; got M={M}")
     if truth is None:
         truth = truth_from_inference(model)
     if truth.stages != M:
         raise ValueError("truth model stage count must match the inference model")
 
-    ll = model.log_likelihood_table().tolist()
-    first = [float(x) for x in truth.first]
-    trans = [[float(x) for x in row] for row in truth.trans]
+    hyp = np.arange(4)
+    # step[e, cur, h]: log-likelihood added to lp[h] when target cur sees e
+    step = model.log_likelihood_table()[:, (hyp[None, :] - hyp[:, None]) % 4]
+    # p_off[prev, cur, m]: truth no-click probability of symbol m in bins >= 1
+    p, c, m = np.ix_(hyp, hyp, hyp)
+    p_off = truth.trans[(m - p) % 4, (c - p) % 4]
 
-    correct = [0.0, 0.0, 0.0, 0.0]
-    total = [0.0, 0.0, 0.0, 0.0]
+    lp = np.zeros((1, 4))
+    w = np.ones((1, 4))             # linear weight of the state given symbol m
+    prev = np.zeros(1, dtype=np.int8)
+    cur = np.zeros(1, dtype=np.int8)
+    peak = 1
+    for i in range(M):
+        p_t = truth.first[None, :] if i == 0 else p_off[prev, cur]
+        lp = np.concatenate((lp + step[0, cur], lp + step[1, cur]))
+        w = np.concatenate((w * p_t, w * (1.0 - p_t)))
+        prev = np.concatenate((cur, cur))
+        del p_t  # keeps the merge's peak memory down
+        order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
+        lp, prev = lp[order], prev[order]
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        np.any(lp[1:] != lp[:-1], axis=1, out=new[1:])
+        new[1:] |= prev[1:] != prev[:-1]
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        del order
+        n = int(new.sum())
+        w = np.stack([np.bincount(group, weights=w[:, k], minlength=n)
+                      for k in range(4)], axis=1)
+        lp, prev = lp[new], prev[new]
+        cur = lp.argmax(axis=1).astype(np.int8)
+        peak = max(peak, n)
 
-    def walk(i, lp, prev, cur, lb):
-        if i == M:
-            d = _argmax4(lp)
-            for m in range(4):
-                if lb[m] != _NEG_INF:
-                    w = math.exp(lb[m])
-                    total[m] += w
-                    if m == d:
-                        correct[m] += w
-            return
-        if i == 0:
-            p_t = [first[(m - cur) % 4] for m in range(4)]
-        else:
-            row = (cur - prev) % 4
-            p_t = [trans[(m - prev) % 4][row] for m in range(4)]
-        for e in (0, 1):
-            lb2 = [lb[m] + (_log(p_t[m]) if e == 0 else _log(1.0 - p_t[m]))
-                   for m in range(4)]
-            lp2 = [lp[h] + ll[e][(h - cur) % 4] for h in range(4)]
-            walk(i + 1, lp2, cur, _argmax4(lp2), lb2)
-
-    walk(0, [0.0] * 4, 0, 0, [0.0] * 4)
-    per_symbol = 1.0 - np.array(correct)
+    correct = np.array([w[cur == k, k].sum() for k in range(4)])
+    per_symbol = 1.0 - correct
     return EnumerationDetail(
         error_prob=float(per_symbol.mean()),
         per_symbol_error=per_symbol,
-        branch_totals=np.array(total),
+        branch_totals=w.sum(axis=0),
+        peak_states=peak,
     )
 
 
 def enumerate_error_probability(model: InferenceModel,
                                 truth: TruthTables | None = None,
                                 max_stages: int = MAX_ENUM_STAGES) -> float:
-    """Exact average error probability over all 2^M outcome histories."""
+    """Exact average error probability (see ``enumerate_detail``)."""
     return enumerate_detail(model, truth, max_stages).error_prob

@@ -13,6 +13,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "enumerate")
 
+# Philox keys are (seed << 2) | symbol and must stay below 2**128.
+SEED_LIMIT = 2 ** 126
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -78,7 +81,7 @@ class RunConfig:
         check(self.m >= 1, "m", "must be >= 1")
         check(1 <= self.m_start <= self.m_stop, "m_start", "must satisfy 1 <= m_start <= m_stop")
         check(self.trials >= 1, "trials", "must be >= 1")
-        check(self.seed >= 0, "seed", "must be >= 0")
+        check(0 <= self.seed < SEED_LIMIT, "seed", "must be in [0, 2**126)")
         check(0.0 <= self.eta_t <= 1.0, "eta_t", "must be in [0, 1]")
         check(0.0 <= self.eta_spd <= 1.0, "eta_spd", "must be in [0, 1]")
         check(all(0.0 <= e <= 1.0 for e in self.eta_spd_list), "eta_spd_list",

@@ -18,6 +18,55 @@ def ideal(alpha_sq, stages):
     return InferenceModel(alpha_sq, stages)
 
 
+def _log(p):
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+def walk_enumeration(model, truth=None):
+    """Reference 2^M walk over every outcome history.
+
+    The posterior is accumulated with the same IEEE adds as the receiver and
+    the target is the first maximum, so ties are settled as in
+    ``enumerate_detail``; each history's weight is exp of its summed
+    log-probabilities, and the weights are summed with ``math.fsum``.
+    Returns (per-symbol error, per-symbol branch total).
+    """
+    M = model.stages
+    if truth is None:
+        truth = truth_from_inference(model)
+    ll = model.log_likelihood_table().tolist()
+    first = truth.first.tolist()
+    trans = truth.trans.tolist()
+    correct = [[] for _ in range(4)]
+    total = [[] for _ in range(4)]
+
+    def argmax(values):
+        return max(range(4), key=values.__getitem__)
+
+    def walk(i, lp, prev, cur, lb):
+        if i == M:
+            d = argmax(lp)
+            for m in range(4):
+                w = math.exp(lb[m])
+                total[m].append(w)
+                if m == d:
+                    correct[m].append(w)
+            return
+        if i == 0:
+            p_t = [first[(m - cur) % 4] for m in range(4)]
+        else:
+            p_t = [trans[(m - prev) % 4][(cur - prev) % 4] for m in range(4)]
+        for e in (0, 1):
+            lb2 = [lb[m] + _log(p_t[m] if e == 0 else 1.0 - p_t[m])
+                   for m in range(4)]
+            lp2 = [lp[h] + ll[e][(h - cur) % 4] for h in range(4)]
+            walk(i + 1, lp2, cur, argmax(lp2), lb2)
+
+    walk(0, [0.0] * 4, 0, 0, [0.0] * 4)
+    per_symbol = np.array([1.0 - math.fsum(c) for c in correct])
+    return per_symbol, np.array([math.fsum(t) for t in total])
+
+
 def brute_force_error(alpha_sq, stages):
     """Ideal nulling receiver from complex amplitudes, |gamma_m - gamma_t|^2.
 
@@ -184,6 +233,72 @@ class TestEnumeration:
                 prob2 *= p_off if e == 0 else 1.0 - p_off
             assert prob == pytest.approx(prob2, rel=1e-12)
             assert 0.0 <= prob <= 1.0
+
+
+# inference (eta, xi, nu per state) for the oracle grid
+ORACLE_MODELS = {
+    "ideal": (1.0, 1.0, 0.0),
+    "experimental": (0.65, 0.996, 9.1e-3),
+    "lossy": (0.8, 0.99, 5e-3),
+}
+ORACLE_ALPHA_SQ = (0.0, 0.25, 1.0, 3.0, 7.0, 12.0)
+ORACLE_TOL = 1e-13
+
+
+def oracle_truth(alpha_sq, stages, ch, nu, dt):
+    """Uniform truth tables for ``dt=None``, else the delay model at ``dt``."""
+    if dt is None:
+        return uniform_truth_tables(alpha_sq, stages, ch, nu)
+    return delay_truth_tables(alpha_sq, stages, ch, nu,
+                              DelayParams(200.0 / stages), dt)
+
+
+def assert_matches_walk(model, truth=None):
+    detail = enumerate_detail(model, truth)
+    per_symbol, totals = walk_enumeration(model, truth)
+    np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
+                               rtol=0, atol=ORACLE_TOL)
+    np.testing.assert_allclose(detail.branch_totals, totals,
+                               rtol=0, atol=ORACLE_TOL)
+
+
+class TestMergedStates:
+    """The layered dynamic program against the 2^M walk oracle."""
+
+    @pytest.mark.parametrize("dt", [None, 0.0, 1.1, 3.0],
+                             ids=["uniform", "delay0", "delay1.1", "delay3"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_walk_oracle(self, name, dt):
+        eta, xi, nu = ORACLE_MODELS[name]
+        for alpha_sq in ORACLE_ALPHA_SQ:
+            for stages in range(1, 15):
+                model = InferenceModel(alpha_sq, stages, eta, xi, nu)
+                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                assert_matches_walk(model, truth)
+
+    @pytest.mark.parametrize("alpha_sq", ORACLE_ALPHA_SQ)
+    def test_zero_likelihood_mismatch(self, alpha_sq):
+        # ideal inference assigns zero likelihood to clicks that the noisy
+        # truth produces: -inf log-posteriors must merge and argmax as walked
+        truth_ch = ChannelModel(1.0, 0.9)
+        for stages in range(1, 15):
+            truth = uniform_truth_tables(alpha_sq, stages, truth_ch, 0.3)
+            assert_matches_walk(InferenceModel(alpha_sq, stages), truth)
+
+    def test_per_symbol_ties_at_experimental_condition(self):
+        # a merge keyed on the 8 (outcome, target) counts rebuilds lp in
+        # another order, settles exact ties differently and moves these
+        # per-symbol errors by 1e-4 or more while the average agrees to 1e-16
+        model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
+        detail = enumerate_detail(model)
+        per_symbol, _ = walk_enumeration(model)
+        np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
+                                   rtol=0, atol=ORACLE_TOL)
+        assert detail.error_prob == pytest.approx(per_symbol.mean(), abs=ORACLE_TOL)
+
+    def test_peak_states_below_history_count(self):
+        detail = enumerate_detail(InferenceModel(3.0, 16, 0.65, 0.996, 9.1e-3))
+        assert 1 <= detail.peak_states < 2 ** 15
 
 
 class TestTruthTables:

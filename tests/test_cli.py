@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpskrx.cli import main, run
-from qpskrx.config import ConfigError, RunConfig, load_config
+from qpskrx.config import SEED_LIMIT, ConfigError, RunConfig, load_config
 
 
 class TestLoadConfig:
@@ -40,6 +40,13 @@ class TestLoadConfig:
         path.write_text(json.dumps({"trials": 10**6}))
         cfg = load_config(str(path), {"trials": 1000})
         assert cfg.trials == 1000
+
+    def test_seed_range(self):
+        cfg = load_config(overrides={"seed": SEED_LIMIT - 1, "trials": 8, "m": 2,
+                                     "alpha_sq_points": 1}, mode="sweep")
+        run(cfg)  # the largest seed still keys a valid Philox stream
+        with pytest.raises(ConfigError, match="^seed:"):
+            load_config(overrides={"seed": SEED_LIMIT})
 
     def test_mode_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -136,6 +143,11 @@ class TestCliMain:
         rc = main(["sweep", "--xi", "1.5", "--trials", "10"])
         assert rc == 1
         assert "xi" in capsys.readouterr().err
+
+    def test_huge_seed_rejected_by_name(self, capsys):
+        rc = main(["sweep", "--seed", str(2 ** 126), "--trials", "10"])
+        assert rc == 1
+        assert "seed:" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path):
         args = ["sweep", "--alpha-sq-grid", "1:1:1", "--m", "4", "--trials", "2000",
