@@ -1,76 +1,41 @@
-"""Hot per-trial simulation kernels: numba-compiled with a pure-numpy fallback.
+"""Hot per-chunk trial kernel: a walk through the chunk's history trie.
 
-Both kernels consume a pre-generated ``(n_trials, M)`` array of uniform
-variates and must produce bitwise-identical outcomes: same draw consumption
-order, same IEEE accumulation order for the log posterior, same
-first-maximum argmax.  Set ``QPSKRX_NO_NUMBA=1`` to force the numpy path.
+The kernel consumes a pre-generated ``(n_trials, M)`` array of uniform
+variates, one row per trial.  Trials that have seen the same outcome prefix
+are in the same receiver state, so after bin i they share one node of a trie
+whose nodes are the distinct prefixes present in the chunk.  Per trial, a
+layer only gathers its node's no-click probability, compares it with the
+trial's uniform and looks up its child node; the posterior update and the
+re-targeting run once per node.  Each node's un-normalized log-posterior
+``lp`` is built from the same IEEE adds, in the same order, as the
+receiver's per-trial recursion, and its target is the first-maximum argmax
+of ``lp``, so outcomes (exact hypothesis ties included) are bitwise those of
+the per-trial recursion.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def run_chunk_numpy(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
-                    loglik: np.ndarray, m_true: int) -> np.ndarray:
-    """Vectorized-over-trials simulation; returns a per-trial correctness mask."""
-    n, stages = draws.shape
+def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
+              loglik: np.ndarray, m_true: int) -> np.ndarray:
+    """Simulate one chunk of trials of symbol ``m_true``; per-trial correctness mask."""
     hyp = np.arange(4)
-    lp = np.zeros((n, 4))
-    cur = np.zeros(n, dtype=np.intp)
-    prev = np.zeros(n, dtype=np.intp)
-    for i in range(stages):
-        if i == 0:
-            p_off = first[(m_true - cur) % 4]
-        else:
-            p_off = trans[(m_true - prev) % 4, (cur - prev) % 4]
-        e = (draws[:, i] >= p_off).astype(np.intp)
-        delta = (hyp[None, :] - cur[:, None]) % 4
-        lp += loglik[e[:, None], delta]
-        prev = cur
-        cur = np.argmax(lp, axis=1)
-    return cur == m_true
-
-
-def _run_chunk_serial(draws, first, trans, loglik, m_true):
-    n, stages = draws.shape
-    out = np.empty(n, dtype=np.bool_)
-    lp = np.empty(4)
-    for t in range(n):
-        lp[:] = 0.0
-        cur = 0
-        prev = 0
-        for i in range(stages):
-            if i == 0:
-                p_off = first[(m_true - cur) % 4]
-            else:
-                p_off = trans[(m_true - prev) % 4, (cur - prev) % 4]
-            e = 0 if draws[t, i] < p_off else 1
-            for h in range(4):
-                lp[h] += loglik[e, (h - cur) % 4]
-            prev = cur
-            best = lp[0]
-            arg = 0
-            for h in range(1, 4):
-                if lp[h] > best:
-                    best = lp[h]
-                    arg = h
-            cur = arg
-        out[t] = cur == m_true
-    return out
-
-
-NUMBA_DISABLED = os.environ.get("QPSKRX_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-run_chunk_numba = None
-if not NUMBA_DISABLED:
-    try:
-        import numba
-
-        run_chunk_numba = numba.njit(cache=True, nogil=True)(_run_chunk_serial)
-    except ImportError:
-        pass
-
-run_chunk = run_chunk_numba if run_chunk_numba is not None else run_chunk_numpy
+    node = np.zeros(len(draws), dtype=np.intp)  # trie node of each trial
+    lp = np.zeros((1, 4))                       # per node: un-normalized log-posterior
+    cur = np.zeros(1, dtype=np.intp)            # per node: current target
+    p_off = first[[m_true % 4]]                 # per node: truth no-click probability
+    for u in draws.T:                           # uniforms of one bin, all trials
+        key = node + node                       # child key: 2 * parent + outcome
+        key += (u >= p_off[node]).astype(np.intp)
+        kids = np.flatnonzero(np.bincount(key, minlength=2 * len(lp)))
+        index = np.empty(2 * len(lp), dtype=np.intp)
+        index[kids] = np.arange(len(kids))
+        node = index[key]
+        parent, e = kids >> 1, kids & 1
+        prev = cur[parent]
+        lp = lp[parent] + loglik[e[:, None], (hyp - prev[:, None]) % 4]
+        cur = lp.argmax(axis=1)
+        p_off = trans[(m_true - prev) % 4, (cur - prev) % 4]
+    return cur[node] == m_true

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SimulationResult:
     stderr: float
     trials: int
     per_symbol_error: tuple[float, float, float, float]
-    config_digest: dict = field(default_factory=dict)
 
 
 def simulate_trial(truth_symbol: int, truth: TruthTables, inference: InferenceModel,
@@ -89,8 +88,7 @@ def _symbol_trial_counts(trials: int) -> list[int]:
 
 def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
                    truth: TruthTables | None = None, n_workers: int = 1,
-                   chunk_size: int = DEFAULT_CHUNK,
-                   config_digest: dict | None = None) -> SimulationResult:
+                   chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
     """Monte Carlo error-probability estimate, stratified over truth symbols.
 
     Deterministic for a given ``rng``: the chunk schedule is fixed and chunk
@@ -136,5 +134,4 @@ def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
         stderr=stderr,
         trials=trials,
         per_symbol_error=per_symbol,
-        config_digest=dict(config_digest or {}),
     )
