@@ -13,10 +13,9 @@ from .bayes import (EnumerationDetail, FeedbackState, InferenceModel,
                     uniform_truth_tables)
 from .bounds import helstrom_qpsk, qpsk_gram, sql_heterodyne, sql_lossy
 from .config import ConfigError, RunConfig, load_config
-from .delay import (DelayParams, SplitCoefficients, delay_truth_tables,
-                    off_prob_bin_no_delay, off_prob_bin_with_delay,
-                    off_prob_hold, off_prob_swing_analytic,
-                    off_prob_swing_discrete, split_coefficients)
+from .delay import (DelayParams, delay_truth_tables, off_prob_bin_no_delay,
+                    off_prob_bin_with_delay, off_prob_hold,
+                    off_prob_swing_analytic, off_prob_swing_discrete)
 from .montecarlo import (RngSpec, SimulationResult, estimate_error,
                          simulate_trial, trial_outcomes)
 from .physics import (ChannelModel, DetectorModel, QpskAlphabet,
@@ -26,16 +25,16 @@ from .physics import (ChannelModel, DetectorModel, QpskAlphabet,
 __all__ = [
     "ChannelModel", "ConfigError", "DelayParams", "DetectorModel",
     "EnumerationDetail", "FeedbackState", "InferenceModel", "QpskAlphabet",
-    "RngSpec", "RunConfig", "SimulationResult", "SplitCoefficients",
-    "TruthTables", "bin_likelihood", "decide", "delay_truth_tables",
-    "enumerate_detail", "enumerate_error_probability", "estimate_error",
-    "helstrom_qpsk", "initial_state", "load_config", "off_prob_bin_no_delay",
+    "RngSpec", "RunConfig", "SimulationResult", "TruthTables",
+    "bin_likelihood", "decide", "delay_truth_tables", "enumerate_detail",
+    "enumerate_error_probability", "estimate_error", "helstrom_qpsk",
+    "initial_state", "load_config", "off_prob_bin_no_delay",
     "off_prob_bin_with_delay", "off_prob_hold", "off_prob_swing_analytic",
     "off_prob_swing_discrete", "off_probability",
     "off_probability_visibility", "posterior_update", "qpsk_gram",
-    "sample_click", "simulate_trial", "split_coefficients", "sql_heterodyne",
-    "sql_lossy", "symbol_amplitude", "trial_outcomes",
-    "truth_from_inference", "uniform_truth_tables",
+    "sample_click", "simulate_trial", "sql_heterodyne", "sql_lossy",
+    "symbol_amplitude", "trial_outcomes", "truth_from_inference",
+    "uniform_truth_tables",
 ]
 
 __version__ = "0.1.0"

@@ -18,10 +18,25 @@ from __future__ import annotations
 import numpy as np
 
 
+def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin tables indexed by targets, shared by this kernel and the exact DP.
+
+    ``step[e, cur, h]`` is the log-likelihood added to ``lp[h]`` when target
+    ``cur`` sees outcome ``e`` (from ``loglik[e, (h - cur) % 4]``);
+    ``p_off[prev, cur, m]`` is the truth no-click probability of symbol ``m``
+    in bins >= 1 (from ``trans[(m - prev) % 4, (cur - prev) % 4]``).
+    """
+    hyp = np.arange(4)
+    step = loglik[:, (hyp[None, :] - hyp[:, None]) % 4]
+    p, c, m = np.ix_(hyp, hyp, hyp)
+    return step, trans[(m - p) % 4, (c - p) % 4]
+
+
 def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
               loglik: np.ndarray, m_true: int) -> np.ndarray:
     """Simulate one chunk of trials of symbol ``m_true``; per-trial correctness mask."""
-    hyp = np.arange(4)
+    step, p_off_by_target = receiver_step(loglik, trans)
+    p_off_by_target = p_off_by_target[:, :, m_true % 4]
     node = np.zeros(len(draws), dtype=np.intp)  # trie node of each trial
     lp = np.zeros((1, 4))                       # per node: un-normalized log-posterior
     cur = np.zeros(1, dtype=np.intp)            # per node: current target
@@ -35,7 +50,7 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
         node = index[key]
         parent, e = kids >> 1, kids & 1
         prev = cur[parent]
-        lp = lp[parent] + loglik[e[:, None], (hyp - prev[:, None]) % 4]
+        lp = lp[parent] + step[e, prev]
         cur = lp.argmax(axis=1)
-        p_off = trans[(m_true - prev) % 4, (cur - prev) % 4]
+        p_off = p_off_by_target[prev, cur]
     return cur[node] == m_true

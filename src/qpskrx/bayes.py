@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import receiver_step
 from .physics import ChannelModel, off_probability_quarter_turn
 
 _NEG_INF = float("-inf")
@@ -222,8 +223,8 @@ class EnumerationDetail:
     peak_states: int
 
 
-def enumerate_detail(model: InferenceModel, truth: TruthTables | None = None,
-                     max_stages: int = MAX_ENUM_STAGES) -> EnumerationDetail:
+def enumerate_detail(model: InferenceModel,
+                     truth: TruthTables | None = None) -> EnumerationDetail:
     """Exact error probability, one layer of merged receiver states per bin.
 
     Each outcome history is weighted by its probability under the truth model
@@ -237,20 +238,17 @@ def enumerate_detail(model: InferenceModel, truth: TruthTables | None = None,
     only the order of summation of the weights differs from a 2^M walk.
     """
     M = model.stages
-    if M > max_stages:
+    if M > MAX_ENUM_STAGES:
         raise ValueError(
-            f"enumeration is capped at {max_stages} stages; got M={M}")
+            f"enumeration is capped at {MAX_ENUM_STAGES} stages; got M={M}")
     if truth is None:
         truth = truth_from_inference(model)
     if truth.stages != M:
         raise ValueError("truth model stage count must match the inference model")
 
-    hyp = np.arange(4)
     # step[e, cur, h]: log-likelihood added to lp[h] when target cur sees e
-    step = model.log_likelihood_table()[:, (hyp[None, :] - hyp[:, None]) % 4]
     # p_off[prev, cur, m]: truth no-click probability of symbol m in bins >= 1
-    p, c, m = np.ix_(hyp, hyp, hyp)
-    p_off = truth.trans[(m - p) % 4, (c - p) % 4]
+    step, p_off = receiver_step(model.log_likelihood_table(), truth.trans)
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
@@ -290,7 +288,6 @@ def enumerate_detail(model: InferenceModel, truth: TruthTables | None = None,
 
 
 def enumerate_error_probability(model: InferenceModel,
-                                truth: TruthTables | None = None,
-                                max_stages: int = MAX_ENUM_STAGES) -> float:
+                                truth: TruthTables | None = None) -> float:
     """Exact average error probability (see ``enumerate_detail``)."""
-    return enumerate_detail(model, truth, max_stages).error_prob
+    return enumerate_detail(model, truth).error_prob

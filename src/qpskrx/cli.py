@@ -8,6 +8,7 @@ config file reproduces the identical output byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bayes import InferenceModel, enumerate_error_probability
 from .bounds import helstrom_qpsk, sql_heterodyne, sql_lossy
-from .config import ConfigError, RunConfig, load_config
+from .config import MODES, ConfigError, RunConfig, load_config
 from .delay import DelayParams, delay_truth_tables
 from .physics import ChannelModel
 from .montecarlo import RngSpec, estimate_error
@@ -94,9 +95,8 @@ def run(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         columns = ["dt_us", "error_prob", "stderr"]
         params = DelayParams(cfg.t_bin_us, cfg.t_hold_us, cfg.t_swing_us)
         for dt in np.linspace(cfg.dt_start_us, cfg.dt_stop_us, cfg.dt_points):
-            eta_eff = cfg.eta_se * (1.0 - (cfg.m - 1) * dt / cfg.t_total_us)
-            inference = InferenceModel(cfg.alpha_sq, cfg.m, eta_eff, cfg.xi,
-                                       cfg.nu_per_state)
+            inference = matched_inference(dataclasses.replace(cfg, dt_us=float(dt)),
+                                          cfg.alpha_sq)
             truth = delay_truth_tables(cfg.alpha_sq, cfg.m,
                                        ChannelModel(cfg.eta_se, cfg.xi),
                                        cfg.nu_per_state, params, float(dt),
@@ -182,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive displacement/photon-counting receiver simulator "
                     "for QPSK coherent-state discrimination.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("bounds", "sweep", "delay-sweep", "efficiency-sweep",
-                 "stages-sweep", "enumerate"):
+    for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", metavar="FILE", help="JSON config file")
         p.add_argument("--alpha-sq-grid", metavar="A:B:N[:log]")

@@ -2,10 +2,11 @@
 
 When the feedback target changes between bins, the displacement phase is
 stale for ``t_hold``, ramps linearly to the new phase during ``t_swing``, and
-only then sits at the target.  The bin is modeled as a three-way beam split
-with intensity fractions ``t_hold/t_bin``, ``t_swing/t_bin`` and the
-remainder; the swing segment has a closed-form no-click probability in the
-continuum limit plus a discrete L-mode product used as its oracle.
+only then sits at the target.  Each segment gets the share of the bin's
+intensity equal to its share of the bin's time: ``t_hold/t_bin``,
+``t_swing/t_bin`` and the remainder (a cascade of two beam splitters gives
+the same shares).  The swing segment has a closed-form no-click probability
+in the continuum limit plus a discrete L-mode product used as its oracle.
 
 A discard window of width ``delta_t`` at the bin start is treated as linear
 loss: fully covered segments are dropped, a partially covered segment keeps
@@ -46,57 +47,34 @@ class DelayParams:
     def ramp_end(self) -> float:
         return self.t_hold + self.t_swing
 
-
-@dataclass(frozen=True)
-class SplitCoefficients:
-    """Beam-splitter intensity fractions for the three bin segments."""
-
-    r1_sq: float
-    t1_sq: float
-    r2_sq: float
-    t2_sq: float
-
-    def __post_init__(self):
-        for name in ("r1_sq", "t1_sq", "r2_sq", "t2_sq"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if abs(self.r1_sq + self.t1_sq - 1.0) > 1e-12 or abs(self.r2_sq + self.t2_sq - 1.0) > 1e-12:
-            raise ValueError("splitter intensity fractions must pair-sum to 1")
-
     @property
     def hold_fraction(self) -> float:
-        return self.r1_sq
+        return self.t_hold / self.t_bin
 
     @property
     def swing_fraction(self) -> float:
-        return self.t1_sq * self.r2_sq
+        return self.t_swing / self.t_bin
 
     @property
     def settle_fraction(self) -> float:
-        return self.t1_sq * self.t2_sq
+        return (self.t_bin - self.ramp_end) / self.t_bin
 
 
-def split_coefficients(p: DelayParams) -> SplitCoefficients:
-    """Splitter fractions reproducing the hold/swing/settle time shares."""
-    r1_sq = p.t_hold / p.t_bin
-    t1_sq = 1.0 - r1_sq
-    if t1_sq <= 0.0:
-        raise ZeroDivisionError("t_hold equals t_bin: degenerate first splitter")
-    r2_sq = p.t_swing / (p.t_bin * t1_sq)
-    return SplitCoefficients(r1_sq, t1_sq, r2_sq, 1.0 - r2_sq)
+def _off_prob_fixed(delta: int, fraction: float, gamma_sq: float,
+                    ch: ChannelModel) -> float:
+    """No-click probability of a segment held at phase ``delta``*pi/2."""
+    return math.exp(-2.0 * ch.eta_total * fraction * gamma_sq
+                    * (1.0 - ch.xi * QUARTER_TURN_COS[delta % 4]))
 
 
 def off_prob_hold(m: int, prev_target: int, gamma_sq: float,
-                  sc: SplitCoefficients, ch: ChannelModel) -> float:
+                  p: DelayParams, ch: ChannelModel) -> float:
     """No-click probability of the hold segment (previous target still nulled)."""
-    cos_theta = QUARTER_TURN_COS[(m - prev_target) % 4]
-    return math.exp(-2.0 * ch.eta_total * sc.hold_fraction * gamma_sq
-                    * (1.0 - ch.xi * cos_theta))
+    return _off_prob_fixed(m - prev_target, p.hold_fraction, gamma_sq, ch)
 
 
 def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
-                            gamma_sq: float, sc: SplitCoefficients,
+                            gamma_sq: float, p: DelayParams,
                             ch: ChannelModel) -> float:
     """Continuum-limit no-click probability of the linear phase ramp.
 
@@ -109,7 +87,7 @@ def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
     if m2 == 0:
         raise ValueError("degenerate swing (target unchanged): use the hold formula")
     mm = (m - prev_target) % 4
-    w = ch.eta_total * sc.swing_fraction * gamma_sq
+    w = ch.eta_total * p.swing_fraction * gamma_sq
     exponent = (-2.0 * w
                 + (4.0 * w / (m2 * math.pi)) * ch.xi
                 * (math.sin(mm * math.pi / 2) - math.sin((mm - m2) * math.pi / 2)))
@@ -117,7 +95,7 @@ def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
 
 
 def off_prob_swing_discrete(m: int, prev_target: int, new_target: int,
-                            gamma_sq: float, sc: SplitCoefficients,
+                            gamma_sq: float, p: DelayParams,
                             ch: ChannelModel, L: int) -> float:
     """L-mode product approximation of the swing segment (oracle for the limit)."""
     if L < 2:
@@ -125,7 +103,7 @@ def off_prob_swing_discrete(m: int, prev_target: int, new_target: int,
     step = (new_target - prev_target) % 4
     m2 = _SIGNED_SPAN[step]
     mm = (m - prev_target) % 4
-    gp_sq = ch.eta_total * sc.swing_fraction * gamma_sq / L
+    gp_sq = ch.eta_total * p.swing_fraction * gamma_sq / L
     j = np.arange(1, L + 1)
     theta = m2 * (math.pi / 2) * (j - 1) / (L - 1)
     exponents = -2.0 * gp_sq * (1.0 - ch.xi * np.cos(theta - mm * math.pi / 2))
@@ -159,21 +137,15 @@ def off_prob_bin_with_delay(m: int, prev_target: int, new_target: int,
     discard window applied as linear loss per segment.  Dark counts are kept
     at the full per-bin expectation.
     """
-    sc = split_coefficients(p)
     ret_hold, ret_swing, ret_settle = _discard_retentions(p, discard_dt)
-    dnew = (m - new_target) % 4
-    step = (new_target - prev_target) % 4
-
-    hold = off_prob_hold(m, prev_target, gamma_sq * ret_hold, sc, ch)
-    if step == 0:
+    hold = off_prob_hold(m, prev_target, gamma_sq * ret_hold, p, ch)
+    if (new_target - prev_target) % 4 == 0:
         # no phase motion: the swing window sits at the (unchanged) target
-        swing = math.exp(-2.0 * ch.eta_total * sc.swing_fraction * gamma_sq * ret_swing
-                         * (1.0 - ch.xi * QUARTER_TURN_COS[dnew]))
+        swing = _off_prob_fixed(m - new_target, p.swing_fraction, gamma_sq * ret_swing, ch)
     else:
         swing = off_prob_swing_analytic(m, prev_target, new_target,
-                                        gamma_sq * ret_swing, sc, ch)
-    settle = math.exp(-2.0 * ch.eta_total * sc.settle_fraction * gamma_sq * ret_settle
-                      * (1.0 - ch.xi * QUARTER_TURN_COS[dnew]))
+                                        gamma_sq * ret_swing, p, ch)
+    settle = _off_prob_fixed(m - new_target, p.settle_fraction, gamma_sq * ret_settle, ch)
     return hold * swing * settle * math.exp(-nu_per_bin)
 
 

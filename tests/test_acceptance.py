@@ -26,7 +26,7 @@ from qpskrx.bayes import (InferenceModel, enumerate_detail,
                           posterior_update, truth_from_inference)
 from qpskrx.bounds import (gram_eigenvalues, helstrom_qpsk, qpsk_gram,
                            sql_heterodyne)
-from qpskrx.delay import DelayParams, delay_truth_tables, split_coefficients
+from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec, estimate_error
 from qpskrx.physics import ChannelModel
 
@@ -244,15 +244,14 @@ def test_c10_swing_limit_convergence():
     ratios = []
     for _ in range(100):
         params = DelayParams(20.0, rng.uniform(0.2, 0.5), rng.uniform(0.4, 0.8))
-        sc = split_coefficients(params)
         ch = ChannelModel(rng.uniform(0.3, 0.65), rng.uniform(0.95, 1.0))
         m = int(rng.integers(0, 4))
         prev = int(rng.integers(0, 4))
         new = (prev + int(rng.integers(1, 4))) % 4
         g = rng.uniform(0.0, 0.5)
-        exact = off_prob_swing_analytic(m, prev, new, g, sc, ch)
-        e_hi = abs(off_prob_swing_discrete(m, prev, new, g, sc, ch, 10**4) - exact)
-        e_lo = abs(off_prob_swing_discrete(m, prev, new, g, sc, ch, 10**2) - exact)
+        exact = off_prob_swing_analytic(m, prev, new, g, params, ch)
+        e_hi = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**4) - exact)
+        e_lo = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**2) - exact)
         worst = max(worst, e_hi)
         if e_hi > 0:
             ratios.append(e_lo / e_hi)

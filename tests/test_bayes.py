@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qpskrx.bayes import (InferenceModel, bin_likelihood, decide,
-                          enumerate_detail, enumerate_error_probability,
-                          initial_state, posterior_update,
-                          truth_from_inference, uniform_truth_tables)
+from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, bin_likelihood,
+                          decide, enumerate_detail,
+                          enumerate_error_probability, initial_state,
+                          posterior_update, truth_from_inference,
+                          uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.physics import (ChannelModel, DetectorModel, QpskAlphabet,
@@ -201,8 +202,9 @@ class TestEnumeration:
         assert d.error_prob == pytest.approx(d.per_symbol_error.mean(), abs=1e-14)
 
     def test_stage_cap(self):
+        enumerate_error_probability(ideal(1.0, MAX_ENUM_STAGES))
         with pytest.raises(ValueError, match="capped"):
-            enumerate_error_probability(ideal(1.0, 21))
+            enumerate_error_probability(ideal(1.0, MAX_ENUM_STAGES + 1))
 
     def test_truth_stage_mismatch_rejected(self):
         truth = truth_from_inference(ideal(1.0, 4))

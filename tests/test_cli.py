@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -161,3 +163,57 @@ class TestCliMain:
         rc = main(["bounds", "--alpha-sq-grid", "0:1:2"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("# config=")
+
+
+# Rendered CSV sha256 of one small config per mode.  A change that claims to
+# leave the numbers alone must leave these bytes alone.
+GOLDEN_CSV = [
+    ("bounds", {"alpha_sq_start": 0.0, "alpha_sq_stop": 4.0, "alpha_sq_points": 5},
+     "b86bcfeea41395006d9745a2995668b458b979d3846b87b961708597a2b776a5"),
+    ("enumerate", {"m": 6, "alpha_sq_start": 0.5, "alpha_sq_stop": 4.0,
+                   "alpha_sq_points": 3},
+     "00e040eed82e7307c88c526aa54b2fdbe5c461a152dcf04c6b55256ec00f895b"),
+    ("sweep", {"m": 4, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
+               "alpha_sq_points": 3, "trials": 4000, "seed": 3},
+     "f5e27001cee3ff5d7f6127530a72872913cbd046506abda8856753b07160c80d"),
+    ("efficiency-sweep", {"m": 4, "eta_spd_list": [0.73, 1.0], "alpha_sq_start": 1.0,
+                          "alpha_sq_stop": 2.0, "alpha_sq_points": 2, "trials": 3000,
+                          "seed": 4},
+     "f758efa45cf179457055dd8159ffb84e12db2c7011590db68553e0991f78cc74"),
+    ("stages-sweep", {"m_start": 3, "m_stop": 5, "alpha_sq": 3.0, "trials": 3000,
+                      "seed": 5},
+     "110880bc022efda8c0c1dfb2db0bbcf5fe718e60d654549359348a59a605e7cf"),
+    ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
+                     "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": True},
+     "56fbb9bd7bd46b670db6235d3c1cd4835947f47168e80cb456c8cac6195054a4"),
+    ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
+                     "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": False},
+     "0c139442f0d3c0c4c1358fe15201b1f3868f23982326d28c4d655fd242ef11e9"),
+]
+
+
+class TestGoldenCsv:
+    @pytest.mark.parametrize(
+        "mode, config, digest", GOLDEN_CSV,
+        ids=["bounds", "enumerate", "sweep", "efficiency-sweep", "stages-sweep",
+             "delay-sweep-truth-on", "delay-sweep-truth-off"])
+    def test_csv_bytes(self, tmp_path, mode, config, digest):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(config))
+        assert main([mode, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestDelayBoundary:
+    def test_hold_plus_swing_filling_the_bin_runs(self, tmp_path):
+        # t_bin = 200/13 us, and 0.37 + 15.014615384615386 equals it exactly in
+        # floating point: the validated config leaves no settle segment.
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps({"m": 13, "t_hold_us": 0.37,
+                                        "t_swing_us": 15.014615384615386,
+                                        "dt_points": 3, "trials": 2000}))
+        assert main(["delay-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 3
+        for row in rows:
+            assert math.isfinite(float(row.split(",")[1]))

@@ -6,7 +6,7 @@ import pytest
 from qpskrx.delay import (DelayParams, delay_truth_tables,
                           off_prob_bin_no_delay, off_prob_bin_with_delay,
                           off_prob_hold, off_prob_swing_analytic,
-                          off_prob_swing_discrete, split_coefficients)
+                          off_prob_swing_discrete)
 from qpskrx.physics import ChannelModel, off_probability_visibility
 
 DEFAULTS = DelayParams(20.0, 0.37, 0.63)
@@ -23,79 +23,76 @@ def random_case(rng):
     return p, ch, m, prev, new, gamma_sq
 
 
-class TestSplitCoefficients:
+class TestTimeShares:
     def test_reference_timing(self):
-        sc = split_coefficients(DEFAULTS)
-        assert sc.r1_sq == pytest.approx(0.37 / 20, rel=1e-12)
-        assert sc.r2_sq == pytest.approx(0.63 / (20 * (1 - 0.37 / 20)), rel=1e-12)
+        assert DEFAULTS.hold_fraction == pytest.approx(0.37 / 20, rel=1e-12)
+        assert DEFAULTS.swing_fraction == pytest.approx(0.63 / 20, rel=1e-12)
+        assert DEFAULTS.settle_fraction == pytest.approx(19.0 / 20, rel=1e-12)
 
     def test_no_hold_segment(self):
-        sc = split_coefficients(DelayParams(20.0, 0.0, 0.63))
-        assert sc.r1_sq == 0.0
+        assert DelayParams(20.0, 0.0, 0.63).hold_fraction == 0.0
 
-    def test_energy_bookkeeping(self):
-        sc = split_coefficients(DEFAULTS)
-        assert sc.r1_sq + sc.t1_sq * sc.r2_sq + sc.t1_sq * sc.t2_sq == pytest.approx(
-            1.0, abs=1e-12)
+    def test_shares_sum_to_one(self):
+        rng = np.random.default_rng(5)
+        for p in [DEFAULTS, DelayParams(200 / 13, 0.37, 15.014615384615386)] + [
+                random_case(rng)[0] for _ in range(50)]:
+            total = p.hold_fraction + p.swing_fraction + p.settle_fraction
+            assert total == pytest.approx(1.0, abs=1e-15)
+            assert p.settle_fraction >= 0.0
 
-    def test_degenerate_split_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            split_coefficients(DelayParams(20.0, 20.0, 0.0))
+    def test_all_hold_bin_has_finite_table(self):
+        p = DelayParams(20.0, 20.0, 0.0)
+        assert (p.hold_fraction, p.swing_fraction, p.settle_fraction) == (1.0, 0.0, 0.0)
+        t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 1.1)
+        assert np.all(np.isfinite(t.trans))
+        assert np.all((t.trans > 0.0) & (t.trans <= 1.0))
 
 
 class TestHoldSegment:
     def test_matched_phase(self):
-        sc = split_coefficients(DEFAULTS)
-        assert off_prob_hold(1, 1, 1.0, sc, IDEAL) == 1.0
+        assert off_prob_hold(1, 1, 1.0, DEFAULTS, IDEAL) == 1.0
 
     def test_opposite_phase_value(self):
-        sc = split_coefficients(DEFAULTS)
-        p = off_prob_hold(2, 0, 1.0, sc, IDEAL)
+        p = off_prob_hold(2, 0, 1.0, DEFAULTS, IDEAL)
         assert p == pytest.approx(math.exp(-2 * 0.0185 * 2), rel=1e-12)
 
     def test_vacuum_signal(self):
-        sc = split_coefficients(DEFAULTS)
-        assert off_prob_hold(3, 0, 0.0, sc, ChannelModel(0.65, 0.996)) == 1.0
+        assert off_prob_hold(3, 0, 0.0, DEFAULTS, ChannelModel(0.65, 0.996)) == 1.0
 
 
 class TestSwingSegment:
     def test_vacuum_signal(self):
-        sc = split_coefficients(DEFAULTS)
-        assert off_prob_swing_analytic(1, 0, 2, 0.0, sc, IDEAL) == 1.0
-        assert off_prob_swing_discrete(1, 0, 2, 0.0, sc, IDEAL, 50) == pytest.approx(
+        assert off_prob_swing_analytic(1, 0, 2, 0.0, DEFAULTS, IDEAL) == 1.0
+        assert off_prob_swing_discrete(1, 0, 2, 0.0, DEFAULTS, IDEAL, 50) == pytest.approx(
             1.0, abs=1e-15)
 
     def test_zero_visibility_is_phase_independent(self):
-        sc = split_coefficients(DEFAULTS)
         ch = ChannelModel(0.8, 0.0)
-        vals = {off_prob_swing_analytic(m, 0, 1, 0.7, sc, ch) for m in range(4)}
-        ref = math.exp(-2 * 0.8 * sc.t1_sq * sc.r2_sq * 0.7)
+        vals = {off_prob_swing_analytic(m, 0, 1, 0.7, DEFAULTS, ch) for m in range(4)}
+        ref = math.exp(-2 * 0.8 * (0.63 / 20) * 0.7)
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-12)
 
     def test_degenerate_span_rejected(self):
-        sc = split_coefficients(DEFAULTS)
         with pytest.raises(ValueError, match="degenerate swing"):
-            off_prob_swing_analytic(1, 2, 2, 0.5, sc, IDEAL)
+            off_prob_swing_analytic(1, 2, 2, 0.5, DEFAULTS, IDEAL)
 
     def test_two_mode_product_by_hand(self):
-        sc = split_coefficients(DEFAULTS)
         # L=2, m = prev_target: endpoints theta in {0, m2*pi/2}
         m2 = 1
         g = 0.6
-        gp_sq = sc.t1_sq * sc.r2_sq * g / 2
+        gp_sq = (0.63 / 20) * g / 2
         expected = math.exp(-2 * gp_sq * (1 - math.cos(0.0))) * math.exp(
             -2 * gp_sq * (1 - math.cos(m2 * math.pi / 2)))
-        got = off_prob_swing_discrete(0, 0, m2, g, sc, IDEAL, 2)
+        got = off_prob_swing_discrete(0, 0, m2, g, DEFAULTS, IDEAL, 2)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_discrete_converges_to_analytic(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             p, ch, m, prev, new, g = random_case(rng)
-            sc = split_coefficients(p)
-            target = off_prob_swing_analytic(m, prev, new, g, sc, ch)
-            errs = [abs(off_prob_swing_discrete(m, prev, new, g, sc, ch, L) - target)
+            target = off_prob_swing_analytic(m, prev, new, g, p, ch)
+            errs = [abs(off_prob_swing_discrete(m, prev, new, g, p, ch, L) - target)
                     for L in (10, 100, 10**4)]
             assert errs[0] >= errs[1] >= errs[2]
             assert errs[2] <= 1e-6
