@@ -17,7 +17,7 @@ from .delay import (DelayParams, delay_truth_tables, off_prob_bin_no_delay,
                     off_prob_bin_with_delay, off_prob_hold,
                     off_prob_swing_analytic, off_prob_swing_discrete)
 from .montecarlo import (RngSpec, SimulationResult, estimate_error,
-                         simulate_trial, trial_outcomes)
+                         estimate_errors, simulate_trial, trial_outcomes)
 from .physics import (ChannelModel, DetectorModel, QpskAlphabet,
                       off_probability, off_probability_visibility,
                       sample_click, symbol_amplitude)
@@ -27,8 +27,8 @@ __all__ = [
     "EnumerationDetail", "FeedbackState", "InferenceModel", "QpskAlphabet",
     "RngSpec", "RunConfig", "SimulationResult", "TruthTables",
     "bin_likelihood", "decide", "delay_truth_tables", "enumerate_detail",
-    "enumerate_error_probability", "estimate_error", "helstrom_qpsk",
-    "initial_state", "load_config", "off_prob_bin_no_delay",
+    "enumerate_error_probability", "estimate_error", "estimate_errors",
+    "helstrom_qpsk", "initial_state", "load_config", "off_prob_bin_no_delay",
     "off_prob_bin_with_delay", "off_prob_hold", "off_prob_swing_analytic",
     "off_prob_swing_discrete", "off_probability",
     "off_probability_visibility", "posterior_update", "qpsk_gram",

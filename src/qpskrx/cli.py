@@ -19,7 +19,8 @@ from .bounds import helstrom_qpsk, sql_heterodyne, sql_lossy
 from .config import MODES, ConfigError, RunConfig, load_config
 from .delay import DelayParams, delay_truth_tables
 from .physics import ChannelModel
-from .montecarlo import RngSpec, estimate_error
+# ``estimate_error`` stays importable from here: perfbench/spans.py traces it by this name.
+from .montecarlo import RngSpec, estimate_error, estimate_errors  # noqa: F401
 
 
 def alpha_grid(cfg: RunConfig) -> np.ndarray:
@@ -40,95 +41,95 @@ def matched_inference(cfg: RunConfig, alpha_sq: float, m: int | None = None,
     return InferenceModel(alpha_sq, m, eta_eff, cfg.xi, cfg.nu_per_state)
 
 
+def _estimate(cfg: RunConfig, points: list) -> list:
+    """One grid call for all Monte Carlo points of a run (common random numbers)."""
+    return estimate_errors(points, cfg.trials, RngSpec(cfg.seed), cfg.workers)
+
+
+def _bounds(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    rows = [{"alpha_sq": float(a),
+             "sql": sql_heterodyne(a),
+             "sql_lossy": sql_lossy(a, cfg.eta_se),
+             "helstrom": helstrom_qpsk(a)} for a in alpha_grid(cfg)]
+    return ["alpha_sq", "sql", "sql_lossy", "helstrom"], rows
+
+
+def _enumerate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    rows = []
+    for a in alpha_grid(cfg):
+        model = matched_inference(cfg, float(a))
+        rows.append({"alpha_sq": float(a),
+                     "alpha_sq_detected": model.eta_total * float(a),
+                     "error_prob": enumerate_error_probability(model)})
+    return ["alpha_sq", "alpha_sq_detected", "error_prob"], rows
+
+
+def _sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    alphas = [float(a) for a in alpha_grid(cfg)]
+    models = [matched_inference(cfg, a) for a in alphas]
+    results = _estimate(cfg, [(model, None) for model in models])
+    rows = [{"alpha_sq": a,
+             "alpha_sq_detected": model.eta_total * a,
+             "error_prob": res.error_prob,
+             "stderr": res.stderr} for a, model, res in zip(alphas, models, results)]
+    return ["alpha_sq", "alpha_sq_detected", "error_prob", "stderr"], rows
+
+
+def _efficiency_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    grid = [(eta_spd, float(a)) for eta_spd in cfg.eta_spd_list for a in alpha_grid(cfg)]
+    results = _estimate(cfg, [(matched_inference(cfg, a, eta_spd=eta_spd), None)
+                              for eta_spd, a in grid])
+    rows = [{"eta_spd": eta_spd,
+             "alpha_sq": a,
+             "error_prob": res.error_prob,
+             "stderr": res.stderr} for (eta_spd, a), res in zip(grid, results)]
+    return ["eta_spd", "alpha_sq", "error_prob", "stderr"], rows
+
+
+def _delay_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    params = DelayParams(cfg.t_bin_us, cfg.t_hold_us, cfg.t_swing_us)
+    dts = [float(dt) for dt in np.linspace(cfg.dt_start_us, cfg.dt_stop_us, cfg.dt_points)]
+    points = [(matched_inference(dataclasses.replace(cfg, dt_us=dt), cfg.alpha_sq),
+               delay_truth_tables(cfg.alpha_sq, cfg.m, ChannelModel(cfg.eta_se, cfg.xi),
+                                  cfg.nu_per_state, params, dt,
+                                  include_delay=cfg.truth_delay))
+              for dt in dts]
+    rows = [{"dt_us": dt,
+             "error_prob": res.error_prob,
+             "stderr": res.stderr} for dt, res in zip(dts, _estimate(cfg, points))]
+    return ["dt_us", "error_prob", "stderr"], rows
+
+
+def _stages_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+    ms = range(cfg.m_start, cfg.m_stop + 1)
+    points = [(matched_inference(cfg, cfg.alpha_sq, m=m, include_discard=discard), None)
+              for m in ms for discard in (False, True)]
+    results = _estimate(cfg, points)
+    rows = [{"m": m,
+             "error_prob_no_discard": res0.error_prob,
+             "stderr_no_discard": res0.stderr,
+             "error_prob_discard": res1.error_prob,
+             "stderr_discard": res1.stderr}
+            for m, res0, res1 in zip(ms, results[0::2], results[1::2])]
+    return ["m", "error_prob_no_discard", "stderr_no_discard",
+            "error_prob_discard", "stderr_discard"], rows
+
+
+# One function per mode of ``config.MODES``; each returns (column names, rows).
+RUNNERS = {
+    "bounds": _bounds,
+    "sweep": _sweep,
+    "delay-sweep": _delay_sweep,
+    "efficiency-sweep": _efficiency_sweep,
+    "stages-sweep": _stages_sweep,
+    "enumerate": _enumerate,
+}
+
+
 def run(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     """Execute one mode; returns (column names, rows in grid order)."""
     cfg.validate()
-    rng = RngSpec(cfg.seed)
-    rows: list[dict] = []
-
-    if cfg.mode == "bounds":
-        columns = ["alpha_sq", "sql", "sql_lossy", "helstrom"]
-        for a in alpha_grid(cfg):
-            rows.append({
-                "alpha_sq": float(a),
-                "sql": sql_heterodyne(a),
-                "sql_lossy": sql_lossy(a, cfg.eta_se),
-                "helstrom": helstrom_qpsk(a),
-            })
-
-    elif cfg.mode == "enumerate":
-        columns = ["alpha_sq", "alpha_sq_detected", "error_prob"]
-        for a in alpha_grid(cfg):
-            model = matched_inference(cfg, float(a))
-            rows.append({
-                "alpha_sq": float(a),
-                "alpha_sq_detected": model.eta_total * float(a),
-                "error_prob": enumerate_error_probability(model),
-            })
-
-    elif cfg.mode == "sweep":
-        columns = ["alpha_sq", "alpha_sq_detected", "error_prob", "stderr"]
-        for a in alpha_grid(cfg):
-            model = matched_inference(cfg, float(a))
-            res = estimate_error(model, cfg.trials, rng, n_workers=cfg.workers)
-            rows.append({
-                "alpha_sq": float(a),
-                "alpha_sq_detected": model.eta_total * float(a),
-                "error_prob": res.error_prob,
-                "stderr": res.stderr,
-            })
-
-    elif cfg.mode == "efficiency-sweep":
-        columns = ["eta_spd", "alpha_sq", "error_prob", "stderr"]
-        for eta_spd in cfg.eta_spd_list:
-            for a in alpha_grid(cfg):
-                model = matched_inference(cfg, float(a), eta_spd=eta_spd)
-                res = estimate_error(model, cfg.trials, rng, n_workers=cfg.workers)
-                rows.append({
-                    "eta_spd": eta_spd,
-                    "alpha_sq": float(a),
-                    "error_prob": res.error_prob,
-                    "stderr": res.stderr,
-                })
-
-    elif cfg.mode == "delay-sweep":
-        columns = ["dt_us", "error_prob", "stderr"]
-        params = DelayParams(cfg.t_bin_us, cfg.t_hold_us, cfg.t_swing_us)
-        for dt in np.linspace(cfg.dt_start_us, cfg.dt_stop_us, cfg.dt_points):
-            inference = matched_inference(dataclasses.replace(cfg, dt_us=float(dt)),
-                                          cfg.alpha_sq)
-            truth = delay_truth_tables(cfg.alpha_sq, cfg.m,
-                                       ChannelModel(cfg.eta_se, cfg.xi),
-                                       cfg.nu_per_state, params, float(dt),
-                                       include_delay=cfg.truth_delay)
-            res = estimate_error(inference, cfg.trials, rng, truth=truth,
-                                 n_workers=cfg.workers)
-            rows.append({
-                "dt_us": float(dt),
-                "error_prob": res.error_prob,
-                "stderr": res.stderr,
-            })
-
-    elif cfg.mode == "stages-sweep":
-        columns = ["m", "error_prob_no_discard", "stderr_no_discard",
-                   "error_prob_discard", "stderr_discard"]
-        for m in range(cfg.m_start, cfg.m_stop + 1):
-            lossless = matched_inference(cfg, cfg.alpha_sq, m=m, include_discard=False)
-            lossy = matched_inference(cfg, cfg.alpha_sq, m=m, include_discard=True)
-            res0 = estimate_error(lossless, cfg.trials, rng, n_workers=cfg.workers)
-            res1 = estimate_error(lossy, cfg.trials, rng, n_workers=cfg.workers)
-            rows.append({
-                "m": m,
-                "error_prob_no_discard": res0.error_prob,
-                "stderr_no_discard": res0.stderr,
-                "error_prob_discard": res1.error_prob,
-                "stderr_discard": res1.stderr,
-            })
-
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigError(f"mode: unknown mode {cfg.mode!r}")
-
-    return columns, rows
+    return RUNNERS[cfg.mode](cfg)
 
 
 def _format(value) -> str:

@@ -90,6 +90,8 @@ class RunConfig:
         check(0.0 <= self.xi <= 1.0, "xi", "must be in [0, 1]")
         check(self.nu_per_state >= 0, "nu_per_state", "must be >= 0")
         check(self.t_total_us > 0, "t_total_us", "must be > 0")
+        check(self.t_bin_us > 0, "t_total_us",
+              f"must leave a bin width t_total_us / m > 0 (m = {self.m})")
         check(0.0 <= self.dt_us <= self.t_bin_us, "dt_us",
               f"must be in [0, t_bin = {self.t_bin_us}]")
         check(0.0 <= self.dt_start_us <= self.dt_stop_us, "dt_start_us",

@@ -3,12 +3,15 @@
 Trials are stratified over the four truth symbols (equal priors) and driven
 by counter-based Philox substreams keyed on (seed, symbol) with the counter
 advanced to the trial index, so a given (seed, symbol, trial) always sees the
-same uniforms regardless of chunking, worker count or scheduling.
+same uniforms regardless of chunking, worker count or scheduling.  A grid of
+points shares those uniforms (common random numbers), and each chunk's draws
+are generated once for all points with the same padded stage count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,43 +89,64 @@ def _symbol_trial_counts(trials: int) -> list[int]:
     return [base + (1 if s < rem else 0) for s in range(4)]
 
 
-def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
-                   truth: TruthTables | None = None, n_workers: int = 1,
-                   chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
-    """Monte Carlo error-probability estimate, stratified over truth symbols.
+def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
+                    trials: int, rng: RngSpec, n_workers: int = 1,
+                    chunk_size: int = DEFAULT_CHUNK) -> list[SimulationResult]:
+    """Monte Carlo estimates for a grid of ``(inference, truth)`` points.
 
-    Deterministic for a given ``rng``: the chunk schedule is fixed and chunk
-    tallies are integers, so the result is independent of ``n_workers``.
+    Every point sees the same uniforms for a given (symbol, trial): common
+    random numbers.  Points with the same padded stage count read the same
+    Philox block per trial, so each (pad group, symbol, chunk) task draws
+    once, at the group's largest M, and runs every point of the group on the
+    first ``stages`` columns.  Deterministic for a given ``rng``: the chunk
+    schedule is fixed and the tallies are integers, so the results are
+    independent of ``n_workers``.  A missing truth is the matched one.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
-    if truth is None:
-        truth = truth_from_inference(inference)
-    if truth.stages != inference.stages:
-        raise ValueError("truth model stage count must match the inference model")
-    loglik = inference.log_likelihood_table()
+    tables = []
+    for inference, truth in points:
+        if truth is None:
+            truth = truth_from_inference(inference)
+        if truth.stages != inference.stages:
+            raise ValueError("truth model stage count must match the inference model")
+        tables.append((inference.stages, truth.first, truth.trans,
+                       inference.log_likelihood_table()))
+    groups: dict[int, list[int]] = {}
+    for i, (stages, *_) in enumerate(tables):
+        groups.setdefault(4 * ((stages + 3) // 4), []).append(i)
     counts = _symbol_trial_counts(trials)
 
     tasks = []
-    for symbol, n_sym in enumerate(counts):
-        for start in range(0, n_sym, chunk_size):
-            tasks.append((symbol, start, min(chunk_size, n_sym - start)))
+    for members in groups.values():
+        top = max(tables[i][0] for i in members)
+        for symbol, n_sym in enumerate(counts):
+            for start in range(0, n_sym, chunk_size):
+                tasks.append((members, top, symbol, start, min(chunk_size, n_sym - start)))
 
     def run_task(task):
-        symbol, start, n = task
-        draws = rng.draws(symbol, start, n, inference.stages)
-        mask = _kernels.run_chunk(draws, truth.first, truth.trans, loglik, symbol)
-        return symbol, int(mask.sum())
+        members, top, symbol, start, n = task
+        draws = rng.draws(symbol, start, n, top)
+        tallies = []
+        for i in members:
+            stages, first, trans, loglik = tables[i]
+            mask = _kernels.run_chunk(draws[:, :stages], first, trans, loglik, symbol)
+            tallies.append((i, symbol, int(mask.sum())))
+        return tallies
 
-    correct = [0, 0, 0, 0]
+    correct = [[0, 0, 0, 0] for _ in tables]
     if n_workers <= 1:
         results = map(run_task, tasks)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_task, tasks))
-    for symbol, n_correct in results:
-        correct[symbol] += n_correct
+    for tallies in results:
+        for i, symbol, n_correct in tallies:
+            correct[i][symbol] += n_correct
+    return [_result(c, counts, trials) for c in correct]
 
+
+def _result(correct: list[int], counts: list[int], trials: int) -> SimulationResult:
     per_symbol = tuple(
         1.0 - correct[s] / counts[s] if counts[s] else 0.0 for s in range(4))
     sampled = [s for s in range(4) if counts[s]]
@@ -135,3 +159,10 @@ def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
         trials=trials,
         per_symbol_error=per_symbol,
     )
+
+
+def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
+                   truth: TruthTables | None = None, n_workers: int = 1,
+                   chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
+    """Monte Carlo error-probability estimate of one point (see ``estimate_errors``)."""
+    return estimate_errors([(inference, truth)], trials, rng, n_workers, chunk_size)[0]

@@ -12,7 +12,7 @@ lowest index.  Its ideal error curve crosses the heterodyne SQL once, at
 |alpha|^2 = 1.0010 for M=3, 0.818 for M=4 and 0.606 for M=10, so C02 and C03
 check the SQL beat above the crossing only.  Beating the SQL at lower power
 needs the optimized displacement of Izumi et al., PRA 86, 042328 (2012)
-(ROADMAP item 3).
+(ROADMAP item 2).
 """
 
 import math
@@ -71,7 +71,7 @@ def test_c02_sql_beat_at_minimum_stages():
     once, between 1.0 and 1.25 (bisection: 1.0010), and is negative at every
     grid point above.  Below the crossing the receiver loses to the SQL
     (0.4709 vs 0.4220 at 0.5; 0.29222 vs 0.29214 at 1.0); an SQL beat there
-    needs optimized displacement (ROADMAP item 3).
+    needs optimized displacement (ROADMAP item 2).
     """
     grid = np.arange(0.25, 12.0 + 1e-9, 0.25)
     pes = np.array([enumerate_error_probability(InferenceModel(a2, 3))

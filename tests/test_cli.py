@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qpskrx.cli import main, run
-from qpskrx.config import SEED_LIMIT, ConfigError, RunConfig, load_config
+from qpskrx.cli import RUNNERS, main, run
+from qpskrx.config import MODES, SEED_LIMIT, ConfigError, RunConfig, load_config
 
 
 class TestLoadConfig:
@@ -50,6 +50,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^seed:"):
             load_config(overrides={"seed": SEED_LIMIT})
 
+    def test_bin_width_underflow_rejected(self, tmp_path, capsys):
+        # 5e-324 / 10 underflows to 0.0, which the window checks then allow
+        config = {"t_total_us": 5e-324, "m": 10, "t_hold_us": 0.0, "t_swing_us": 0.0,
+                  "dt_us": 0.0, "dt_start_us": 0.0, "dt_stop_us": 0.0}
+        with pytest.raises(ConfigError, match="^t_total_us:"):
+            load_config(overrides=config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["delay-sweep", "--config", str(path)]) == 1
+        assert "t_total_us:" in capsys.readouterr().err
+
     def test_mode_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "bounds"}))
@@ -58,6 +69,9 @@ class TestLoadConfig:
 
 
 class TestRun:
+    def test_one_runner_per_mode(self):
+        assert list(RUNNERS) == list(MODES)
+
     def test_bounds_mode(self):
         cfg = load_config(overrides={"alpha_sq_start": 0.0, "alpha_sq_stop": 10.0,
                                      "alpha_sq_points": 11}, mode="bounds")
@@ -189,6 +203,14 @@ GOLDEN_CSV = [
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": False},
      "0c139442f0d3c0c4c1358fe15201b1f3868f23982326d28c4d655fd242ef11e9"),
+    # pad groups 4, 8, 12 and 16, of unequal size, run on two workers
+    ("stages-sweep", {"m_start": 3, "m_stop": 13, "alpha_sq": 3.0, "trials": 3000,
+                      "seed": 7, "workers": 2},
+     "91dc76f06b742e56e406fbdf6a6423bc0835026f90c67068d8a00d1d213082ab"),
+    # 67,500 trials per symbol: two chunks, the last one short
+    ("sweep", {"m": 6, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
+               "alpha_sq_points": 3, "trials": 270_000, "seed": 8, "workers": 2},
+     "e64434c66c8f1081e195da12dce576270f36187d22fc1b9f8af1b1b0ea58a280"),
 ]
 
 
@@ -196,7 +218,8 @@ class TestGoldenCsv:
     @pytest.mark.parametrize(
         "mode, config, digest", GOLDEN_CSV,
         ids=["bounds", "enumerate", "sweep", "efficiency-sweep", "stages-sweep",
-             "delay-sweep-truth-on", "delay-sweep-truth-off"])
+             "delay-sweep-truth-on", "delay-sweep-truth-off",
+             "stages-sweep-pad-groups", "sweep-two-chunks"])
     def test_csv_bytes(self, tmp_path, mode, config, digest):
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg_path.write_text(json.dumps(config))

@@ -7,8 +7,8 @@ from qpskrx import _kernels
 from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.montecarlo import (RngSpec, estimate_error, simulate_trial,
-                               trial_outcomes)
+from qpskrx.montecarlo import (RngSpec, estimate_error, estimate_errors,
+                               simulate_trial, trial_outcomes)
 from qpskrx.physics import ChannelModel
 
 EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
@@ -167,6 +167,72 @@ class TestEstimateError:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             estimate_error(model(1.0, 3), 0, RngSpec(0))
+
+
+GRID_STAGES = (1, 3, 4, 5, 8, 9, 13)  # pad groups 4, 8, 12 and 16
+
+
+def grid_points():
+    """Matched and delay-truth points of mixed M, interleaved across pad groups."""
+    out = []
+    for stages in GRID_STAGES:
+        inference, truth = parity_case("delay", 2.0, stages)
+        out += [(inference, None), (inference, truth)]
+    return out
+
+
+class TestEstimateErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_point_estimates(self, workers):
+        points = grid_points()
+        rng = RngSpec(31)
+        grid = estimate_errors(points, 5000, rng, n_workers=workers, chunk_size=1024)
+        for (inference, truth), res in zip(points, grid):
+            assert res == estimate_error(inference, 5000, rng, truth=truth,
+                                         n_workers=workers, chunk_size=1024)
+            # independent of the grouping: each point's own draws, per symbol
+            if truth is None:
+                truth = truth_from_inference(inference)
+            per_symbol = tuple(
+                1.0 - int(trial_outcomes(inference, s, 1250, rng, truth,
+                                         chunk_size=1024).sum()) / 1250
+                for s in range(4))
+            assert res.per_symbol_error == per_symbol
+
+    def test_one_draw_per_pad_group_symbol_and_chunk(self, monkeypatch):
+        calls, kernel_calls = [], []
+        draws, kernel = RngSpec.draws, _kernels.run_chunk
+
+        def counting_draws(self, *args):
+            calls.append(args)
+            return draws(self, *args)
+
+        def counting_kernel(*args):
+            kernel_calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(RngSpec, "draws", counting_draws)
+        monkeypatch.setattr(_kernels, "run_chunk", counting_kernel)
+        points = grid_points()
+        estimate_errors(points, 5000, RngSpec(31), chunk_size=1024)
+        # 1250 trials per symbol: chunks of 1024 and 226; each group draws at its top M
+        assert sorted(calls) == sorted(
+            (symbol, start, n, top) for top in (4, 8, 9, 13) for symbol in range(4)
+            for start, n in ((0, 1024), (1024, 226)))
+        assert len(kernel_calls) == len(points) * 4 * 2
+        assert sorted(kernel_calls) == sorted(
+            (n, inference.stages) for inference, _ in points for _symbol in range(4)
+            for n in (1024, 226))
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trial count"):
+            estimate_errors(grid_points(), 0, RngSpec(0))
+
+    def test_stage_mismatch_rejected(self):
+        inference = model(1.0, 5)
+        wrong = truth_from_inference(model(1.0, 4))
+        with pytest.raises(ValueError, match="stage count"):
+            estimate_errors([(model(1.0, 4), None), (inference, wrong)], 100, RngSpec(0))
 
 
 class TestTracerContract:
