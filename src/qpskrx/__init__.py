@@ -6,34 +6,21 @@ conditions, with exact enumeration and Monte Carlo estimators plus the
 heterodyne SQL and Helstrom baselines.
 """
 
-from .bayes import (EnumerationDetail, FeedbackState, InferenceModel,
-                    TruthTables, bin_likelihood, decide, enumerate_detail,
-                    enumerate_error_probability, initial_state,
-                    posterior_update, truth_from_inference,
-                    uniform_truth_tables)
-from .bounds import helstrom_qpsk, qpsk_gram, sql_heterodyne, sql_lossy
+from .bayes import (EnumerationDetail, InferenceModel, TruthTables,
+                    enumerate_detail, enumerate_error_probability,
+                    truth_from_inference, uniform_truth_tables)
+from .bounds import helstrom_qpsk, sql_heterodyne, sql_lossy
 from .config import ConfigError, RunConfig, load_config
-from .delay import (DelayParams, delay_truth_tables, off_prob_bin_no_delay,
-                    off_prob_bin_with_delay, off_prob_hold,
-                    off_prob_swing_analytic, off_prob_swing_discrete)
-from .montecarlo import (RngSpec, SimulationResult, estimate_error,
-                         estimate_errors, simulate_trial, trial_outcomes)
-from .physics import (ChannelModel, DetectorModel, QpskAlphabet,
-                      off_probability, off_probability_visibility,
-                      sample_click, symbol_amplitude)
+from .delay import DelayParams, delay_truth_tables
+from .montecarlo import RngSpec, SimulationResult, estimate_error, estimate_errors
+from .physics import ChannelModel
 
 __all__ = [
-    "ChannelModel", "ConfigError", "DelayParams", "DetectorModel",
-    "EnumerationDetail", "FeedbackState", "InferenceModel", "QpskAlphabet",
-    "RngSpec", "RunConfig", "SimulationResult", "TruthTables",
-    "bin_likelihood", "decide", "delay_truth_tables", "enumerate_detail",
-    "enumerate_error_probability", "estimate_error", "estimate_errors",
-    "helstrom_qpsk", "initial_state", "load_config", "off_prob_bin_no_delay",
-    "off_prob_bin_with_delay", "off_prob_hold", "off_prob_swing_analytic",
-    "off_prob_swing_discrete", "off_probability",
-    "off_probability_visibility", "posterior_update", "qpsk_gram",
-    "sample_click", "simulate_trial", "sql_heterodyne", "sql_lossy",
-    "symbol_amplitude", "trial_outcomes", "truth_from_inference",
+    "ChannelModel", "ConfigError", "DelayParams", "EnumerationDetail",
+    "InferenceModel", "RngSpec", "RunConfig", "SimulationResult", "TruthTables",
+    "delay_truth_tables", "enumerate_detail", "enumerate_error_probability",
+    "estimate_error", "estimate_errors", "helstrom_qpsk", "load_config",
+    "sql_heterodyne", "sql_lossy", "truth_from_inference",
     "uniform_truth_tables",
 ]
 

@@ -12,6 +12,13 @@ histories that leave the receiver in the same state (log-posterior vector and
 previous target) are merged, so a layer holds at most a few 10^4 states at
 M=16 where a plain walk visits 2^M histories.  The 2^M walk itself is kept in
 the test suite as the oracle for the dynamic program.
+
+Every path (this dynamic program, the Monte Carlo kernel and the test
+oracles) keeps the un-normalized log-posterior ``lp`` and targets its first
+maximum, so ties go to the lowest index.  A history to which every hypothesis
+gives zero likelihood (possible when the inference model is ideal and the
+truth model is not) follows the same rule: all of ``lp`` is -inf from then
+on, and the receiver targets, and finally decides, symbol 0.
 """
 
 from __future__ import annotations
@@ -29,15 +36,6 @@ _NEG_INF = float("-inf")
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else _NEG_INF
-
-
-def _argmax4(values) -> int:
-    """First index attaining the maximum (lowest-index tie-break)."""
-    best, arg = values[0], 0
-    for i in (1, 2, 3):
-        if values[i] > best:
-            best, arg = values[i], i
-    return arg
 
 
 def off_probs_by_delta(gamma_sq: float, ch: ChannelModel,
@@ -67,8 +65,8 @@ class InferenceModel:
     nu_per_state: float = 0.0
 
     def __post_init__(self):
-        if self.alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
+        if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0:
+            raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq}")
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
         ChannelModel(self.eta_total, self.xi)  # range validation
@@ -119,11 +117,6 @@ class TruthTables:
         if self.first.shape != (4,) or self.trans.shape != (4, 4):
             raise ValueError("truth tables must have shapes (4,) and (4, 4)")
 
-    def off_prob(self, bin_index: int, m: int, prev_target: int, target: int) -> float:
-        if bin_index == 0:
-            return float(self.first[(m - target) % 4])
-        return float(self.trans[(m - prev_target) % 4, (target - prev_target) % 4])
-
 
 def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                          nu_per_state: float = 0.0) -> TruthTables:
@@ -140,70 +133,6 @@ def truth_from_inference(model: InferenceModel) -> TruthTables:
     """Matched truth model: outcomes generated from the inference likelihoods."""
     return uniform_truth_tables(model.alpha_sq, model.stages, model.channel(),
                                 model.nu_per_state)
-
-
-@dataclass(frozen=True)
-class FeedbackState:
-    """Posterior over the four hypotheses plus the current MAP target.
-
-    ``log_posterior`` is the unnormalized log-space accumulator; the MAP
-    target is derived from it so the decision sequence is bitwise identical
-    to the batch kernels, which never renormalize.
-    """
-
-    posterior: np.ndarray
-    target: int
-    log_posterior: np.ndarray | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.posterior, dtype=float)
-        if p.shape != (4,):
-            raise ValueError("posterior must be a 4-vector")
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"posterior must be normalized probabilities, got {p}")
-        if p[self.target] < p.max() - 1e-9:
-            raise ValueError("target must be a MAP index")
-
-
-def initial_state() -> FeedbackState:
-    """Uniform prior; symbol 0 is displaced to vacuum first."""
-    return FeedbackState(np.full(4, 0.25), 0, np.zeros(4))
-
-
-def bin_likelihood(model: InferenceModel, m: int, target: int, e: int) -> float:
-    """p(e | hypothesis m, current target), phase theta = (m - target)*pi/2."""
-    if m not in range(4) or target not in range(4):
-        raise ValueError("hypothesis and target indices must be in 0..3")
-    if e not in (0, 1):
-        raise ValueError(f"outcome bit must be 0 or 1, got {e}")
-    p_off = off_probability_quarter_turn(m - target, model.gamma_sq,
-                                         model.channel(), model.nu_per_bin)
-    return p_off if e == 0 else 1.0 - p_off
-
-
-def posterior_update(state: FeedbackState, e: int, model: InferenceModel) -> FeedbackState:
-    """Bayes step in log space; renormalizes and refreshes the MAP target."""
-    table = model.log_likelihood_table()
-    if state.log_posterior is not None:
-        logpost = state.log_posterior
-    else:
-        with np.errstate(divide="ignore"):
-            logpost = np.log(state.posterior)
-    delta = (np.arange(4) - state.target) % 4
-    logpost = logpost + table[e, delta]
-    peak = logpost.max()
-    if not np.isfinite(peak):
-        raise FloatingPointError("all hypotheses have zero likelihood")
-    post = np.exp(logpost - peak)
-    post /= post.sum()
-    return FeedbackState(post, _argmax4(logpost), logpost)
-
-
-def decide(state: FeedbackState) -> int:
-    """Final MAP decision; ties broken by lowest index."""
-    if state.log_posterior is not None:
-        return _argmax4(state.log_posterior)
-    return _argmax4(state.posterior)
 
 
 MAX_ENUM_STAGES = 20

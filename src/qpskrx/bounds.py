@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 
 def sql_heterodyne(alpha_sq: float) -> float:
     """Heterodyne (SQL) error probability at signal mean photon number ``alpha_sq``."""
     if alpha_sq < 0:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    return float(1.0 - 0.25 * (1.0 + erf(math.sqrt(alpha_sq / 2.0))) ** 2)
+    return 1.0 - 0.25 * (1.0 + math.erf(math.sqrt(alpha_sq / 2.0))) ** 2
 
 
 def sql_lossy(alpha_sq: float, eta_total: float) -> float:
@@ -27,13 +26,6 @@ def sql_lossy(alpha_sq: float, eta_total: float) -> float:
     if not 0.0 <= eta_total <= 1.0:
         raise ValueError(f"eta_total must be in [0, 1], got {eta_total}")
     return sql_heterodyne(eta_total * alpha_sq)
-
-
-def qpsk_gram(alpha_sq: float) -> np.ndarray:
-    """4x4 Gram matrix of the QPSK coherent states, G_mn = <alpha_m|alpha_n>."""
-    m = np.arange(4)
-    diff = m[None, :] - m[:, None]
-    return np.exp(alpha_sq * (1j ** diff - 1.0))
 
 
 def gram_eigenvalues(alpha_sq: float) -> np.ndarray:

@@ -6,7 +6,8 @@ only then sits at the target.  Each segment gets the share of the bin's
 intensity equal to its share of the bin's time: ``t_hold/t_bin``,
 ``t_swing/t_bin`` and the remainder (a cascade of two beam splitters gives
 the same shares).  The swing segment has a closed-form no-click probability
-in the continuum limit plus a discrete L-mode product used as its oracle.
+in the continuum limit (the test suite checks it against a discrete L-mode
+product).
 
 A discard window of width ``delta_t`` at the bin start is treated as linear
 loss: fully covered segments are dropped, a partially covered segment keeps
@@ -92,22 +93,6 @@ def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
                 + (4.0 * w / (m2 * math.pi)) * ch.xi
                 * (math.sin(mm * math.pi / 2) - math.sin((mm - m2) * math.pi / 2)))
     return math.exp(exponent)
-
-
-def off_prob_swing_discrete(m: int, prev_target: int, new_target: int,
-                            gamma_sq: float, p: DelayParams,
-                            ch: ChannelModel, L: int) -> float:
-    """L-mode product approximation of the swing segment (oracle for the limit)."""
-    if L < 2:
-        raise ValueError(f"mode count L must be >= 2, got {L}")
-    step = (new_target - prev_target) % 4
-    m2 = _SIGNED_SPAN[step]
-    mm = (m - prev_target) % 4
-    gp_sq = ch.eta_total * p.swing_fraction * gamma_sq / L
-    j = np.arange(1, L + 1)
-    theta = m2 * (math.pi / 2) * (j - 1) / (L - 1)
-    exponents = -2.0 * gp_sq * (1.0 - ch.xi * np.cos(theta - mm * math.pi / 2))
-    return float(math.exp(exponents.sum()))
 
 
 def _discard_retentions(p: DelayParams, discard_dt: float) -> tuple[float, float, float]:

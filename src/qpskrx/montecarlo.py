@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import (FeedbackState, InferenceModel, TruthTables, decide,
-                    initial_state, posterior_update, truth_from_inference)
-from .physics import sample_click
+from .bayes import InferenceModel, TruthTables, truth_from_inference
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -53,35 +51,6 @@ class SimulationResult:
     stderr: float
     trials: int
     per_symbol_error: tuple[float, float, float, float]
-
-
-def simulate_trial(truth_symbol: int, truth: TruthTables, inference: InferenceModel,
-                   rng: np.random.Generator) -> bool:
-    """Single-trial reference path built from the high-level primitives."""
-    state: FeedbackState = initial_state()
-    prev = state.target
-    for i in range(inference.stages):
-        p_off = truth.off_prob(i, truth_symbol, prev, state.target)
-        e = sample_click(p_off, rng.random())
-        prev = state.target
-        state = posterior_update(state, e, inference)
-    return decide(state) == truth_symbol
-
-
-def trial_outcomes(inference: InferenceModel, symbol: int, trials: int, rng: RngSpec,
-                   truth: TruthTables | None = None,
-                   chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Per-trial correctness mask for one truth symbol (determinism checks)."""
-    if truth is None:
-        truth = truth_from_inference(inference)
-    loglik = inference.log_likelihood_table()
-    out = np.empty(trials, dtype=np.bool_)
-    for start in range(0, trials, chunk_size):
-        n = min(chunk_size, trials - start)
-        draws = rng.draws(symbol, start, n, inference.stages)
-        out[start:start + n] = _kernels.run_chunk(draws, truth.first, truth.trans,
-                                                  loglik, symbol)
-    return out
 
 
 def _symbol_trial_counts(trials: int) -> list[int]:

@@ -1,63 +1,18 @@
-"""Coherent-state amplitudes, the four-phase alphabet, and click statistics.
+"""Channel parameters and the per-bin click statistics of the nulling receiver.
 
-Amplitudes are plain Python ``complex`` values (phase-space real/imaginary
-parts); all arithmetic stays in the full complex representation to avoid
-branch-cut issues.  Probabilities follow the displaced-photon-counting model:
-an "off" (no click) outcome has probability ``exp(-nu - eta*|gamma - beta|^2)``
-for a signal ``gamma`` displaced by ``beta``, and the visibility-degraded
-variant ``exp(-(nu + 2*eta*(1 - xi*cos(theta))*|gamma|^2))`` when the
-displacement magnitude is calibrated to the signal magnitude.
+Each bin displaces the current target hypothesis to vacuum.  When the
+displacement magnitude is calibrated to the per-bin signal magnitude
+``gamma``, a symbol at relative phase ``theta`` from the target gives an
+"off" (no click) outcome with probability
+``exp(-(nu + 2*eta*(1 - xi*cos(theta))*|gamma|^2))``: efficiency ``eta``,
+interference visibility ``xi`` and dark counts ``nu`` per bin.  In the QPSK
+alphabet ``theta`` is a whole number of quarter turns.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-QPSK_SYMBOLS = (0, 1, 2, 3)
-
-
-def qpsk_phase(m: int) -> float:
-    """Phase angle (2m+1)*pi/4 of QPSK symbol ``m``."""
-    if m not in QPSK_SYMBOLS:
-        raise ValueError(f"symbol index must be in 0..3, got {m}")
-    return (2 * m + 1) * math.pi / 4
-
-
-@dataclass(frozen=True)
-class QpskAlphabet:
-    """Four coherent states of magnitude |alpha| at phases (2m+1)*pi/4."""
-
-    magnitude: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.magnitude) or self.magnitude < 0:
-            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
-
-    @classmethod
-    def from_mean_photons(cls, alpha_sq: float) -> "QpskAlphabet":
-        if alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-        return cls(math.sqrt(alpha_sq))
-
-    def symbol(self, m: int) -> complex:
-        """Full amplitude of symbol ``m``."""
-        return self.magnitude * cmath.exp(1j * qpsk_phase(m))
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Single-photon detector: efficiency and dark-count expectation per state."""
-
-    eta: float
-    nu_per_state: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.nu_per_state < 0:
-            raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
 
 
 @dataclass(frozen=True)
@@ -74,35 +29,6 @@ class ChannelModel:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
 
 
-def symbol_amplitude(alphabet: QpskAlphabet, m: int, stages: int) -> complex:
-    """Per-bin amplitude gamma_m = alpha_m / sqrt(M) for ``stages`` = M temporal bins."""
-    if stages < 1:
-        raise ValueError(f"stage count must be >= 1, got {stages}")
-    return alphabet.symbol(m) / math.sqrt(stages)
-
-
-def off_probability(gamma: complex, beta: complex, det: DetectorModel,
-                    nu_per_bin: float = 0.0) -> float:
-    """No-click probability for signal ``gamma`` displaced by ``beta``.
-
-    General-displacement model; interference visibility is not represented
-    here (see :func:`off_probability_visibility` for the calibrated case).
-    """
-    if nu_per_bin < 0:
-        raise ValueError(f"nu_per_bin must be >= 0, got {nu_per_bin}")
-    return math.exp(-nu_per_bin - det.eta * abs(gamma - beta) ** 2)
-
-
-def off_probability_visibility(theta: float, gamma_sq: float, ch: ChannelModel,
-                               nu_per_bin: float = 0.0) -> float:
-    """No-click probability at relative phase ``theta`` with visibility ``xi``.
-
-    Valid when the displacement magnitude matches the per-bin signal
-    magnitude; mean photon number is ``nu + 2*eta*(1 - xi*cos(theta))*gamma_sq``.
-    """
-    return _off_probability_cos(math.cos(theta), gamma_sq, ch, nu_per_bin)
-
-
 # cos(delta*pi/2) for delta = 0..3, exact; math.cos leaves 6.1e-17 at pi/2
 # but -1.8e-16 at 3*pi/2, which would split the mirror pair delta = 1, 3
 QUARTER_TURN_COS = (1.0, 0.0, -1.0, 0.0)
@@ -110,27 +36,16 @@ QUARTER_TURN_COS = (1.0, 0.0, -1.0, 0.0)
 
 def off_probability_quarter_turn(delta: int, gamma_sq: float, ch: ChannelModel,
                                  nu_per_bin: float = 0.0) -> float:
-    """:func:`off_probability_visibility` at theta = ``delta`` * pi/2.
+    """No-click probability at relative phase theta = ``delta`` * pi/2.
 
     ``delta = (m - target) mod 4``.  The cosine is taken exactly, so the
     mirror-image deltas 1 and 3 give bitwise-equal probabilities and MAP ties
     between mirror hypotheses stay exact.
     """
-    return _off_probability_cos(QUARTER_TURN_COS[delta % 4], gamma_sq, ch, nu_per_bin)
-
-
-def _off_probability_cos(cos_theta: float, gamma_sq: float, ch: ChannelModel,
-                         nu_per_bin: float) -> float:
     if gamma_sq < 0:
         raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
     if nu_per_bin < 0:
         raise ValueError(f"nu_per_bin must be >= 0, got {nu_per_bin}")
-    nbar = nu_per_bin + 2.0 * ch.eta_total * (1.0 - ch.xi * cos_theta) * gamma_sq
+    nbar = (nu_per_bin
+            + 2.0 * ch.eta_total * (1.0 - ch.xi * QUARTER_TURN_COS[delta % 4]) * gamma_sq)
     return math.exp(-nbar)
-
-
-def sample_click(p_off: float, rng_draw: float) -> int:
-    """Threshold a uniform [0,1) variate into a detector outcome bit."""
-    if not 0.0 <= p_off <= 1.0:
-        raise ValueError(f"p_off must be in [0, 1], got {p_off}")
-    return 0 if rng_draw < p_off else 1

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from _acceptance_report import report
+from oracles import (normalized, off_prob_swing_discrete, posterior_step,
+                     qpsk_gram)
 from qpskrx.bayes import (InferenceModel, enumerate_detail,
-                          enumerate_error_probability, initial_state,
-                          posterior_update, truth_from_inference)
-from qpskrx.bounds import (gram_eigenvalues, helstrom_qpsk, qpsk_gram,
-                           sql_heterodyne)
-from qpskrx.delay import DelayParams, delay_truth_tables
+                          enumerate_error_probability, truth_from_inference)
+from qpskrx.bounds import gram_eigenvalues, helstrom_qpsk, sql_heterodyne
+from qpskrx.delay import DelayParams, delay_truth_tables, off_prob_swing_analytic
 from qpskrx.montecarlo import RngSpec, estimate_error
 from qpskrx.physics import ChannelModel
 
@@ -237,8 +237,6 @@ def test_c09_discard_loss_tradeoff():
 
 
 def test_c10_swing_limit_convergence():
-    from qpskrx.delay import off_prob_swing_analytic, off_prob_swing_discrete
-
     rng = np.random.default_rng(3)
     worst = 0.0
     ratios = []
@@ -274,12 +272,12 @@ def test_c11_property_suites():
     checks = {}
 
     # posterior normalization along an outcome chain
-    model = InferenceModel(3.0, 8, ETA_SE, XI, NU)
-    s = initial_state()
+    ll = InferenceModel(3.0, 8, ETA_SE, XI, NU).log_likelihood_table()
+    lp, target = [0.0] * 4, 0
     norm_ok = True
     for e in (0, 1, 1, 0, 1, 0, 0, 1):
-        s = posterior_update(s, e, model)
-        norm_ok &= abs(s.posterior.sum() - 1.0) <= 1e-10
+        lp, target = posterior_step(lp, target, e, ll)
+        norm_ok &= abs(math.fsum(normalized(lp)) - 1.0) <= 1e-10
     checks["posterior-normalization"] = norm_ok
 
     # branch-probability completeness

@@ -3,157 +3,85 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, bin_likelihood,
-                          decide, enumerate_detail,
-                          enumerate_error_probability, initial_state,
-                          posterior_update, truth_from_inference,
+from oracles import (brute_force_error, kernel_outcomes, normalized,
+                     posterior_step, reference_trial, truth_off_prob,
+                     walk_enumeration)
+from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, enumerate_detail,
+                          enumerate_error_probability, truth_from_inference,
                           uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.physics import (ChannelModel, DetectorModel, QpskAlphabet,
-                            off_probability, symbol_amplitude)
+from qpskrx.montecarlo import RngSpec
+from qpskrx.physics import ChannelModel, off_probability_quarter_turn
 
 
 def ideal(alpha_sq, stages):
     return InferenceModel(alpha_sq, stages)
 
 
-def _log(p):
-    return math.log(p) if p > 0.0 else -math.inf
-
-
-def walk_enumeration(model, truth=None):
-    """Reference 2^M walk over every outcome history.
-
-    The posterior is accumulated with the same IEEE adds as the receiver and
-    the target is the first maximum, so ties are settled as in
-    ``enumerate_detail``; each history's weight is exp of its summed
-    log-probabilities, and the weights are summed with ``math.fsum``.
-    Returns (per-symbol error, per-symbol branch total).
-    """
-    M = model.stages
-    if truth is None:
-        truth = truth_from_inference(model)
-    ll = model.log_likelihood_table().tolist()
-    first = truth.first.tolist()
-    trans = truth.trans.tolist()
-    correct = [[] for _ in range(4)]
-    total = [[] for _ in range(4)]
-
-    def argmax(values):
-        return max(range(4), key=values.__getitem__)
-
-    def walk(i, lp, prev, cur, lb):
-        if i == M:
-            d = argmax(lp)
-            for m in range(4):
-                w = math.exp(lb[m])
-                total[m].append(w)
-                if m == d:
-                    correct[m].append(w)
-            return
-        if i == 0:
-            p_t = [first[(m - cur) % 4] for m in range(4)]
-        else:
-            p_t = [trans[(m - prev) % 4][(cur - prev) % 4] for m in range(4)]
-        for e in (0, 1):
-            lb2 = [lb[m] + _log(p_t[m] if e == 0 else 1.0 - p_t[m])
-                   for m in range(4)]
-            lp2 = [lp[h] + ll[e][(h - cur) % 4] for h in range(4)]
-            walk(i + 1, lp2, cur, argmax(lp2), lb2)
-
-    walk(0, [0.0] * 4, 0, 0, [0.0] * 4)
-    per_symbol = np.array([1.0 - math.fsum(c) for c in correct])
-    return per_symbol, np.array([math.fsum(t) for t in total])
-
-
-def brute_force_error(alpha_sq, stages):
-    """Ideal nulling receiver from complex amplitudes, |gamma_m - gamma_t|^2.
-
-    Shares no table or recursion with ``enumerate_detail``: every history is
-    replayed with probability-space likelihoods and the MAP target refreshed
-    after each bin.  Ties may be settled differently by roundoff, so only the
-    average error is comparable.
-    """
-    alphabet = QpskAlphabet.from_mean_photons(alpha_sq)
-    gammas = [symbol_amplitude(alphabet, m, stages) for m in range(4)]
-    det = DetectorModel(1.0)
-    error = 0.0
-    for m_true in range(4):
-        for bits in itertools.product((0, 1), repeat=stages):
-            like = [1.0] * 4
-            target = 0
-            for e in bits:
-                for h in range(4):
-                    p_off = off_probability(gammas[h], gammas[target], det)
-                    like[h] *= p_off if e == 0 else 1.0 - p_off
-                target = max(range(4), key=like.__getitem__)
-            if target != m_true:
-                error += like[m_true] / 4
-    return error
-
-
 class TestInitialState:
     def test_uniform_prior_target_zero(self):
-        s = initial_state()
-        np.testing.assert_allclose(s.posterior, 0.25)
-        assert s.target == 0
+        # without signal the uniform prior never moves and symbol 0 is decided
+        detail = enumerate_detail(ideal(0.0, 3))
+        np.testing.assert_array_equal(detail.per_symbol_error, [0.0, 1.0, 1.0, 1.0])
 
     def test_posterior_normalized(self):
-        assert initial_state().posterior.sum() == pytest.approx(1.0, abs=1e-12)
+        assert normalized([0.0] * 4) == [0.25] * 4
 
 
 class TestBinLikelihood:
     def test_matched_hypothesis_never_clicks_ideally(self):
-        assert bin_likelihood(ideal(1.0, 3), m=1, target=1, e=0) == 1.0
+        assert ideal(1.0, 3).off_probs()[0] == 1.0
 
     def test_opposite_phase(self):
-        model = InferenceModel(0.5, 1)
-        assert bin_likelihood(model, m=2, target=0, e=0) == pytest.approx(
+        assert InferenceModel(0.5, 1).off_probs()[2] == pytest.approx(
             math.exp(-2), rel=1e-12)
 
     def test_complement(self):
-        model = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3)
-        for m in range(4):
-            on = bin_likelihood(model, m, 1, 1)
-            off = bin_likelihood(model, m, 1, 0)
-            assert on == pytest.approx(1.0 - off, abs=1e-15)
+        ll = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3).log_likelihood_table()
+        np.testing.assert_allclose(np.exp(ll[1]), 1.0 - np.exp(ll[0]),
+                                   rtol=0, atol=1e-15)
 
 
 class TestPosteriorUpdate:
     def test_zero_signal_is_uninformative(self):
-        s = posterior_update(initial_state(), 0, ideal(0.0, 4))
-        np.testing.assert_allclose(s.posterior, 0.25, atol=1e-15)
+        ll = ideal(0.0, 4).log_likelihood_table()
+        assert ll[0].tolist() == [0.0] * 4
+        assert ll[1].tolist() == [-math.inf] * 4
 
     def test_hand_value_single_stage_off(self):
         g = 0.8
-        s = posterior_update(initial_state(), 0, ideal(g, 1))
-        expected0 = 1.0 / (1.0 + math.exp(-2 * g)) ** 2
-        assert s.posterior[0] == pytest.approx(expected0, rel=1e-12)
-        assert s.posterior[1] == pytest.approx(s.posterior[3], rel=1e-12)
+        lp, _ = posterior_step([0.0] * 4, 0, 0, ideal(g, 1).log_likelihood_table())
+        post = normalized(lp)
+        assert post[0] == pytest.approx(1.0 / (1.0 + math.exp(-2 * g)) ** 2, rel=1e-12)
+        assert post[1] == pytest.approx(post[3], rel=1e-12)
 
     def test_click_points_to_opposite_symbol(self):
-        s = posterior_update(initial_state(), 1, ideal(1.0, 4))
-        assert np.argmax(s.posterior) == 2
-        assert s.target == 2
+        _, target = posterior_step([0.0] * 4, 0, 1, ideal(1.0, 4).log_likelihood_table())
+        assert target == 2
 
     def test_normalization_chain(self):
-        model = InferenceModel(3.0, 8, 0.65, 0.996, 9.1e-3)
-        s = initial_state()
+        ll = InferenceModel(3.0, 8, 0.65, 0.996, 9.1e-3).log_likelihood_table()
+        lp, target = [0.0] * 4, 0
         for e in (0, 1, 1, 0, 1, 0, 0, 1):
-            s = posterior_update(s, e, model)
-            assert s.posterior.sum() == pytest.approx(1.0, abs=1e-10)
+            lp, target = posterior_step(lp, target, e, ll)
+            assert math.fsum(normalized(lp)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDecide:
     def test_clear_winner(self):
-        s = initial_state()
-        s = posterior_update(s, 0, ideal(5.0, 1))
-        assert decide(s) == 0
+        _, target = posterior_step([0.0] * 4, 0, 0, ideal(5.0, 1).log_likelihood_table())
+        assert target == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert decide(initial_state()) == 0
+        # without signal all four hypotheses tie in every bin
+        inference = ideal(0.0, 3)
+        truth = truth_from_inference(inference)
+        for symbol in range(4):
+            mask = kernel_outcomes(inference, truth, symbol, 50, RngSpec(1))
+            assert mask.tolist() == [symbol == 0] * 50
 
 
 class TestEnumeration:
@@ -212,29 +140,23 @@ class TestEnumeration:
             enumerate_error_probability(ideal(1.0, 5), truth=truth)
 
     def test_history_probability_factorizes(self):
-        # re-walk one concrete history and compare its weight against the
-        # product of per-bin likelihoods along the realized target sequence
+        # the exact answer sums, over outcome histories, the product of the
+        # per-bin truth probabilities along the receiver's target sequence
         model = InferenceModel(1.2, 3, 0.9, 0.98, 1e-3)
         truth = truth_from_inference(model)
-        for bits in [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]:
-            m_true = 2
-            state = initial_state()
-            prob = 1.0
-            targets = []
-            for i, e in enumerate(bits):
-                targets.append(state.target)
-                prev = targets[-2] if len(targets) > 1 else 0
-                prob *= (truth.off_prob(i, m_true, prev, state.target) if e == 0
-                         else 1.0 - truth.off_prob(i, m_true, prev, state.target))
-                state = posterior_update(state, e, model)
-            # naive product straight from the recorded target sequence
-            prob2 = 1.0
-            for i, (e, t) in enumerate(zip(bits, targets)):
-                prev = targets[i - 1] if i else 0
-                p_off = truth.off_prob(i, m_true, prev, t)
-                prob2 *= p_off if e == 0 else 1.0 - p_off
-            assert prob == pytest.approx(prob2, rel=1e-12)
-            assert 0.0 <= prob <= 1.0
+        ll = model.log_likelihood_table()
+        correct = np.zeros(4)
+        for m in range(4):
+            for bits in itertools.product((0, 1), repeat=3):
+                lp, prev, target, prob = [0.0] * 4, 0, 0, 1.0
+                for i, e in enumerate(bits):
+                    p_off = truth_off_prob(truth.first, truth.trans, i, m, prev, target)
+                    prob *= 1.0 - p_off if e else p_off
+                    prev = target
+                    lp, target = posterior_step(lp, target, e, ll)
+                correct[m] += prob * (target == m)
+        np.testing.assert_allclose(enumerate_detail(model).per_symbol_error,
+                                   1.0 - correct, rtol=0, atol=1e-13)
 
 
 # inference (eta, xi, nu per state) for the oracle grid
@@ -331,9 +253,10 @@ class TestMirrorTies:
         assert np.array_equal(ll[:, 1], ll[:, 3])
 
     def test_bin_likelihood(self):
-        for e in (0, 1):
-            assert (bin_likelihood(self.model, m=1, target=0, e=e)
-                    == bin_likelihood(self.model, m=3, target=0, e=e))
+        m = self.model
+        p = [off_probability_quarter_turn(d, m.gamma_sq, m.channel(), m.nu_per_bin)
+             for d in (1, 3, -1)]
+        assert p[0] == p[1] == p[2]
 
     def test_uniform_truth_tables(self):
         t = uniform_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3)
@@ -346,3 +269,31 @@ class TestMirrorTies:
         t = delay_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3,
                                DelayParams(), 1.1)
         assert t.first[1] == t.first[3]
+
+
+def assert_kernel_matches_reference(inference, truth, trials, rng):
+    for symbol in range(4):
+        draws = rng.draws(symbol, 0, trials, inference.stages)
+        assert (kernel_outcomes(inference, truth, symbol, trials, rng).tolist()
+                == [reference_trial(symbol, truth, inference, row) for row in draws])
+
+
+class TestZeroLikelihoodRule:
+    """Ideal inference against noisy truth: clicks that every hypothesis
+    gives zero likelihood leave an all -inf log-posterior, decided as symbol 0
+    by every estimator."""
+
+    def test_reference_trial_matches_kernel(self):
+        # 344 of these 800 trials reach an all -inf log-posterior
+        truth = uniform_truth_tables(4.0, 10, ChannelModel(1.0, 0.9), 0.3)
+        assert_kernel_matches_reference(ideal(4.0, 10), truth, 200, RngSpec(0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha_sq=st.floats(0.0, 12.0), stages=st.integers(1, 8),
+           xi=st.floats(0.0, 1.0), nu=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_estimators_agree(self, alpha_sq, stages, xi, nu, seed):
+        inference = ideal(alpha_sq, stages)
+        truth = uniform_truth_tables(alpha_sq, stages, ChannelModel(1.0, xi), nu)
+        assert_matches_walk(inference, truth)
+        assert_kernel_matches_reference(inference, truth, 50, RngSpec(seed))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import off_prob_swing_discrete, off_probability_visibility
 from qpskrx.delay import (DelayParams, delay_truth_tables,
                           off_prob_bin_no_delay, off_prob_bin_with_delay,
-                          off_prob_hold, off_prob_swing_analytic,
-                          off_prob_swing_discrete)
-from qpskrx.physics import ChannelModel, off_probability_visibility
+                          off_prob_hold, off_prob_swing_analytic)
+from qpskrx.physics import ChannelModel
 
 DEFAULTS = DelayParams(20.0, 0.37, 0.63)
 IDEAL = ChannelModel(1.0, 1.0)

@@ -3,12 +3,12 @@ import inspect
 import numpy as np
 import pytest
 
+from oracles import kernel_outcomes, reference_trial, vector_recursion
 from qpskrx import _kernels
 from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.montecarlo import (RngSpec, estimate_error, estimate_errors,
-                               simulate_trial, trial_outcomes)
+from qpskrx.montecarlo import RngSpec, estimate_error, estimate_errors
 from qpskrx.physics import ChannelModel
 
 EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
@@ -16,30 +16,6 @@ EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
 
 def model(alpha_sq, stages, **kw):
     return InferenceModel(alpha_sq, stages, **kw)
-
-
-def vector_recursion(draws, first, trans, loglik, m_true):
-    """Reference kernel: the receiver's recursion run per trial, vectorized.
-
-    Every trial carries its own log-posterior ``lp`` (one IEEE add per bin
-    and hypothesis) and re-targets to the first maximum of ``lp``.
-    """
-    n, stages = draws.shape
-    hyp = np.arange(4)
-    lp = np.zeros((n, 4))
-    cur = np.zeros(n, dtype=np.intp)
-    prev = np.zeros(n, dtype=np.intp)
-    for i in range(stages):
-        if i == 0:
-            p_off = first[(m_true - cur) % 4]
-        else:
-            p_off = trans[(m_true - prev) % 4, (cur - prev) % 4]
-        e = (draws[:, i] >= p_off).astype(np.intp)
-        delta = (hyp[None, :] - cur[:, None]) % 4
-        lp += loglik[e[:, None], delta]
-        prev = cur
-        cur = np.argmax(lp, axis=1)
-    return cur == m_true
 
 
 def parity_case(name, alpha_sq, stages):
@@ -87,8 +63,9 @@ class TestDeterminism:
 
     def test_chunk_size_invariance(self):
         m = model(1.5, 8, **EXPERIMENTAL)
-        a = trial_outcomes(m, 3, 5000, RngSpec(17), chunk_size=512)
-        b = trial_outcomes(m, 3, 5000, RngSpec(17), chunk_size=4096)
+        truth = truth_from_inference(m)
+        a = kernel_outcomes(m, truth, 3, 5000, RngSpec(17), chunk_size=512)
+        b = kernel_outcomes(m, truth, 3, 5000, RngSpec(17), chunk_size=4096)
         np.testing.assert_array_equal(a, b)
 
     def test_rerun_is_bitwise_identical(self):
@@ -114,22 +91,13 @@ class TestKernelParity:
                                           vector_recursion(*args))
 
     def test_kernel_matches_reference_path(self):
-        # feed the kernel's own uniforms through the high-level per-trial walk
+        # feed the kernel's own uniforms through the scalar reference trial
         m = model(1.8, 6, **EXPERIMENTAL)
         truth = truth_from_inference(m)
-        loglik = m.log_likelihood_table()
         draws = RngSpec(8).draws(2, 0, 300, 6)
-        kern = _kernels.run_chunk(draws, truth.first, truth.trans, loglik, 2)
-
-        class Replay:
-            def __init__(self, row):
-                self.row = iter(row)
-
-            def random(self):
-                return next(self.row)
-
-        ref = np.array([simulate_trial(2, truth, m, Replay(draws[t])) for t in range(300)])
-        np.testing.assert_array_equal(kern, ref)
+        kern = _kernels.run_chunk(draws, truth.first, truth.trans,
+                                  m.log_likelihood_table(), 2)
+        assert kern.tolist() == [reference_trial(2, truth, m, row) for row in draws]
 
 
 class TestEstimateError:
@@ -191,8 +159,8 @@ class TestEstimateErrors:
             if truth is None:
                 truth = truth_from_inference(inference)
             per_symbol = tuple(
-                1.0 - int(trial_outcomes(inference, s, 1250, rng, truth,
-                                         chunk_size=1024).sum()) / 1250
+                1.0 - int(kernel_outcomes(inference, truth, s, 1250, rng,
+                                          chunk_size=1024).sum()) / 1250
                 for s in range(4))
             assert res.per_symbol_error == per_symbol
 
@@ -250,6 +218,3 @@ class TestTracerContract:
         m = model(1.0, 4, **EXPERIMENTAL)
         estimate_error(m, 1000, RngSpec(1), chunk_size=100)
         assert sum(calls) == 1000
-        calls.clear()
-        trial_outcomes(m, 2, 300, RngSpec(1), chunk_size=100)
-        assert calls == [100, 100, 100]

@@ -4,120 +4,133 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpskrx.physics import (ChannelModel, DetectorModel, QpskAlphabet,
-                            off_probability, off_probability_visibility,
-                            sample_click, symbol_amplitude)
+from oracles import qpsk_amplitudes
+from qpskrx import _kernels
+from qpskrx.bayes import InferenceModel
+from qpskrx.physics import ChannelModel, off_probability_quarter_turn
+
+IDEAL = ChannelModel(1.0, 1.0)
+
+
+def kernel_clicks(u, p_off):
+    """Whether the kernel's one-bin trial with uniform ``u`` clicks."""
+    # ideal inference: an off keeps target 0 (correct), a click moves it to 2
+    loglik = InferenceModel(1.0, 1).log_likelihood_table()
+    mask = _kernels.run_chunk(np.array([[u]]), np.full(4, p_off),
+                              np.full((4, 4), p_off), loglik, 0)
+    return not mask[0]
 
 
 class TestSymbolAmplitude:
     def test_zero_magnitude(self):
-        assert symbol_amplitude(QpskAlphabet(0.0), 2, 5) == 0
+        assert InferenceModel(0.0, 5).off_probs().tolist() == [1.0] * 4
 
     def test_unit_magnitude_first_symbol(self):
-        g = symbol_amplitude(QpskAlphabet(1.0), 0, 1)
+        g = qpsk_amplitudes(1.0)[0]
         assert g.real == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
         assert g.imag == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
 
     def test_four_photon_split_four_ways(self):
-        g = symbol_amplitude(QpskAlphabet.from_mean_photons(4.0), 1, 4)
-        assert abs(g) == pytest.approx(1.0, abs=1e-12)
+        model = InferenceModel(4.0, 4)
+        assert model.gamma_sq == 1.0
+        g = qpsk_amplitudes(model.gamma_sq)[1]
         assert math.atan2(g.imag, g.real) == pytest.approx(3 * math.pi / 4, abs=1e-12)
 
     def test_per_bin_energy(self):
-        g = symbol_amplitude(QpskAlphabet.from_mean_photons(3.7), 3, 7)
-        assert abs(g) ** 2 == pytest.approx(3.7 / 7, rel=1e-12)
-
-    def test_invalid_symbol_index(self):
-        with pytest.raises(ValueError):
-            symbol_amplitude(QpskAlphabet(1.0), 4, 3)
+        model = InferenceModel(3.7, 7, nu_per_state=9.1e-3)
+        assert model.gamma_sq == pytest.approx(3.7 / 7, rel=1e-15)
+        assert model.nu_per_bin == pytest.approx(9.1e-3 / 7, rel=1e-15)
 
     def test_pairwise_distances_depend_only_on_index_difference(self):
-        alph = QpskAlphabet(1.3)
-        dist = {}
+        # the quarter-turn formula is exp(-|gamma_m - gamma_n|^2) for every pair
+        gammas = qpsk_amplitudes(1.3 ** 2)
         for m in range(4):
             for n in range(4):
-                d = abs(alph.symbol(m) - alph.symbol(n)) ** 2
-                dist.setdefault((m - n) % 4, []).append(d)
-        for group in dist.values():
-            assert max(group) - min(group) < 1e-12
+                assert off_probability_quarter_turn(m - n, 1.3 ** 2, IDEAL) == pytest.approx(
+                    math.exp(-abs(gammas[m] - gammas[n]) ** 2), rel=1e-12)
 
 
 class TestOffProbability:
     def test_perfectly_nulled(self):
-        det = DetectorModel(eta=0.7)
-        assert off_probability(0.3 + 0.4j, 0.3 + 0.4j, det) == 1.0
+        assert off_probability_quarter_turn(0, 0.25, ChannelModel(0.7)) == 1.0
 
     def test_unit_distance(self):
-        assert off_probability(1.0 + 0j, 0j, DetectorModel(1.0)) == pytest.approx(
+        # |gamma - (-gamma)|^2 = 4 * 0.25
+        assert off_probability_quarter_turn(2, 0.25, IDEAL) == pytest.approx(
             math.exp(-1), rel=1e-12)
 
     def test_dark_counts_only(self):
         # nu = 9.1e-3 per state over 10 bins
-        p = off_probability(0.5j, 0.5j, DetectorModel(1.0), nu_per_bin=9.1e-4)
+        p = off_probability_quarter_turn(0, 0.25, IDEAL, nu_per_bin=9.1e-4)
         assert p == pytest.approx(math.exp(-9.1e-4), rel=1e-12)
         assert p == pytest.approx(0.99909, abs=5e-6)
 
 
 class TestOffProbabilityVisibility:
     def test_perfect_nulling(self):
-        assert off_probability_visibility(0.0, 0.8, ChannelModel(0.9, 1.0)) == 1.0
+        for eta in (0.3, 0.9, 1.0):
+            assert off_probability_quarter_turn(0, 0.8, ChannelModel(eta, 1.0)) == 1.0
 
     def test_opposite_phase(self):
-        p = off_probability_visibility(math.pi, 0.5, ChannelModel(1.0, 1.0))
+        p = off_probability_quarter_turn(2, 0.5, IDEAL)
         assert p == pytest.approx(math.exp(-2), rel=1e-12)
 
     def test_quadrature_phase_kills_visibility_term(self):
-        p = off_probability_visibility(math.pi / 2, 0.4, ChannelModel(0.65, 0.996))
+        p = off_probability_quarter_turn(1, 0.4, ChannelModel(0.65, 0.996))
         assert p == pytest.approx(math.exp(-0.52), rel=1e-12)
 
-    @given(theta=st.floats(0, 2 * math.pi), gamma_sq=st.floats(0, 10.0),
-           eta=st.floats(0, 1))
-    def test_agrees_with_general_formula_at_unit_visibility(self, theta, gamma_sq, eta):
-        gamma = math.sqrt(gamma_sq)
-        beta = gamma * complex(math.cos(theta), math.sin(theta))
-        p_gen = off_probability(gamma + 0j, beta, DetectorModel(eta))
-        p_vis = off_probability_visibility(theta, gamma_sq, ChannelModel(eta, 1.0))
+    @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0), eta=st.floats(0, 1))
+    def test_agrees_with_general_formula_at_unit_visibility(self, delta, gamma_sq, eta):
+        gammas = qpsk_amplitudes(gamma_sq)
+        p_gen = math.exp(-eta * abs(gammas[delta % 4] - gammas[0]) ** 2)
+        p_vis = off_probability_quarter_turn(delta, gamma_sq, ChannelModel(eta, 1.0))
         assert p_vis == pytest.approx(p_gen, abs=1e-12)
 
-    @given(theta=st.floats(0, 2 * math.pi), gamma_sq=st.floats(0, 10.0),
+    @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0),
            xi=st.floats(0, 1), eta=st.floats(0, 1), nu=st.floats(0, 0.1))
-    def test_probability_range(self, theta, gamma_sq, xi, eta, nu):
-        p = off_probability_visibility(theta, gamma_sq, ChannelModel(eta, xi), nu)
+    def test_probability_range(self, delta, gamma_sq, xi, eta, nu):
+        p = off_probability_quarter_turn(delta, gamma_sq, ChannelModel(eta, xi), nu)
         assert 0.0 < p <= 1.0
 
 
 class TestMonotonicity:
     def test_decreasing_in_distance(self):
-        det = DetectorModel(0.8)
-        probs = [off_probability(complex(d, 0), 0j, det) for d in np.linspace(0, 3, 20)]
+        ch = ChannelModel(0.8)
+        probs = [off_probability_quarter_turn(2, g, ch) for g in np.linspace(0, 3, 20)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+        by_delta = [off_probability_quarter_turn(d, 0.7, ch) for d in (0, 1, 2)]
+        assert by_delta[0] > by_delta[1] > by_delta[2]
 
     def test_decreasing_in_eta_and_nu(self):
-        by_eta = [off_probability(1 + 0j, 0j, DetectorModel(e)) for e in np.linspace(0, 1, 11)]
+        by_eta = [off_probability_quarter_turn(2, 0.25, ChannelModel(e))
+                  for e in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_eta, by_eta[1:]))
-        by_nu = [off_probability(1 + 0j, 0j, DetectorModel(0.5), nu)
+        by_nu = [off_probability_quarter_turn(2, 0.25, ChannelModel(0.5), nu)
                  for nu in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_nu, by_nu[1:]))
 
 
 class TestSampleClick:
+    """The kernel's outcome rule: a bin clicks unless its uniform is below p_off."""
+
     def test_certain_off(self):
-        assert sample_click(1.0, 0.999999) == 0
+        assert not kernel_clicks(0.999999, 1.0)
 
     def test_certain_on(self):
-        assert sample_click(0.0, 0.0) == 1
+        assert kernel_clicks(0.0, 0.0)
 
     def test_threshold_rule(self):
-        assert sample_click(0.5, 0.75) == 1
-        assert sample_click(0.5, 0.25) == 0
+        assert kernel_clicks(0.75, 0.5)
+        assert kernel_clicks(0.5, 0.5)
+        assert not kernel_clicks(0.25, 0.5)
 
 
 class TestValidation:
     def test_detector_ranges(self):
         with pytest.raises(ValueError):
-            DetectorModel(eta=1.2)
+            InferenceModel(1.0, 3, eta_total=1.2)
         with pytest.raises(ValueError):
-            DetectorModel(eta=0.5, nu_per_state=-1e-3)
+            InferenceModel(1.0, 3, eta_total=0.5, nu_per_state=-1e-3)
 
     def test_channel_ranges(self):
         with pytest.raises(ValueError):
@@ -127,6 +140,6 @@ class TestValidation:
 
     def test_alphabet_magnitude(self):
         with pytest.raises(ValueError):
-            QpskAlphabet(-1.0)
+            InferenceModel(-1.0, 3)
         with pytest.raises(ValueError):
-            QpskAlphabet(float("nan"))
+            InferenceModel(float("nan"), 3)
