@@ -1,21 +1,27 @@
 """Hot per-chunk trial kernel: a walk through the chunk's history trie.
 
 The kernel consumes a pre-generated ``(n_trials, M)`` array of uniform
-variates, one row per trial.  Trials that have seen the same outcome prefix
-are in the same receiver state, so after bin i they share one node of a trie
-whose nodes are the distinct prefixes present in the chunk.  Per trial, a
-layer only gathers its node's no-click probability, compares it with the
-trial's uniform and looks up its child node; the posterior update and the
-re-targeting run once per node.  Each node's un-normalized log-posterior
-``lp`` is built from the same IEEE adds, in the same order, as the
-receiver's per-trial recursion, and its target is the first-maximum argmax
-of ``lp``, so outcomes (exact hypothesis ties included) are bitwise those of
-the per-trial recursion.
+variates, one row per trial; a column-major array makes each bin's column
+contiguous.  Trials that have seen the same outcome prefix are in the same
+receiver state, so after bin i they share one node of a trie of outcome
+prefixes.  Each bin's nodes are both children of every node of the bin
+before, child ``2 * parent + outcome``, so per trial a bin only gathers its
+node's no-click probability, compares it with the trial's uniform and
+shifts in the outcome; the posterior update and the re-targeting run once
+per node.  Only when the doubled table would pass ``MAX_NODES`` are the
+nodes renumbered to the children that trials reached.  Each node's
+un-normalized log-posterior ``lp`` is built from the same IEEE adds, in the
+same order, as the receiver's per-trial recursion, and its target is the
+first-maximum argmax of ``lp``, so outcomes (exact hypothesis ties
+included) are bitwise those of the per-trial recursion.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Node-table size above which a bin renumbers nodes to the live children.
+MAX_NODES = 1024
 
 
 def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,12 +48,15 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
     cur = np.zeros(1, dtype=np.intp)            # per node: current target
     p_off = first[[m_true % 4]]                 # per node: truth no-click probability
     for u in draws.T:                           # uniforms of one bin, all trials
-        key = node + node                       # child key: 2 * parent + outcome
-        key += (u >= p_off[node]).astype(np.intp)
-        kids = np.flatnonzero(np.bincount(key, minlength=2 * len(lp)))
-        index = np.empty(2 * len(lp), dtype=np.intp)
-        index[kids] = np.arange(len(kids))
-        node = index[key]
+        click = u >= p_off[node]
+        node += node                            # child node: 2 * parent + outcome
+        node += click
+        kids = np.arange(2 * len(lp))           # both children of every node
+        if len(kids) > MAX_NODES:               # keep only the children trials reached
+            index = np.empty_like(kids)
+            kids = kids[np.bincount(node, minlength=len(kids)) > 0]
+            index[kids] = np.arange(len(kids))
+            node = index[node]
         parent, e = kids >> 1, kids & 1
         prev = cur[parent]
         lp = lp[parent] + step[e, prev]

@@ -9,6 +9,7 @@ window 1.1 us, M = 10 feedback stages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "enumerate")
@@ -68,7 +69,9 @@ class RunConfig:
                 raise ConfigError(f"{name}: {msg} (got {getattr(self, name)})")
 
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
-        check(self.alpha_sq_start >= 0, "alpha_sq_start", "must be >= 0")
+        for name in ("alpha_sq_start", "alpha_sq_stop", "alpha_sq"):
+            value = getattr(self, name)
+            check(math.isfinite(value) and value >= 0, name, "must be finite and >= 0")
         check(self.alpha_sq_stop >= self.alpha_sq_start, "alpha_sq_stop",
               "must be >= alpha_sq_start")
         check(self.alpha_sq_points >= 1, "alpha_sq_points", "must be >= 1")
@@ -77,7 +80,6 @@ class RunConfig:
         if self.alpha_sq_spacing == "log":
             check(self.alpha_sq_start > 0, "alpha_sq_start",
                   "must be > 0 for log spacing")
-        check(self.alpha_sq >= 0, "alpha_sq", "must be >= 0")
         check(self.m >= 1, "m", "must be >= 1")
         check(1 <= self.m_start <= self.m_stop, "m_start", "must satisfy 1 <= m_start <= m_stop")
         check(self.trials >= 1, "trials", "must be >= 1")

@@ -21,6 +21,7 @@ from . import _kernels
 from .bayes import InferenceModel, TruthTables, truth_from_inference
 
 DEFAULT_CHUNK = 1 << 16
+DRAW_BLOCK = 4096  # trials per Philox call in RngSpec.draws: a cache-sized row-major block
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,20 @@ class RngSpec:
 
         Each trial consumes a fixed block of uniforms padded to a multiple of
         4 (the Philox counter granularity), so any contiguous range can be
-        generated independently via counter advancement.
+        generated independently via counter advancement.  The result is
+        column-major, so each bin's column (of any leading-column slice) is
+        contiguous for the kernel; it is filled ``DRAW_BLOCK`` trials at a
+        time, each block continuing the stream of the one before.
         """
         pad = 4 * ((stages + 3) // 4)
         bg = np.random.Philox(key=(self.seed << 2) | symbol)
         bg.advance(start_trial * (pad // 4))
-        u = np.random.Generator(bg).random((n_trials, pad))
-        return u[:, :stages]
+        gen = np.random.Generator(bg)
+        out = np.empty((stages, n_trials)).T
+        for lo in range(0, n_trials, DRAW_BLOCK):
+            block = gen.random((min(DRAW_BLOCK, n_trials - lo), pad))
+            out[lo:lo + len(block)] = block[:, :stages]
+        return out
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,17 @@ class TestLoadConfig:
         assert main(["delay-sweep", "--config", str(path)]) == 1
         assert "t_total_us:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["alpha_sq_start", "alpha_sq_stop", "alpha_sq"])
+    def test_non_finite_alpha_sq_rejected(self, capsys, name, value):
+        with pytest.raises(ConfigError, match=f"^{name}: must be finite and >= 0"):
+            load_config(overrides={name: value})
+        flags = {"alpha_sq_start": ["bounds", "--alpha-sq-grid", f"{value}:{value}:3"],
+                 "alpha_sq_stop": ["bounds", "--alpha-sq-grid", f"0:{value}:3"],
+                 "alpha_sq": ["stages-sweep", "--alpha-sq", str(value)]}[name]
+        assert main(flags) == 1
+        assert f"{name}: must be finite and >= 0" in capsys.readouterr().err
+
     def test_mode_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "bounds"}))

@@ -8,7 +8,7 @@ from qpskrx import _kernels
 from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.montecarlo import RngSpec, estimate_error, estimate_errors
+from qpskrx.montecarlo import DRAW_BLOCK, RngSpec, estimate_error, estimate_errors
 from qpskrx.physics import ChannelModel
 
 EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
@@ -51,6 +51,19 @@ class TestRngSpec:
         assert not np.array_equal(RngSpec(1).draws(0, 0, 50, 8),
                                   RngSpec(2).draws(0, 0, 50, 8))
 
+    @pytest.mark.parametrize("stages", [1, 3, 4, 10, 13])
+    def test_column_major_philox_layout(self, stages):
+        seed, symbol, start, n = 7, 3, 1234, 2 * DRAW_BLOCK + 5  # three blocks
+        got = RngSpec(seed).draws(symbol, start, n, stages)
+        assert got.shape == (n, stages) and got.flags.f_contiguous
+        pad = 4 * ((stages + 3) // 4)
+        bg = np.random.Philox(key=(seed << 2) | symbol)
+        bg.advance(start * pad // 4)
+        expected = np.random.Generator(bg).random((n, pad))[:, :stages]
+        assert np.array_equal(got, expected)
+        for m in range(1, stages + 1):
+            assert got[:, :m].flags.f_contiguous
+
 
 class TestDeterminism:
     def test_worker_count_invariance(self):
@@ -89,6 +102,24 @@ class TestKernelParity:
                     args = (draws, truth.first, truth.trans, loglik, symbol)
                     assert np.array_equal(_kernels.run_chunk(*args),
                                           vector_recursion(*args))
+
+    def test_draw_layout_does_not_change_outcomes(self):
+        inference, truth = parity_case("experimental", 2.0, 13)
+        draws = RngSpec(4).draws(1, 0, 5000, 13)
+        args = (truth.first, truth.trans, inference.log_likelihood_table(), 1)
+        assert np.array_equal(_kernels.run_chunk(np.ascontiguousarray(draws), *args),
+                              _kernels.run_chunk(np.asfortranarray(draws), *args))
+
+    @pytest.mark.parametrize("stages", [14, 21, 30])
+    @pytest.mark.parametrize("name", ["experimental", "delay", "mismatch"])
+    def test_node_renumbering_matches_vector_recursion(self, name, stages):
+        # 20,000 trials take the node table past MAX_NODES with many live trials
+        inference, truth = parity_case(name, 3.0, stages)
+        loglik = inference.log_likelihood_table()
+        for symbol in range(4):
+            draws = RngSpec(33).draws(symbol, 0, 20_000, stages)
+            args = (draws, truth.first, truth.trans, loglik, symbol)
+            assert np.array_equal(_kernels.run_chunk(*args), vector_recursion(*args))
 
     def test_kernel_matches_reference_path(self):
         # feed the kernel's own uniforms through the scalar reference trial
@@ -200,7 +231,7 @@ class TestEstimateErrors:
 
 
 class TestTracerContract:
-    """The per-layer benchmark trace wraps ``_kernels.run_chunk`` by name."""
+    """The per-layer trace wraps ``_kernels.run_chunk`` and ``RngSpec.draws`` by name."""
 
     def test_signature(self):
         params = list(inspect.signature(_kernels.run_chunk).parameters)
@@ -218,3 +249,16 @@ class TestTracerContract:
         m = model(1.0, 4, **EXPERIMENTAL)
         estimate_error(m, 1000, RngSpec(1), chunk_size=100)
         assert sum(calls) == 1000
+
+    def test_draws_go_through_class_attribute(self, monkeypatch):
+        calls = []
+        draws = RngSpec.draws
+
+        def counting(self, symbol, start, n, stages):
+            calls.append(n)
+            return draws(self, symbol, start, n, stages)
+
+        monkeypatch.setattr(RngSpec, "draws", counting)
+        estimate_errors([(model(1.0, 4, **EXPERIMENTAL), None), (model(2.0, 3), None)],
+                        1000, RngSpec(1), chunk_size=100)
+        assert sum(calls) == 1000  # one draw per (pad group, symbol, chunk)
