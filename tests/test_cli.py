@@ -236,6 +236,19 @@ GOLDEN_CSV = [
     ("sweep", {"m": 6, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 270_000, "seed": 8, "workers": 2},
      "e64434c66c8f1081e195da12dce576270f36187d22fc1b9f8af1b1b0ea58a280"),
+    # hold and swing fill the bin exactly: no settle segment
+    ("delay-sweep", {"m": 13, "alpha_sq": 3.3, "t_hold_us": 0.37,
+                     "t_swing_us": 15.014615384615386, "dt_start_us": 0.0,
+                     "dt_stop_us": 2.0, "dt_points": 3, "trials": 4000, "seed": 10},
+     "b440ab512a2871fb37e8c80ef309deb1aa955dd6a195cde1f54e5a061733233e"),
+    # the whole bin is hold: the stale phase is nulled throughout
+    ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "t_hold_us": 20.0, "t_swing_us": 0.0,
+                     "dt_start_us": 0.0, "dt_stop_us": 2.0, "dt_points": 3,
+                     "trials": 4000, "seed": 11},
+     "a7f82e98a14bc2be87744c2dd86ff1e03d7315ab1bc939bd508a9e56e0503443"),
+    ("delay-sweep", {"m": 4, "alpha_sq": 9.4, "dt_start_us": 0.0, "dt_stop_us": 2.0,
+                     "dt_points": 3, "trials": 4000, "seed": 12, "truth_delay": False},
+     "22c0b0687cbaa8097828de3847f62e3f7e826e06e591bec3832dd54263459ec6"),
 ]
 
 
@@ -244,7 +257,9 @@ class TestGoldenCsv:
         "mode, config, digest", GOLDEN_CSV,
         ids=["bounds", "enumerate", "sweep", "efficiency-sweep", "stages-sweep",
              "delay-sweep-truth-on", "delay-sweep-truth-off",
-             "stages-sweep-pad-groups", "sweep-two-chunks"])
+             "stages-sweep-pad-groups", "sweep-two-chunks",
+             "delay-sweep-no-settle", "delay-sweep-all-hold",
+             "delay-sweep-truth-off-m4"])
     def test_csv_bytes(self, tmp_path, mode, config, digest):
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg_path.write_text(json.dumps(config))
