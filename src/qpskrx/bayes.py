@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import receiver_step
-from .physics import ChannelModel, off_probability_quarter_turn
+from .physics import ChannelModel, off_probs
 
 _NEG_INF = float("-inf")
 
@@ -38,15 +38,9 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else _NEG_INF
 
 
-def off_probs_by_delta(gamma_sq: float, ch: ChannelModel,
-                       nu_per_bin: float = 0.0) -> np.ndarray:
-    """Per-bin no-click probability by delta = (m - target) mod 4.
-
-    Entries 1 and 3 are bitwise equal (exact quarter-turn cosines), so the
-    tables built from this vector keep the model's mirror symmetry m -> -m.
-    """
-    return np.array([off_probability_quarter_turn(d, gamma_sq, ch, nu_per_bin)
-                     for d in range(4)])
+# DELTA_NEW[dprev, step] = (dprev - step) mod 4: a TruthTables.trans index
+# turned into the delta of symbol m from the bin's (new) target
+DELTA_NEW = np.subtract.outer(np.arange(4), np.arange(4)) % 4
 
 
 @dataclass(frozen=True)
@@ -86,16 +80,12 @@ class InferenceModel:
 
     def off_probs(self) -> np.ndarray:
         """No-click probability by delta = (m - target) mod 4."""
-        return off_probs_by_delta(self.gamma_sq, self.channel(), self.nu_per_bin)
+        return off_probs(self.gamma_sq, self.channel(), self.nu_per_bin)
 
     def log_likelihood_table(self) -> np.ndarray:
         """(2, 4) array of log p(e | delta); row 0 is "off", row 1 is "on"."""
         p_off = self.off_probs()
-        table = np.empty((2, 4))
-        for d in range(4):
-            table[0, d] = _log(p_off[d])
-            table[1, d] = _log(1.0 - p_off[d])
-        return table
+        return np.array([[_log(p) for p in p_off], [_log(1.0 - p) for p in p_off]])
 
 
 @dataclass(frozen=True)
@@ -121,12 +111,8 @@ class TruthTables:
 def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                          nu_per_state: float = 0.0) -> TruthTables:
     """Truth model with identical per-bin statistics (no delay, lumped loss)."""
-    p = off_probs_by_delta(alpha_sq / stages, ch, nu_per_state / stages)
-    trans = np.empty((4, 4))
-    for dprev in range(4):
-        for step in range(4):
-            trans[dprev, step] = p[(dprev - step) % 4]
-    return TruthTables(stages, p.copy(), trans)
+    p = off_probs(alpha_sq / stages, ch, nu_per_state / stages)
+    return TruthTables(stages, p, p[DELTA_NEW])
 
 
 def truth_from_inference(model: InferenceModel) -> TruthTables:

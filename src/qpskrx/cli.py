@@ -153,28 +153,22 @@ def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
-def _parse_grid(spec: str) -> dict:
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ConfigError(f"alpha_sq grid: expected start:stop:points[:log], got {spec!r}")
-    out = {
-        "alpha_sq_start": float(parts[0]),
-        "alpha_sq_stop": float(parts[1]),
-        "alpha_sq_points": int(parts[2]),
-    }
-    if len(parts) == 4:
-        if parts[3] not in ("linear", "log"):
-            raise ConfigError(f"alpha_sq grid: spacing must be linear or log, got {parts[3]!r}")
-        out["alpha_sq_spacing"] = parts[3]
-    return out
+def _parse_flag(flag: str, spec: str, kinds, required: int = 1, sep: str = ":") -> list:
+    """Split a flag value at ``sep`` and convert each part; errors name the flag.
 
-
-def _parse_dt_grid(spec: str) -> dict:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"dt grid: expected start:stop:points, got {spec!r}")
-    return {"dt_start_us": float(parts[0]), "dt_stop_us": float(parts[1]),
-            "dt_points": int(parts[2])}
+    ``kinds`` is a tuple of one converter per part, of which the first
+    ``required`` must be given, or one converter for any number of parts.
+    """
+    parts = spec.split(sep)
+    if not isinstance(kinds, tuple):
+        kinds = (kinds,) * len(parts)
+    if not required <= len(parts) <= len(kinds):
+        count = len(kinds) if required == len(kinds) else f"{required} to {len(kinds)}"
+        raise ConfigError(f"{flag}: expected {count} {sep!r}-separated values, got {spec!r}")
+    try:
+        return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,15 +210,23 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("alpha_sq", "m", "trials", "seed", "eta_t", "eta_spd", "xi",
                     "nu_per_state", "dt_us", "workers"):
             overrides[key] = getattr(args, key)
+        if args.json and not args.out:
+            raise ConfigError("--json: needs --out, next to which the JSON mirror is written")
         if args.alpha_sq_grid:
-            overrides.update(_parse_grid(args.alpha_sq_grid))
+            overrides.update(zip(
+                ("alpha_sq_start", "alpha_sq_stop", "alpha_sq_points", "alpha_sq_spacing"),
+                _parse_flag("--alpha-sq-grid", args.alpha_sq_grid,
+                            (float, float, int, str), required=3)))
         if args.dt_grid:
-            overrides.update(_parse_dt_grid(args.dt_grid))
+            overrides.update(zip(("dt_start_us", "dt_stop_us", "dt_points"),
+                                 _parse_flag("--dt-grid", args.dt_grid, (float, float, int),
+                                             required=3)))
         if args.m_grid:
-            a, _, b = args.m_grid.partition(":")
-            overrides.update({"m_start": int(a), "m_stop": int(b or a)})
+            ms = _parse_flag("--m-grid", args.m_grid, (int, int))
+            overrides.update({"m_start": ms[0], "m_stop": ms[-1]})
         if args.eta_spd_list:
-            overrides["eta_spd_list"] = [float(x) for x in args.eta_spd_list.split(",")]
+            overrides["eta_spd_list"] = _parse_flag("--eta-spd-list", args.eta_spd_list,
+                                                    float, sep=",")
         if args.truth_delay is not None:
             overrides["truth_delay"] = args.truth_delay == "on"
 

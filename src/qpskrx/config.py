@@ -22,6 +22,22 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field annotation -> (the JSON value it takes, its test); values are never
+# coerced, so a config echoed in a CSV header keeps its bytes
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: _number(v) and isinstance(v, int)),
+    "float": ("a number", _number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list[float]": ("a list of numbers",
+                    lambda v: isinstance(v, list) and all(map(_number, v))),
+}
+
+
 @dataclass
 class RunConfig:
     mode: str = "sweep"
@@ -66,8 +82,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         def check(cond, name, msg):
             if not cond:
-                raise ConfigError(f"{name}: {msg} (got {getattr(self, name)})")
+                raise ConfigError(f"{name}: {msg} (got {getattr(self, name)!r})")
 
+        for f in fields(self):
+            kind, ok = _JSON_TYPES[f.type]
+            check(ok(getattr(self, f.name)), f.name, f"must be {kind}")
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
         for name in ("alpha_sq_start", "alpha_sq_stop", "alpha_sq"):
             value = getattr(self, name)

@@ -5,9 +5,11 @@ stale for ``t_hold``, ramps linearly to the new phase during ``t_swing``, and
 only then sits at the target.  Each segment gets the share of the bin's
 intensity equal to its share of the bin's time: ``t_hold/t_bin``,
 ``t_swing/t_bin`` and the remainder (a cascade of two beam splitters gives
-the same shares).  The swing segment has a closed-form no-click probability
-in the continuum limit (the test suite checks it against a discrete L-mode
-product).
+the same shares).  A segment at a fixed phase takes ``physics.off_probs`` at
+its share; the swing segment has a closed-form no-click probability in the
+continuum limit (the test suite checks it against a discrete L-mode
+product).  The delay-free comparison model is the same product with
+instantaneous feedback: every segment sits at the new target.
 
 A discard window of width ``delta_t`` at the bin start is treated as linear
 loss: fully covered segments are dropped, a partially covered segment keeps
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import TruthTables, off_probs_by_delta
-from .physics import (QUARTER_TURN_COS, ChannelModel,
-                      off_probability_quarter_turn)
+from .bayes import DELTA_NEW, TruthTables
+from .physics import ChannelModel, off_probs
 
 # signed minimal rotation, in quarter turns, for each (new - prev) mod 4
 _SIGNED_SPAN = (0, 1, 2, -1)
@@ -61,19 +62,6 @@ class DelayParams:
         return (self.t_bin - self.ramp_end) / self.t_bin
 
 
-def _off_prob_fixed(delta: int, fraction: float, gamma_sq: float,
-                    ch: ChannelModel) -> float:
-    """No-click probability of a segment held at phase ``delta``*pi/2."""
-    return math.exp(-2.0 * ch.eta_total * fraction * gamma_sq
-                    * (1.0 - ch.xi * QUARTER_TURN_COS[delta % 4]))
-
-
-def off_prob_hold(m: int, prev_target: int, gamma_sq: float,
-                  p: DelayParams, ch: ChannelModel) -> float:
-    """No-click probability of the hold segment (previous target still nulled)."""
-    return _off_prob_fixed(m - prev_target, p.hold_fraction, gamma_sq, ch)
-
-
 def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
                             gamma_sq: float, p: DelayParams,
                             ch: ChannelModel) -> float:
@@ -86,7 +74,7 @@ def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
     step = (new_target - prev_target) % 4
     m2 = _SIGNED_SPAN[step]
     if m2 == 0:
-        raise ValueError("degenerate swing (target unchanged): use the hold formula")
+        raise ValueError("degenerate swing (target unchanged): use off_probs")
     mm = (m - prev_target) % 4
     w = ch.eta_total * p.swing_fraction * gamma_sq
     exponent = (-2.0 * w
@@ -104,7 +92,8 @@ def _discard_retentions(p: DelayParams, discard_dt: float) -> tuple[float, float
         ret_swing = 1.0
     else:
         covered = min(max(discard_dt, p.t_hold), p.ramp_end) - p.t_hold
-        ret_swing = 1.0 - covered / p.t_swing
+        # (hold + swing) - hold may exceed swing by an ulp: keep the share >= 0
+        ret_swing = max(1.0 - covered / p.t_swing, 0.0)
     settle_len = p.t_bin - p.ramp_end
     if settle_len == 0:
         ret_settle = 1.0
@@ -113,57 +102,28 @@ def _discard_retentions(p: DelayParams, discard_dt: float) -> tuple[float, float
     return ret_hold, ret_swing, ret_settle
 
 
-def off_prob_bin_with_delay(m: int, prev_target: int, new_target: int,
-                            gamma_sq: float, p: DelayParams, ch: ChannelModel,
-                            nu_per_bin: float = 0.0, discard_dt: float = 0.0) -> float:
-    """No-click probability of a full bin under feedback delay and discarding.
-
-    Product of the hold, swing and settle segment probabilities with the
-    discard window applied as linear loss per segment.  Dark counts are kept
-    at the full per-bin expectation.
-    """
-    ret_hold, ret_swing, ret_settle = _discard_retentions(p, discard_dt)
-    hold = off_prob_hold(m, prev_target, gamma_sq * ret_hold, p, ch)
-    if (new_target - prev_target) % 4 == 0:
-        # no phase motion: the swing window sits at the (unchanged) target
-        swing = _off_prob_fixed(m - new_target, p.swing_fraction, gamma_sq * ret_swing, ch)
-    else:
-        swing = off_prob_swing_analytic(m, prev_target, new_target,
-                                        gamma_sq * ret_swing, p, ch)
-    settle = _off_prob_fixed(m - new_target, p.settle_fraction, gamma_sq * ret_settle, ch)
-    return hold * swing * settle * math.exp(-nu_per_bin)
-
-
-def off_prob_bin_no_delay(m: int, target: int, gamma_sq: float, p: DelayParams,
-                          ch: ChannelModel, nu_per_bin: float = 0.0,
-                          discard_dt: float = 0.0) -> float:
-    """Delay-free bin with the same per-bin discard loss (comparison model)."""
-    if not 0.0 <= discard_dt <= p.t_bin:
-        raise ValueError(f"discard window must be in [0, t_bin], got {discard_dt}")
-    return off_probability_quarter_turn(m - target,
-                                        gamma_sq * (1.0 - discard_dt / p.t_bin),
-                                        ch, nu_per_bin)
-
-
 def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                        nu_per_state: float, params: DelayParams,
                        discard_dt: float, include_delay: bool = True) -> TruthTables:
     """Outcome-generating model with per-bin discarding and optional delay.
 
-    The first bin has no feedback transient and no discard window; later bins
-    use the three-segment model (or, with ``include_delay=False``, the plain
-    formula with the discard loss only).
+    The first bin has no feedback transient and no discard window.  A later
+    bin multiplies its hold, swing and settle segments and the dark-count
+    factor; ``include_delay=False`` makes the feedback instantaneous.
     """
     gamma_sq = alpha_sq / stages
     nu_bin = nu_per_state / stages
-    first = off_probs_by_delta(gamma_sq, ch, nu_bin)
-    trans = np.empty((4, 4))
-    for dprev in range(4):
-        for step in range(4):
-            if include_delay:
-                trans[dprev, step] = off_prob_bin_with_delay(
-                    dprev, 0, step, gamma_sq, params, ch, nu_bin, discard_dt)
-            else:
-                trans[dprev, step] = off_prob_bin_no_delay(
-                    dprev, step, gamma_sq, params, ch, nu_bin, discard_dt)
-    return TruthTables(stages, first, trans)
+    ret_hold, ret_swing, ret_settle = _discard_retentions(params, discard_dt)
+    hold = off_probs(gamma_sq * ret_hold * params.hold_fraction, ch)
+    swing = off_probs(gamma_sq * ret_swing * params.swing_fraction, ch)[DELTA_NEW]
+    settle = off_probs(gamma_sq * ret_settle * params.settle_fraction, ch)[DELTA_NEW]
+    if include_delay:
+        hold = hold[:, None]                # stale phase: indexed by dprev alone
+        for dprev in range(4):
+            for step in range(1, 4):        # the target moves: phase ramp
+                swing[dprev, step] = off_prob_swing_analytic(
+                    dprev, 0, step, gamma_sq * ret_swing, params, ch)
+    else:
+        hold = hold[DELTA_NEW]
+    trans = hold * swing * settle * math.exp(-nu_bin)
+    return TruthTables(stages, off_probs(gamma_sq, ch, nu_bin), trans)

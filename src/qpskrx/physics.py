@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -34,18 +36,16 @@ class ChannelModel:
 QUARTER_TURN_COS = (1.0, 0.0, -1.0, 0.0)
 
 
-def off_probability_quarter_turn(delta: int, gamma_sq: float, ch: ChannelModel,
-                                 nu_per_bin: float = 0.0) -> float:
-    """No-click probability at relative phase theta = ``delta`` * pi/2.
+def off_probs(gamma_sq: float, ch: ChannelModel, nu_per_bin: float = 0.0) -> np.ndarray:
+    """The no-click formula, by delta = (m - target) mod 4 (theta = delta*pi/2).
 
-    ``delta = (m - target) mod 4``.  The cosine is taken exactly, so the
-    mirror-image deltas 1 and 3 give bitwise-equal probabilities and MAP ties
-    between mirror hypotheses stay exact.
+    Exact cosines make the mirror pair delta = 1, 3 bitwise equal, so MAP ties
+    stay exact; scalar ``math.exp`` (not ``np.exp``) keeps every table bitwise.
     """
     if gamma_sq < 0:
         raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
     if nu_per_bin < 0:
         raise ValueError(f"nu_per_bin must be >= 0, got {nu_per_bin}")
-    nbar = (nu_per_bin
-            + 2.0 * ch.eta_total * (1.0 - ch.xi * QUARTER_TURN_COS[delta % 4]) * gamma_sq)
-    return math.exp(-nbar)
+    return np.array([math.exp(-(nu_per_bin
+                                + 2.0 * ch.eta_total * (1.0 - ch.xi * cos) * gamma_sq))
+                     for cos in QUARTER_TURN_COS])

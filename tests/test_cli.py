@@ -77,6 +77,28 @@ class TestLoadConfig:
         assert main(flags) == 1
         assert f"{name}: must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", "5"), ("m", 4.5), ("seed", 1.5), ("seed", True), ("workers", 1.5),
+        ("eta_spd_list", 0.7), ("eta_spd_list", [0.7, "0.8"]), ("eta_spd_list", [True]),
+        ("truth_delay", "off"), ("truth_delay", 0), ("xi", "0.9"), ("alpha_sq", False),
+        ("alpha_sq_spacing", 1)])
+    def test_wrong_json_type_rejected_by_name(self, tmp_path, capsys, name, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: value}))
+        with pytest.raises(ConfigError, match=f"^{name}: must be "):
+            load_config(str(path))
+        assert main(["bounds", "--config", str(path)]) == 1
+        assert f"error: {name}: must be " in capsys.readouterr().err
+
+    def test_integer_numbers_kept_as_written(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha_sq_start": 1, "alpha_sq_stop": 2,
+                                    "alpha_sq_points": 2, "eta_spd_list": [1]}))
+        assert main(["bounds", "--config", str(path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert '"alpha_sq_start": 1,' in header
+        assert '"eta_spd_list": [1],' in header
+
     def test_mode_mismatch_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "bounds"}))
@@ -170,6 +192,46 @@ class TestCliMain:
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["columns"] == ["alpha_sq", "sql", "sql_lossy", "helstrom"]
         assert len(data["rows"]) == 2
+
+    def test_json_without_out_rejected(self, capsys):
+        rc = main(["bounds", "--alpha-sq-grid", "1:2:3", "--json"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --json:" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--alpha-sq-grid", "a:2:3"],
+        ["bounds", "--alpha-sq-grid", "1:2:x"],
+        ["bounds", "--alpha-sq-grid", "1:2"],
+        ["delay-sweep", "--dt-grid", "0:1:y"],
+        ["delay-sweep", "--dt-grid", "0:1:3:4"],
+        ["stages-sweep", "--m-grid", "3:x"],
+        ["stages-sweep", "--m-grid", "3:4:5"],
+        ["efficiency-sweep", "--eta-spd-list", "0.7,x"]])
+    def test_malformed_flag_named(self, capsys, args):
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {args[1]}: ")
+
+    def test_grid_spacing_checked_by_field(self, capsys):
+        assert main(["bounds", "--alpha-sq-grid", "1:2:3:cubic"]) == 1
+        assert capsys.readouterr().err.startswith("error: alpha_sq_spacing: ")
+
+    @pytest.mark.parametrize("args, expected", [
+        (["bounds", "--alpha-sq-grid", "1:2:3:log"],
+         {"alpha_sq_start": 1.0, "alpha_sq_stop": 2.0, "alpha_sq_points": 3,
+          "alpha_sq_spacing": "log"}),
+        (["delay-sweep", "--dt-grid", "0:1:2", "--trials", "8"],
+         {"dt_start_us": 0.0, "dt_stop_us": 1.0, "dt_points": 2}),
+        (["stages-sweep", "--m-grid", "3", "--trials", "8"], {"m_start": 3, "m_stop": 3}),
+        (["stages-sweep", "--m-grid", "3:4", "--trials", "8"], {"m_start": 3, "m_stop": 4}),
+        (["efficiency-sweep", "--eta-spd-list", "0.7,1", "--alpha-sq-grid", "1:1:1",
+          "--trials", "8"], {"eta_spd_list": [0.7, 1.0]})])
+    def test_grid_flags_fill_their_fields(self, capsys, args, expected):
+        assert main(args) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        config = json.loads(header.removeprefix("# config="))
+        assert {key: config[key] for key in expected} == expected
 
     def test_validation_error_exit_code(self, capsys):
         rc = main(["sweep", "--xi", "1.5", "--trials", "10"])

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
-from qpskrx.delay import (DelayParams, delay_truth_tables,
-                          off_prob_bin_no_delay, off_prob_bin_with_delay,
-                          off_prob_hold, off_prob_swing_analytic)
-from qpskrx.physics import ChannelModel
+from qpskrx.delay import DelayParams, delay_truth_tables, off_prob_swing_analytic
+from qpskrx.physics import ChannelModel, off_probs
 
 DEFAULTS = DelayParams(20.0, 0.37, 0.63)
 IDEAL = ChannelModel(1.0, 1.0)
+
+
+def bin_off(m, prev, new, gamma_sq, p, ch, nu=0.0, dt=0.0, include_delay=True):
+    """No-click probability of symbol ``m`` in a later bin, read off the table."""
+    t = delay_truth_tables(gamma_sq, 1, ch, nu, p, dt, include_delay)
+    return t.trans[(m - prev) % 4, (new - prev) % 4]
 
 
 def random_case(rng):
@@ -50,14 +54,21 @@ class TestTimeShares:
 
 class TestHoldSegment:
     def test_matched_phase(self):
-        assert off_prob_hold(1, 1, 1.0, DEFAULTS, IDEAL) == 1.0
+        # an all-hold bin nulls the previous target whatever the new one is
+        t = delay_truth_tables(1.0, 1, IDEAL, 0.0, DelayParams(20.0, 20.0, 0.0), 0.0)
+        assert t.trans[0].tolist() == [1.0] * 4
 
     def test_opposite_phase_value(self):
-        p = off_prob_hold(2, 0, 1.0, DEFAULTS, IDEAL)
+        # settle sits at the new target (exactly 1), so hold * swing is left
+        p = bin_off(2, 0, 2, 1.0, DEFAULTS, IDEAL)
+        p /= off_prob_swing_analytic(2, 0, 2, 1.0, DEFAULTS, IDEAL)
         assert p == pytest.approx(math.exp(-2 * 0.0185 * 2), rel=1e-12)
+        assert off_probs(DEFAULTS.hold_fraction * 1.0, IDEAL)[2] == pytest.approx(
+            math.exp(-2 * 0.0185 * 2), rel=1e-12)
 
     def test_vacuum_signal(self):
-        assert off_prob_hold(3, 0, 0.0, DEFAULTS, ChannelModel(0.65, 0.996)) == 1.0
+        t = delay_truth_tables(0.0, 1, ChannelModel(0.65, 0.996), 0.0, DEFAULTS, 0.0)
+        assert t.trans.tolist() == [[1.0] * 4] * 4
 
 
 class TestSwingSegment:
@@ -103,9 +114,12 @@ class TestFullBin:
         ch = ChannelModel(0.65, 0.996)
         for dt in (0.0, 0.5, 1.7):
             for m in range(4):
-                a = off_prob_bin_with_delay(m, 1, 1, 0.4, DEFAULTS, ch, 9.1e-4, dt)
-                b = off_prob_bin_no_delay(m, 1, 0.4, DEFAULTS, ch, 9.1e-4, dt)
+                a = bin_off(m, 1, 1, 0.4, DEFAULTS, ch, 9.1e-4, dt)
+                b = bin_off(m, 1, 1, 0.4, DEFAULTS, ch, 9.1e-4, dt, include_delay=False)
+                plain = off_probability_visibility(((m - 1) % 4) * math.pi / 2,
+                                                   0.4 * (1 - dt / 20), ch, 9.1e-4)
                 assert a == pytest.approx(b, abs=1e-14)
+                assert b == pytest.approx(plain, abs=1e-14)
 
     def test_discard_beyond_ramp_equals_no_delay(self):
         ch = ChannelModel(0.65, 0.996)
@@ -113,10 +127,9 @@ class TestFullBin:
             for m in range(4):
                 for prev in range(4):
                     for new in range(4):
-                        a = off_prob_bin_with_delay(m, prev, new, 0.94, DEFAULTS, ch,
-                                                    9.1e-4, dt)
-                        b = off_prob_bin_no_delay(m, new, 0.94, DEFAULTS, ch,
-                                                  9.1e-4, dt)
+                        a = bin_off(m, prev, new, 0.94, DEFAULTS, ch, 9.1e-4, dt)
+                        b = bin_off(m, prev, new, 0.94, DEFAULTS, ch, 9.1e-4, dt,
+                                    include_delay=False)
                         assert a == pytest.approx(b, abs=1e-12)
 
     def test_partial_swing_discard_fraction(self):
@@ -128,12 +141,23 @@ class TestFullBin:
         assert ret_swing == pytest.approx(0.79365, abs=1e-5)
         assert ret_settle == 1.0
 
+    def test_covered_swing_share_stays_non_negative(self):
+        # (0.1 + 0.2) - 0.1 exceeds 0.2 by an ulp, so the covered swing would
+        # keep a share of -2.2e-16 without the clamp
+        from qpskrx.delay import _discard_retentions
+        p = DelayParams(20.0, 0.1, 0.2)
+        assert _discard_retentions(p, 0.5)[1] == 0.0
+        for include_delay in (True, False):
+            t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 0.5,
+                                   include_delay)
+            assert np.all((t.trans > 0.0) & (t.trans <= 1.0))
+
     def test_zero_durations_reduce_to_delay_free(self):
         p = DelayParams(20.0, 0.0, 0.0)
         ch = ChannelModel(0.7, 0.98)
         for m in range(4):
             for new in range(4):
-                a = off_prob_bin_with_delay(m, 2, new, 0.6, p, ch, 1e-3, 0.0)
+                a = bin_off(m, 2, new, 0.6, p, ch, 1e-3)
                 b = off_probability_visibility(((m - new) % 4) * math.pi / 2, 0.6,
                                                ch, 1e-3)
                 assert a == pytest.approx(b, abs=1e-12)
@@ -143,7 +167,7 @@ class TestFullBin:
         for _ in range(200):
             p, ch, m, prev, new, g = random_case(rng)
             dt = rng.uniform(0, p.t_bin)
-            v = off_prob_bin_with_delay(m, prev, new, g, p, ch, 1e-3, dt)
+            v = bin_off(m, prev, new, g, p, ch, 1e-3, dt)
             assert 0.0 < v <= 1.0
 
 

@@ -1,0 +1,66 @@
+"""Only the pipeline lives in ``src/``: every top-level name there is used.
+
+A top-level function, class or constant of ``src/qpskrx`` must be named in
+``src/`` or ``perfbench/`` (its test file aside) somewhere besides its own
+definition.  A helper that only the tests call belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qpskrx"
+
+
+def top_level_names(tree):
+    """Functions, classes and assigned constants at module level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and not name.id.startswith("__"))
+
+
+def mentions(tree):
+    """Names a module reads: loads, attributes, imports and identifier strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value  # getattr targets and ``__all__`` entries
+
+
+def unused_names(defining: dict, reading: dict) -> list[str]:
+    """``module:name`` for each top-level name of ``defining`` nobody reads."""
+    used = Counter(name for tree in reading.values() for name in mentions(tree))
+    return [f"{module}:{name}" for module, tree in defining.items()
+            for name in top_level_names(tree) if not used[name]]
+
+
+def parse(paths) -> dict:
+    return {path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+            for path in sorted(paths)}
+
+
+def test_every_top_level_name_is_used():
+    package = parse(PACKAGE.glob("*.py"))
+    perfbench = parse(p for p in (ROOT / "perfbench").glob("*.py")
+                      if not p.name.startswith("test_"))
+    assert unused_names(package, {**package, **perfbench}) == []
+
+
+def test_scan_flags_an_unused_helper():
+    tree = ast.parse("LIMIT = 3\n_TABLE = {}\n"
+                     "def used(x):\n    return min(x, LIMIT)\n"
+                     "def helper():\n    pass\n"
+                     "class Spare:\n    pass\n"
+                     "__all__ = ['used']\n")
+    assert unused_names({"m": tree}, {"m": tree}) == ["m:_TABLE", "m:helper", "m:Spare"]

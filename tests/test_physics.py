@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from oracles import qpsk_amplitudes
 from qpskrx import _kernels
 from qpskrx.bayes import InferenceModel
-from qpskrx.physics import ChannelModel, off_probability_quarter_turn
+from qpskrx.physics import ChannelModel, off_probs
 
 IDEAL = ChannelModel(1.0, 1.0)
 
@@ -46,22 +46,22 @@ class TestSymbolAmplitude:
         gammas = qpsk_amplitudes(1.3 ** 2)
         for m in range(4):
             for n in range(4):
-                assert off_probability_quarter_turn(m - n, 1.3 ** 2, IDEAL) == pytest.approx(
+                assert off_probs(1.3 ** 2, IDEAL)[(m - n) % 4] == pytest.approx(
                     math.exp(-abs(gammas[m] - gammas[n]) ** 2), rel=1e-12)
 
 
 class TestOffProbability:
     def test_perfectly_nulled(self):
-        assert off_probability_quarter_turn(0, 0.25, ChannelModel(0.7)) == 1.0
+        assert off_probs(0.25, ChannelModel(0.7))[0] == 1.0
 
     def test_unit_distance(self):
         # |gamma - (-gamma)|^2 = 4 * 0.25
-        assert off_probability_quarter_turn(2, 0.25, IDEAL) == pytest.approx(
+        assert off_probs(0.25, IDEAL)[2] == pytest.approx(
             math.exp(-1), rel=1e-12)
 
     def test_dark_counts_only(self):
         # nu = 9.1e-3 per state over 10 bins
-        p = off_probability_quarter_turn(0, 0.25, IDEAL, nu_per_bin=9.1e-4)
+        p = off_probs(0.25, IDEAL, nu_per_bin=9.1e-4)[0]
         assert p == pytest.approx(math.exp(-9.1e-4), rel=1e-12)
         assert p == pytest.approx(0.99909, abs=5e-6)
 
@@ -69,44 +69,42 @@ class TestOffProbability:
 class TestOffProbabilityVisibility:
     def test_perfect_nulling(self):
         for eta in (0.3, 0.9, 1.0):
-            assert off_probability_quarter_turn(0, 0.8, ChannelModel(eta, 1.0)) == 1.0
+            assert off_probs(0.8, ChannelModel(eta, 1.0))[0] == 1.0
 
     def test_opposite_phase(self):
-        p = off_probability_quarter_turn(2, 0.5, IDEAL)
+        p = off_probs(0.5, IDEAL)[2]
         assert p == pytest.approx(math.exp(-2), rel=1e-12)
 
     def test_quadrature_phase_kills_visibility_term(self):
-        p = off_probability_quarter_turn(1, 0.4, ChannelModel(0.65, 0.996))
+        p = off_probs(0.4, ChannelModel(0.65, 0.996))[1]
         assert p == pytest.approx(math.exp(-0.52), rel=1e-12)
 
     @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0), eta=st.floats(0, 1))
     def test_agrees_with_general_formula_at_unit_visibility(self, delta, gamma_sq, eta):
         gammas = qpsk_amplitudes(gamma_sq)
         p_gen = math.exp(-eta * abs(gammas[delta % 4] - gammas[0]) ** 2)
-        p_vis = off_probability_quarter_turn(delta, gamma_sq, ChannelModel(eta, 1.0))
+        p_vis = off_probs(gamma_sq, ChannelModel(eta, 1.0))[delta % 4]
         assert p_vis == pytest.approx(p_gen, abs=1e-12)
 
     @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0),
            xi=st.floats(0, 1), eta=st.floats(0, 1), nu=st.floats(0, 0.1))
     def test_probability_range(self, delta, gamma_sq, xi, eta, nu):
-        p = off_probability_quarter_turn(delta, gamma_sq, ChannelModel(eta, xi), nu)
+        p = off_probs(gamma_sq, ChannelModel(eta, xi), nu)[delta % 4]
         assert 0.0 < p <= 1.0
 
 
 class TestMonotonicity:
     def test_decreasing_in_distance(self):
         ch = ChannelModel(0.8)
-        probs = [off_probability_quarter_turn(2, g, ch) for g in np.linspace(0, 3, 20)]
+        probs = [off_probs(g, ch)[2] for g in np.linspace(0, 3, 20)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
-        by_delta = [off_probability_quarter_turn(d, 0.7, ch) for d in (0, 1, 2)]
+        by_delta = off_probs(0.7, ch)[:3]
         assert by_delta[0] > by_delta[1] > by_delta[2]
 
     def test_decreasing_in_eta_and_nu(self):
-        by_eta = [off_probability_quarter_turn(2, 0.25, ChannelModel(e))
-                  for e in np.linspace(0, 1, 11)]
+        by_eta = [off_probs(0.25, ChannelModel(e))[2] for e in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_eta, by_eta[1:]))
-        by_nu = [off_probability_quarter_turn(2, 0.25, ChannelModel(0.5), nu)
-                 for nu in np.linspace(0, 1, 11)]
+        by_nu = [off_probs(0.25, ChannelModel(0.5), nu)[2] for nu in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_nu, by_nu[1:]))
 
 
@@ -131,6 +129,12 @@ class TestValidation:
             InferenceModel(1.0, 3, eta_total=1.2)
         with pytest.raises(ValueError):
             InferenceModel(1.0, 3, eta_total=0.5, nu_per_state=-1e-3)
+
+    def test_off_probs_ranges(self):
+        with pytest.raises(ValueError, match="gamma_sq"):
+            off_probs(-1e-3, IDEAL)
+        with pytest.raises(ValueError, match="nu_per_bin"):
+            off_probs(0.5, IDEAL, -1e-3)
 
     def test_channel_ranges(self):
         with pytest.raises(ValueError):
