@@ -42,7 +42,8 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
               loglik: np.ndarray, m_true: int) -> np.ndarray:
     """Simulate one chunk of trials of symbol ``m_true``; per-trial correctness mask."""
     step, p_off_by_target = receiver_step(loglik, trans)
-    p_off_by_target = p_off_by_target[:, :, m_true % 4]
+    step = step.reshape(8, 4)                   # row 4 * e + cur
+    p_off_by_target = p_off_by_target[:, :, m_true % 4].ravel()  # entry 4 * prev + cur
     node = np.zeros(len(draws), dtype=np.intp)  # trie node of each trial
     lp = np.zeros((1, 4))                       # per node: un-normalized log-posterior
     cur = np.zeros(1, dtype=np.intp)            # per node: current target
@@ -58,8 +59,8 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
             index[kids] = np.arange(len(kids))
             node = index[node]
         parent, e = kids >> 1, kids & 1
-        prev = cur[parent]
-        lp = lp[parent] + step[e, prev]
+        prev = cur.take(parent)
+        lp = lp.take(parent, axis=0) + step.take(4 * e + prev, axis=0)
         cur = lp.argmax(axis=1)
-        p_off = p_off_by_target[prev, cur]
+        p_off = p_off_by_target.take(4 * prev + cur)
     return cur[node] == m_true

@@ -9,9 +9,9 @@ everything is phase-covariant, likelihoods depend only on the index difference
 ``enumerate_error_probability`` is the exact answer the Monte Carlo engine
 is checked against.  It is a dynamic program with one layer per bin: outcome
 histories that leave the receiver in the same state (log-posterior vector and
-previous target) are merged, so a layer holds at most a few 10^4 states at
-M=16 where a plain walk visits 2^M histories.  The 2^M walk itself is kept in
-the test suite as the oracle for the dynamic program.
+previous target) are merged on one int64 order key, so a layer holds at most
+a few 10^4 states at M=16 where a plain walk visits 2^M histories.  The test
+suite keeps the 2^M walk and a merge by one five-key sort as its oracles.
 
 Every path (this dynamic program, the Monte Carlo kernel and the test
 oracles) keeps the un-normalized log-posterior ``lp`` and targets its first
@@ -138,6 +138,20 @@ class EnumerationDetail:
     peak_states: int
 
 
+def _order_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """One int64 per row, ordered and tied as the rows (lp0, lp1, lp2, lp3, prev).
+
+    Column value ranks (-inf included) in mixed radix, lp0 most significant.
+    """
+    key, size = np.zeros(len(prev), dtype=np.int64), 1
+    for col in lp.T:
+        values, rank = np.unique(col, return_inverse=True)
+        if size * len(values) > 1 << 60:  # re-rank: same order and ties, ranks < N
+            key, size = np.unique(key, return_inverse=True)[1], len(key)
+        key, size = key * len(values) + rank, size * len(values)
+    return 4 * key + prev
+
+
 def enumerate_detail(model: InferenceModel,
                      truth: TruthTables | None = None) -> EnumerationDetail:
     """Exact error probability, one layer of merged receiver states per bin.
@@ -146,11 +160,11 @@ def enumerate_detail(model: InferenceModel,
     while the posterior is propagated with the inference model, mirroring the
     receiver's actual feedback trajectory.  After bin i a history is fully
     described by its un-normalized log-posterior ``lp`` and previous target
-    (the current target is the first-maximum argmax of ``lp``), so histories
-    with value-equal ``(lp, prev)`` are merged and their per-symbol linear
-    weights summed.  ``lp`` is accumulated with the same IEEE adds as the
-    batch kernels, so exact hypothesis ties are settled as in Monte Carlo;
-    only the order of summation of the weights differs from a 2^M walk.
+    (the current target is the first-maximum argmax of ``lp``).  Children with
+    value-equal ``(lp, prev)`` share one ``_order_key`` and merge into a state
+    whose per-symbol linear weights are summed in child order.  ``lp`` takes
+    the same IEEE adds as the batch kernels, so exact hypothesis ties settle as
+    in Monte Carlo; only the weights' order of summation differs from a 2^M walk.
     """
     M = model.stages
     if M > MAX_ENUM_STAGES:
@@ -161,9 +175,10 @@ def enumerate_detail(model: InferenceModel,
     if truth.stages != M:
         raise ValueError("truth model stage count must match the inference model")
 
-    # step[e, cur, h]: log-likelihood added to lp[h] when target cur sees e
-    # p_off[prev, cur, m]: truth no-click probability of symbol m in bins >= 1
+    # step[4 * e + cur, h]: log-likelihood added to lp[h] when target cur sees e
+    # p_off[4 * prev + cur, m]: truth no-click probability of symbol m in bins >= 1
     step, p_off = receiver_step(model.log_likelihood_table(), truth.trans)
+    step, p_off = step.reshape(8, 4), p_off.reshape(16, 4)
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
@@ -171,26 +186,21 @@ def enumerate_detail(model: InferenceModel,
     cur = np.zeros(1, dtype=np.int8)
     peak = 1
     for i in range(M):
-        p_t = truth.first[None, :] if i == 0 else p_off[prev, cur]
-        lp = np.concatenate((lp + step[0, cur], lp + step[1, cur]))
+        p_t = truth.first[None, :] if i == 0 else p_off.take(4 * prev + cur, axis=0)
+        lp = np.concatenate((lp + step.take(cur, axis=0), lp + step.take(cur + 4, axis=0)))
         w = np.concatenate((w * p_t, w * (1.0 - p_t)))
         prev = np.concatenate((cur, cur))
         del p_t  # keeps the merge's peak memory down
-        order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
-        lp, prev = lp[order], prev[order]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        np.any(lp[1:] != lp[:-1], axis=1, out=new[1:])
-        new[1:] |= prev[1:] != prev[:-1]
-        group = np.empty(len(order), dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
-        del order
-        n = int(new.sum())
-        w = np.stack([np.bincount(group, weights=w[:, k], minlength=n)
+        states, group = np.unique(_order_key(lp, prev), return_inverse=True)
+        w = np.stack([np.bincount(group, weights=w[:, k], minlength=len(states))
                       for k in range(4)], axis=1)
-        lp, prev = lp[new], prev[new]
+        # any child of a state will do: lp starts at +0.0 and only adds logs of
+        # (0, 1] or -inf, so it has no -0.0 and value-equal rows are bitwise equal
+        rep = np.empty(len(states), dtype=np.intp)
+        rep[group] = np.arange(len(group))
+        lp, prev = lp[rep], (states & 3).astype(np.int8)
         cur = lp.argmax(axis=1).astype(np.int8)
-        peak = max(peak, n)
+        peak = max(peak, len(states))
 
     correct = np.array([w[cur == k, k].sum() for k in range(4)])
     per_symbol = 1.0 - correct

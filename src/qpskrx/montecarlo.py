@@ -81,6 +81,8 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     tables = []
     for inference, truth in points:
         if truth is None:

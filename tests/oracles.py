@@ -4,8 +4,10 @@
   ``RngSpec.draws``; ``vector_recursion``: the same recursion vectorized
   over trials.  Both are bitwise oracles of ``_kernels.run_chunk``.
 - ``walk_enumeration``: all 2^M outcome histories, the oracle of
-  ``enumerate_detail``; ``brute_force_error``: the ideal receiver from
-  complex amplitudes, sharing no table with the package.
+  ``enumerate_detail``; ``lexsort_enumeration``: the same merged-state
+  dynamic program with the merge done by ``np.lexsort``, its bitwise
+  oracle; ``brute_force_error``: the ideal receiver from complex
+  amplitudes, sharing no table with the package.
 - ``off_probability_visibility``, ``off_prob_swing_discrete`` and
   ``qpsk_gram``: the click probability at any phase, the L-mode product of
   the delay model's swing segment and the dense Gram matrix.
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from qpskrx import _kernels
-from qpskrx.bayes import truth_from_inference
+from qpskrx.bayes import EnumerationDetail, truth_from_inference
 
 
 def log(p):
@@ -133,6 +135,45 @@ def walk_enumeration(model, truth=None):
     walk(0, [0.0] * 4, 0, 0, [0.0] * 4)
     return (np.array([1.0 - math.fsum(c) for c in correct]),
             np.array([math.fsum(t) for t in total]))
+
+
+def lexsort_enumeration(model, truth=None):
+    """``enumerate_detail`` with states merged by a five-key ``np.lexsort``.
+
+    Each layer sorts the children on (lp0, lp1, lp2, lp3, prev), marks a new
+    state wherever a row differs from the one before it, and sums the weights
+    of each run with ``np.bincount`` in child order.  The package must give
+    the same states, weights and peak layer bit for bit.
+    """
+    if truth is None:
+        truth = truth_from_inference(model)
+    step, p_off = _kernels.receiver_step(model.log_likelihood_table(), truth.trans)
+    lp = np.zeros((1, 4))
+    w = np.ones((1, 4))
+    prev = np.zeros(1, dtype=np.int8)
+    cur = np.zeros(1, dtype=np.int8)
+    peak = 1
+    for i in range(model.stages):
+        p_t = truth.first[None, :] if i == 0 else p_off[prev, cur]
+        lp = np.concatenate((lp + step[0, cur], lp + step[1, cur]))
+        w = np.concatenate((w * p_t, w * (1.0 - p_t)))
+        prev = np.concatenate((cur, cur))
+        order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
+        lp, prev = lp[order], prev[order]
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        np.any(lp[1:] != lp[:-1], axis=1, out=new[1:])
+        new[1:] |= prev[1:] != prev[:-1]
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        n = int(new.sum())
+        w = np.stack([np.bincount(group, weights=w[:, k], minlength=n)
+                      for k in range(4)], axis=1)
+        lp, prev = lp[new], prev[new]
+        cur = lp.argmax(axis=1).astype(np.int8)
+        peak = max(peak, n)
+    per_symbol = 1.0 - np.array([w[cur == k, k].sum() for k in range(4)])
+    return EnumerationDetail(float(per_symbol.mean()), per_symbol, w.sum(axis=0), peak)
 
 
 def qpsk_amplitudes(alpha_sq):

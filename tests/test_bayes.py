@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_force_error, kernel_outcomes, normalized,
-                     posterior_step, reference_trial, truth_off_prob,
-                     walk_enumeration)
-from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, enumerate_detail,
-                          enumerate_error_probability, truth_from_inference,
-                          uniform_truth_tables)
+from oracles import (brute_force_error, kernel_outcomes, lexsort_enumeration,
+                     normalized, posterior_step, reference_trial,
+                     truth_off_prob, walk_enumeration)
+from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, _order_key,
+                          enumerate_detail, enumerate_error_probability,
+                          truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec
@@ -223,6 +223,64 @@ class TestMergedStates:
     def test_peak_states_below_history_count(self):
         detail = enumerate_detail(InferenceModel(3.0, 16, 0.65, 0.996, 9.1e-3))
         assert 1 <= detail.peak_states < 2 ** 15
+
+    @pytest.mark.parametrize("dt", [None, 0.0, 1.1, 3.0],
+                             ids=["uniform", "delay0", "delay1.1", "delay3"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_bitwise_equal_to_lexsort_merge(self, name, dt):
+        eta, xi, nu = ORACLE_MODELS[name]
+        for alpha_sq in ORACLE_ALPHA_SQ:
+            for stages in range(1, 17):
+                model = InferenceModel(alpha_sq, stages, eta, xi, nu)
+                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                assert_bitwise_equal(enumerate_detail(model, truth),
+                                     lexsort_enumeration(model, truth))
+
+    @pytest.mark.parametrize("alpha_sq", [3.0, 9.4])
+    def test_bitwise_equal_to_lexsort_merge_at_m20(self, alpha_sq):
+        # the experimental condition's largest layers: 1.8e5 states at 3.0
+        model = InferenceModel(alpha_sq, 20, 0.657 * 0.9505, 0.996, 9.1e-3)
+        assert_bitwise_equal(enumerate_detail(model), lexsort_enumeration(model))
+
+
+def assert_bitwise_equal(detail, oracle):
+    assert detail.error_prob == oracle.error_prob
+    assert detail.per_symbol_error.tobytes() == oracle.per_symbol_error.tobytes()
+    assert detail.branch_totals.tobytes() == oracle.branch_totals.tobytes()
+    assert detail.peak_states == oracle.peak_states
+
+
+def assert_key_sorts_as_lexsort(lp, prev):
+    key = _order_key(lp, prev)
+    order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
+    np.testing.assert_array_equal(np.argsort(key, kind="stable"), order)
+    rows = np.column_stack((lp, prev))[order]
+    ties = np.all(rows[1:] == rows[:-1], axis=1)
+    np.testing.assert_array_equal(key[order][1:] == key[order][:-1], ties)
+
+
+class TestOrderKey:
+    """The merge key against ``np.lexsort((prev, lp3, lp2, lp1, lp0))``."""
+
+    def test_ties_and_minus_inf(self):
+        rng = np.random.default_rng(7)
+        lp = rng.choice([-np.inf, -3.5, -1.25, -0.5, 0.0], size=(5000, 4))
+        lp[::7] = lp[1::7]  # exact duplicate rows, prev aside
+        prev = rng.integers(0, 4, size=5000).astype(np.int8)
+        assert_key_sorts_as_lexsort(lp, prev)
+
+    def test_rerank_past_2_to_60(self):
+        # 2^16+ distinct values per column: four radices multiply past 2^60,
+        # so the partial key is re-ranked before the last column
+        rng = np.random.default_rng(11)
+        n = 70_000
+        lp = -rng.random((n, 4)) * 50.0
+        lp[rng.random((n, 4)) < 0.01] = -np.inf
+        lp[n // 2:n // 2 + 500] = lp[:500]
+        prev = rng.integers(0, 4, size=n).astype(np.int8)
+        radices = [len(np.unique(col)) for col in lp.T]
+        assert min(radices) >= 1 << 16 and math.prod(radices) > 1 << 60
+        assert_key_sorts_as_lexsort(lp, prev)
 
 
 class TestTruthTables:

@@ -223,6 +223,13 @@ class TestEstimateErrors:
         with pytest.raises(ValueError, match="trial count"):
             estimate_errors(grid_points(), 0, RngSpec(0))
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_rejected(self, chunk_size):
+        # a negative size would run no trials and report every symbol wrong
+        with pytest.raises(ValueError, match="chunk_size"):
+            estimate_errors([(model(1.0, 3), None)], 1000, RngSpec(1),
+                            chunk_size=chunk_size)
+
     def test_stage_mismatch_rejected(self):
         inference = model(1.0, 5)
         wrong = truth_from_inference(model(1.0, 4))
