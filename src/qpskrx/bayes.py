@@ -139,16 +139,18 @@ class EnumerationDetail:
 
 
 def _order_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """One int64 per row, ordered and tied as the rows (lp0, lp1, lp2, lp3, prev).
-
-    Column value ranks (-inf included) in mixed radix, lp0 most significant.
-    """
-    key, size = np.zeros(len(prev), dtype=np.int64), 1
+    """One int64 per row, ordered and tied as the rows (lp0, lp1, lp2, lp3, prev):
+    column value ranks (-inf included) in mixed radix, lp0 most significant."""
+    key, size, steps = 0, 1, np.zeros(len(prev), dtype=np.int64)
+    rank = np.empty_like(steps)
     for col in lp.T:
-        values, rank = np.unique(col, return_inverse=True)
-        if size * len(values) > 1 << 60:  # re-rank: same order and ties, ranks < N
+        order = col.argsort()
+        ranked = col[order]
+        np.cumsum(ranked[1:] != ranked[:-1], out=steps[1:])  # ties share a rank
+        rank[order], radix = steps, int(steps[-1]) + 1
+        if size * radix > 1 << 60:  # re-rank: same order and ties, ranks < N
             key, size = np.unique(key, return_inverse=True)[1], len(key)
-        key, size = key * len(values) + rank, size * len(values)
+        key, size = key * radix + rank, size * radix
     return 4 * key + prev
 
 
@@ -182,8 +184,7 @@ def enumerate_detail(model: InferenceModel,
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
-    prev = np.zeros(1, dtype=np.int8)
-    cur = np.zeros(1, dtype=np.int8)
+    prev = cur = np.zeros(1, dtype=np.int8)
     peak = 1
     for i in range(M):
         p_t = truth.first[None, :] if i == 0 else p_off.take(4 * prev + cur, axis=0)
@@ -202,8 +203,7 @@ def enumerate_detail(model: InferenceModel,
         cur = lp.argmax(axis=1).astype(np.int8)
         peak = max(peak, len(states))
 
-    correct = np.array([w[cur == k, k].sum() for k in range(4)])
-    per_symbol = 1.0 - correct
+    per_symbol = 1.0 - np.array([w[cur == k, k].sum() for k in range(4)])
     return EnumerationDetail(
         error_prob=float(per_symbol.mean()),
         per_symbol_error=per_symbol,

@@ -269,6 +269,12 @@ class TestOrderKey:
         prev = rng.integers(0, 4, size=5000).astype(np.int8)
         assert_key_sorts_as_lexsort(lp, prev)
 
+    def test_one_and_two_rows(self):
+        assert _order_key(np.zeros((1, 4)), np.array([2], dtype=np.int8)).tolist() == [2]
+        lp = np.array([[0.0, -np.inf, -1.0, -2.0], [0.0, -np.inf, -1.0, -2.0]])
+        assert_key_sorts_as_lexsort(lp, np.array([3, 1], dtype=np.int8))
+        assert_key_sorts_as_lexsort(lp[::-1] - [0, 0, 0, 1], np.array([1, 1], dtype=np.int8))
+
     def test_rerank_past_2_to_60(self):
         # 2^16+ distinct values per column: four radices multiply past 2^60,
         # so the partial key is re-ranked before the last column

@@ -1,7 +1,7 @@
 """Benchmark a change against its parent in alternating pairs; write a BENCH record.
 
     python3 tools/bench_pairs.py PARENT CHANGE [--pairs N] [--seconds S]
-        [--first-seed K] [--workload W ...] [--exact-rounds R]
+        [--first-seed K]
 
 Run from the repository root.  Both revisions are exported with
 ``git archive`` into a temporary directory.  Per workload, N pairs of
@@ -13,7 +13,7 @@ alternate which runs first.  The end-to-end metrics are each run's reported
 values; a pair also keeps the run's batch count, CSV sha256 and points.
 
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
-interpreters, R rounds alternating the two sides: per side and round, the
+interpreters, 10 rounds alternating the two sides: per side and round, the
 best of 5 walls and the peak states at M = 10, 16 and 20 (experimental
 condition, |alpha|^2 = 3), and the median of 15 repetitions of the five
 ``enumerate-m16`` points.
@@ -41,6 +41,7 @@ WORKLOADS = ("sweep-m10", "stages-m3-30", "enumerate-m16")
 EXACT_STAGES = (10, 16, 20)
 EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
+EXACT_ROUNDS = 10
 FIVE_POINT_REPS = 15
 
 
@@ -156,9 +157,9 @@ def summarize_exact(rounds: list[dict]) -> dict:
     return out
 
 
-def run_exact(trees: dict, rounds: int) -> dict:
+def run_exact(trees: dict) -> dict:
     records = []
-    for r in range(rounds):
+    for r in range(EXACT_ROUNDS):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
         record = {"first": order[0], "parent": None, "change": None}
         for side in order:
@@ -186,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=21)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--exact-rounds", type=int, default=10)
     args = parser.parse_args(argv)
 
     shas = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
@@ -202,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
@@ -214,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed}: wall_s {pair['parent']['wall_s']:.4f} -> "
                       f"{pair['change']['wall_s']:.4f}", flush=True)
             record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
-        record["exact_layer"] = run_exact(trees, args.exact_rounds)
+        record["exact_layer"] = run_exact(trees)
     out = Path(f"BENCH_{record['commit']}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
