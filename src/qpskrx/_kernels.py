@@ -1,27 +1,34 @@
-"""Hot per-chunk trial kernel: a walk through the chunk's history trie.
+"""Hot per-chunk trial kernel: a walk through a forest of history tries.
 
-The kernel consumes a pre-generated ``(n_trials, M)`` array of uniform
+The kernel consumes a pre-generated ``(n_trials, top)`` array of uniform
 variates, one row per trial; a column-major array makes each bin's column
-contiguous.  Trials that have seen the same outcome prefix are in the same
-receiver state, so after bin i they share one node of a trie of outcome
-prefixes.  Each bin's nodes are both children of every node of the bin
-before, child ``2 * parent + outcome``, so per trial a bin only gathers its
-node's no-click probability, compares it with the trial's uniform and
-shifts in the outcome; the posterior update and the re-targeting run once
-per node.  Only when the doubled table would pass ``MAX_NODES`` are the
-nodes renumbered to the children that trials reached.  Each node's
-un-normalized log-posterior ``lp`` is built from the same IEEE adds, in the
-same order, as the receiver's per-trial recursion, and its target is the
-first-maximum argmax of ``lp``, so outcomes (exact hypothesis ties
-included) are bitwise those of the per-trial recursion.
+contiguous.  Several points of one pad group (their stage counts round up to
+the same multiple of 4) share those draws, and each point gets its own trie
+of outcome prefixes: trials that have seen the same prefix are in the same
+receiver state, so after bin i they share one node.  Each bin's nodes are
+both children of every node of the bin before, child ``2 * parent +
+outcome``, and each node records its point; so per (point, trial) a bin only
+gathers its node's no-click probability, compares it with the trial's
+uniform and shifts in the outcome, while the posterior update and the
+re-targeting run once per node, for all points in one array op.  A point
+retires after its own last bin: its trials' final targets are read and its
+row of trials is dropped.  Only when the doubled table would pass
+``MAX_NODES`` per live point are the nodes renumbered to the children that
+trials reached.  ``STACK_TRIALS`` caps the (point, trial) rows of one call.
+Each node's un-normalized log-posterior ``lp`` is built from the same IEEE
+adds, in the same order, as the receiver's per-trial recursion, and its
+target is the first-maximum argmax of ``lp``, so outcomes (exact hypothesis
+ties included) are bitwise those of the per-trial recursion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Node-table size above which a bin renumbers nodes to the live children.
+# Node-table size per live point above which a bin renumbers nodes to the live children.
 MAX_NODES = 1024
+# (point, trial) rows per kernel call; a call stacks at most this many.
+STACK_TRIALS = 1 << 16
 
 
 def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,28 +46,40 @@ def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np
 
 
 def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
-              loglik: np.ndarray, m_true: int) -> np.ndarray:
-    """Simulate one chunk of trials of symbol ``m_true``; per-trial correctness mask."""
-    step, p_off_by_target = receiver_step(loglik, trans)
-    step = step.reshape(8, 4)                   # row 4 * e + cur
-    p_off_by_target = p_off_by_target[:, :, m_true % 4].ravel()  # entry 4 * prev + cur
-    node = np.zeros(len(draws), dtype=np.intp)  # trie node of each trial
-    lp = np.zeros((1, 4))                       # per node: un-normalized log-posterior
-    cur = np.zeros(1, dtype=np.intp)            # per node: current target
-    p_off = first[[m_true % 4]]                 # per node: truth no-click probability
-    for u in draws.T:                           # uniforms of one bin, all trials
-        click = u >= p_off[node]
+              step: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """Walk P points of one symbol over the shared ``draws``; final targets (P, n).
+
+    Point p reads the first ``stages[p]`` columns of the ``(n, top)`` draws.
+    ``first[p]`` is its truth bin-0 no-click probability of the chunk's
+    symbol; ``trans[p, 4 * prev + cur]`` (that symbol's column) and
+    ``step[p, 4 * e + cur]`` are its ``receiver_step`` tables.
+    """
+    step = step.reshape(-1, 4)                  # row 8 * point + 4 * e + cur
+    trans = trans.ravel()                       # entry 16 * point + 4 * prev + cur
+    out = np.empty((len(stages), len(draws)), dtype=np.intp)
+    live = np.arange(len(stages))               # point of each row of ``node``
+    node = np.repeat(live[:, None], len(draws), axis=1)  # trie node of each trial
+    point = live                                # per node: its point (a forest root each)
+    lp = np.zeros((len(stages), 4))             # per node: un-normalized log-posterior
+    cur = np.zeros(len(stages), dtype=np.intp)  # per node: current target
+    p_off = first                               # per node: truth no-click probability
+    for i in range(int(stages.max())):
+        click = draws[:, i] >= p_off[node]      # one bin's uniforms, broadcast over points
         node += node                            # child node: 2 * parent + outcome
         node += click
         kids = np.arange(2 * len(lp))           # both children of every node
-        if len(kids) > MAX_NODES:               # keep only the children trials reached
+        if len(kids) > MAX_NODES * len(live):   # keep only the children trials reached
             index = np.empty_like(kids)
-            kids = kids[np.bincount(node, minlength=len(kids)) > 0]
+            kids = kids[np.bincount(node.ravel(), minlength=len(kids)) > 0]
             index[kids] = np.arange(len(kids))
             node = index[node]
         parent, e = kids >> 1, kids & 1
-        prev = cur.take(parent)
-        lp = lp.take(parent, axis=0) + step.take(4 * e + prev, axis=0)
+        point, prev = point.take(parent), cur.take(parent)
+        lp = lp.take(parent, axis=0) + step.take(8 * point + 4 * e + prev, axis=0)
         cur = lp.argmax(axis=1)
-        p_off = p_off_by_target.take(4 * prev + cur)
-    return cur[node] == m_true
+        p_off = trans.take(16 * point + 4 * prev + cur)
+        done = stages[live] == i + 1            # points that end at this bin retire
+        if done.any():
+            out[live[done]] = cur[node[done]]
+            node, live = node[~done], live[~done]
+    return out

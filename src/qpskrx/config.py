@@ -101,7 +101,7 @@ class RunConfig:
                   "must be > 0 for log spacing")
         check(self.m >= 1, "m", "must be >= 1")
         check(1 <= self.m_start <= self.m_stop, "m_start", "must satisfy 1 <= m_start <= m_stop")
-        check(self.trials >= 1, "trials", "must be >= 1")
+        check(self.trials >= 4, "trials", "must be >= 4")
         check(0 <= self.seed < SEED_LIMIT, "seed", "must be in [0, 2**126)")
         check(0.0 <= self.eta_t <= 1.0, "eta_t", "must be in [0, 1]")
         check(0.0 <= self.eta_spd <= 1.0, "eta_spd", "must be in [0, 1]")

@@ -11,6 +11,7 @@ are generated once for all points with the same padded stage count.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,31 +75,37 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     Every point sees the same uniforms for a given (symbol, trial): common
     random numbers.  Points with the same padded stage count read the same
     Philox block per trial, so each (pad group, symbol, chunk) task draws
-    once, at the group's largest M, and runs every point of the group on the
-    first ``stages`` columns.  Deterministic for a given ``rng``: the chunk
+    once, at the group's largest M, and runs the group's points over them in
+    stacks of at most ``_kernels.STACK_TRIALS`` (point, trial) rows, one
+    kernel call per stack.  Deterministic for a given ``rng``: the chunk
     schedule is fixed and the tallies are integers, so the results are
     independent of ``n_workers``.  A missing truth is the matched one.
     """
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
+    if trials < 4:
+        raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    tables = []
-    for inference, truth in points:
+    # per point, built once: stage count, bin-0 no-click probability and later
+    # bins' table by symbol, log-likelihood rows (see ``_kernels.run_chunk``)
+    stages = np.array([inference.stages for inference, _ in points])
+    first, trans = np.empty((4, len(points))), np.empty((4, len(points), 16))
+    step = np.empty((len(points), 8, 4))
+    for i, (inference, truth) in enumerate(points):
         if truth is None:
             truth = truth_from_inference(inference)
         if truth.stages != inference.stages:
             raise ValueError("truth model stage count must match the inference model")
-        tables.append((inference.stages, truth.first, truth.trans,
-                       inference.log_likelihood_table()))
+        step_i, p_off = _kernels.receiver_step(inference.log_likelihood_table(), truth.trans)
+        first[:, i], trans[:, i] = truth.first, p_off.reshape(16, 4).T
+        step[i] = step_i.reshape(8, 4)
     groups: dict[int, list[int]] = {}
-    for i, (stages, *_) in enumerate(tables):
-        groups.setdefault(4 * ((stages + 3) // 4), []).append(i)
+    for i, m in enumerate(stages.tolist()):
+        groups.setdefault(4 * ((m + 3) // 4), []).append(i)
     counts = _symbol_trial_counts(trials)
 
     tasks = []
     for members in groups.values():
-        top = max(tables[i][0] for i in members)
+        top = int(stages[members].max())
         for symbol, n_sym in enumerate(counts):
             for start in range(0, n_sym, chunk_size):
                 tasks.append((members, top, symbol, start, min(chunk_size, n_sym - start)))
@@ -106,30 +113,31 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     def run_task(task):
         members, top, symbol, start, n = task
         draws = rng.draws(symbol, start, n, top)
+        per_call = max(1, _kernels.STACK_TRIALS // n)  # points stacked in one kernel call
         tallies = []
-        for i in members:
-            stages, first, trans, loglik = tables[i]
-            mask = _kernels.run_chunk(draws[:, :stages], first, trans, loglik, symbol)
-            tallies.append((i, symbol, int(mask.sum())))
+        for lo in range(0, len(members), per_call):
+            stack = members[lo:lo + per_call]
+            targets = _kernels.run_chunk(draws, first[symbol, stack], trans[symbol, stack],
+                                         step[stack], stages[stack])
+            tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
         return tallies
 
-    correct = [[0, 0, 0, 0] for _ in tables]
-    if n_workers <= 1:
+    correct = np.zeros((len(points), 4), dtype=np.int64)
+    workers = min(n_workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = map(run_task, tasks)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_task, tasks))
     for tallies in results:
-        for i, symbol, n_correct in tallies:
-            correct[i][symbol] += n_correct
-    return [_result(c, counts, trials) for c in correct]
+        for stack, symbol, n_correct in tallies:
+            correct[stack, symbol] += n_correct
+    return [_result(c, counts, trials) for c in correct.tolist()]
 
 
 def _result(correct: list[int], counts: list[int], trials: int) -> SimulationResult:
-    per_symbol = tuple(
-        1.0 - correct[s] / counts[s] if counts[s] else 0.0 for s in range(4))
-    sampled = [s for s in range(4) if counts[s]]
-    p_err = sum(per_symbol[s] for s in sampled) / len(sampled)  # equal priors
+    per_symbol = tuple(1.0 - correct[s] / counts[s] for s in range(4))
+    p_err = sum(per_symbol) / 4  # equal priors
 
     stderr = math.sqrt(p_err * (1.0 - p_err) / trials)
     return SimulationResult(

@@ -2,7 +2,8 @@
 
 - ``reference_trial``: one receiver trial, scalar, from a row of
   ``RngSpec.draws``; ``vector_recursion``: the same recursion vectorized
-  over trials.  Both are bitwise oracles of ``_kernels.run_chunk``.
+  over trials.  Both are bitwise oracles of ``_kernels.run_chunk``, which
+  ``run_point`` calls on one point and ``stack_tables`` feeds a stack of.
 - ``walk_enumeration``: all 2^M outcome histories, the oracle of
   ``enumerate_detail``; ``lexsort_enumeration``: the same merged-state
   dynamic program with the merge done by ``np.lexsort``, its bitwise
@@ -72,11 +73,38 @@ def reference_trial(symbol, truth, inference, uniforms):
     return target == symbol
 
 
+def stack_tables(points, symbol):
+    """``_kernels.run_chunk``'s table arguments for a stack of points.
+
+    ``points`` holds ``(first, trans, loglik, stages)`` per point: truth
+    tables, inference log-likelihoods and stage count.  Returns ``(first,
+    trans, step, stages)`` for the chunk's ``symbol``, indexed as
+    ``truth_off_prob`` and ``posterior_step`` read the tables.
+    """
+    hyp = np.arange(4)
+    return (np.array([first[symbol % 4] for first, *_ in points]),
+            np.array([[trans[(symbol - prev) % 4, (cur - prev) % 4]
+                       for prev in range(4) for cur in range(4)] for _, trans, *_ in points]),
+            np.array([[loglik[e, (hyp - cur) % 4] for e in (0, 1) for cur in range(4)]
+                      for *_, loglik, _ in points]),
+            np.array([stages for *_, stages in points]))
+
+
+def run_point(draws, first, trans, loglik, m_true):
+    """``_kernels.run_chunk`` on one point: per-trial correctness mask.
+
+    Same arguments as ``vector_recursion``; the point's stage count is the
+    number of ``draws`` columns.
+    """
+    tables = stack_tables([(first, trans, loglik, draws.shape[1])], m_true)
+    return _kernels.run_chunk(draws, *tables)[0] == m_true
+
+
 def kernel_outcomes(inference, truth, symbol, trials, rng, chunk_size=1 << 16):
     """Per-trial correctness mask of ``symbol``, drawn and run chunk by chunk."""
     loglik = inference.log_likelihood_table()
     return np.concatenate([
-        _kernels.run_chunk(
+        run_point(
             rng.draws(symbol, start, min(chunk_size, trials - start), inference.stages),
             truth.first, truth.trans, loglik, symbol)
         for start in range(0, trials, chunk_size)])

@@ -1,6 +1,7 @@
 """Summary arithmetic of the BENCH writer, ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,44 @@ class TestSummarizeExact:
         assert out["M16"]["parent"] == {"best_s": 16.0, "peak_states": 16}
         assert out["M16"]["change"]["best_s"] == 20.0
         assert out["M16"]["ratio_median"] == 0.75
+
+
+def perfbench_stdout(metrics, untraced=3, traced=0, failed=0):
+    """Lines as ``perfbench/run.py`` prints them: progress, record, metrics, result."""
+    record = {"csv_sha256": "abc", "batch_walls_s": {"untraced": [0.1] * untraced,
+                                                     "traced": [0.2] * traced}}
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed,
+              "metrics": {m: {"value": v, "unit": "s"} for m, v in metrics.items()}}
+    return (["batch 1 untraced 0.100 s", "record " + json.dumps(record)]
+            + [f"{m} {v} s" for m, v in metrics.items()] + [json.dumps(result)])
+
+
+class TestParseOutput:
+    def test_end_to_end_entry(self):
+        lines = perfbench_stdout({"wall_s": 0.2, "setup_s": 0.3, "peak_rss_mb": 44.0})
+        assert bench_pairs.parse_output(lines, bench_pairs.METRICS, "untraced") == {
+            "wall_s": 0.2, "setup_s": 0.3, "peak_rss_mb": 44.0, "batches": 3,
+            "csv_sha256": "abc", "points_failed": 0, "points_attempted": 10}
+
+    def test_layer_entry_counts_traced_batches(self):
+        metrics = {m: float(i) for i, m in enumerate(bench_pairs.LAYER_METRICS)}
+        lines = perfbench_stdout({**metrics, "trace.overhead_s": 0.01}, untraced=4,
+                                 traced=5, failed=2)
+        entry = bench_pairs.parse_output(lines, bench_pairs.LAYER_METRICS, "traced")
+        assert entry == {**metrics, "batches": 5, "csv_sha256": "abc",
+                         "points_failed": 2, "points_attempted": 10}
+
+    def test_layer_metrics_cover_kernel_draws_and_cpu(self):
+        assert {"kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
+                "montecarlo.draws.busy_s", "process.cpu_s"} <= set(bench_pairs.LAYER_METRICS)
+
+
+class TestLayerRatios:
+    def test_change_over_parent(self):
+        parent = {m: 2.0 for m in bench_pairs.LAYER_METRICS}
+        change = {m: 1.0 for m in bench_pairs.LAYER_METRICS}
+        parent["bayes.enumerate.busy_s"] = change["bayes.enumerate.busy_s"] = 0.0
+        ratios = bench_pairs.layer_ratios({"parent": parent, "change": change})
+        assert ratios["kernels.run_chunk.calls"] == 0.5
+        assert ratios["process.cpu_s"] == 0.5
+        assert ratios["bayes.enumerate.busy_s"] is None  # layer idle on both sides

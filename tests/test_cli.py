@@ -238,6 +238,16 @@ class TestCliMain:
         assert rc == 1
         assert "xi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", [0, 1, 2, 3])
+    def test_fewer_trials_than_symbols_rejected(self, capsys, trials):
+        # with 2 trials two symbols got none, and P_e at zero signal read 0.5, not 0.75
+        with pytest.raises(ConfigError, match="^trials: must be >= 4"):
+            load_config(overrides={"trials": trials})
+        rc = main(["sweep", "--alpha-sq-grid", "0:0:1", "--m", "1", "--trials", str(trials)])
+        assert rc == 1
+        assert "trials: must be >= 4" in capsys.readouterr().err
+        assert load_config(overrides={"trials": 4}).trials == 4
+
     def test_huge_seed_rejected_by_name(self, capsys):
         rc = main(["sweep", "--seed", str(2 ** 126), "--trials", "10"])
         assert rc == 1

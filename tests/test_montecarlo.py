@@ -1,10 +1,14 @@
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import kernel_outcomes, reference_trial, vector_recursion
-from qpskrx import _kernels
+from oracles import (kernel_outcomes, reference_trial, run_point, stack_tables,
+                     vector_recursion)
+from qpskrx import _kernels, montecarlo
 from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.delay import DelayParams, delay_truth_tables
@@ -100,15 +104,14 @@ class TestKernelParity:
                 for symbol in range(4):
                     draws = RngSpec(21).draws(symbol, 0, n, stages)
                     args = (draws, truth.first, truth.trans, loglik, symbol)
-                    assert np.array_equal(_kernels.run_chunk(*args),
-                                          vector_recursion(*args))
+                    assert np.array_equal(run_point(*args), vector_recursion(*args))
 
     def test_draw_layout_does_not_change_outcomes(self):
         inference, truth = parity_case("experimental", 2.0, 13)
         draws = RngSpec(4).draws(1, 0, 5000, 13)
         args = (truth.first, truth.trans, inference.log_likelihood_table(), 1)
-        assert np.array_equal(_kernels.run_chunk(np.ascontiguousarray(draws), *args),
-                              _kernels.run_chunk(np.asfortranarray(draws), *args))
+        assert np.array_equal(run_point(np.ascontiguousarray(draws), *args),
+                              run_point(np.asfortranarray(draws), *args))
 
     @pytest.mark.parametrize("stages", [14, 21, 30])
     @pytest.mark.parametrize("name", ["experimental", "delay", "mismatch"])
@@ -119,16 +122,65 @@ class TestKernelParity:
         for symbol in range(4):
             draws = RngSpec(33).draws(symbol, 0, 20_000, stages)
             args = (draws, truth.first, truth.trans, loglik, symbol)
-            assert np.array_equal(_kernels.run_chunk(*args), vector_recursion(*args))
+            assert np.array_equal(run_point(*args), vector_recursion(*args))
 
     def test_kernel_matches_reference_path(self):
         # feed the kernel's own uniforms through the scalar reference trial
         m = model(1.8, 6, **EXPERIMENTAL)
         truth = truth_from_inference(m)
         draws = RngSpec(8).draws(2, 0, 300, 6)
-        kern = _kernels.run_chunk(draws, truth.first, truth.trans,
-                                  m.log_likelihood_table(), 2)
+        kern = run_point(draws, truth.first, truth.trans, m.log_likelihood_table(), 2)
         assert kern.tolist() == [reference_trial(2, truth, m, row) for row in draws]
+
+
+def forest_cases(stage_counts, alpha_sq, names=("experimental", "mismatch", "delay")):
+    """Interleaved stack of parity cases: every name at every stage count."""
+    return [parity_case(name, alpha_sq, stages)
+            for stages in stage_counts for name in names]
+
+
+def assert_forest_matches_vector_recursion(cases, n, seed):
+    """Each row of a stacked kernel call equals the point's own recursion."""
+    top = max(inference.stages for inference, _ in cases)
+    points = [(truth.first, truth.trans, inference.log_likelihood_table(),
+               inference.stages) for inference, truth in cases]
+    for symbol in range(4):
+        draws = RngSpec(seed).draws(symbol, 0, n, top)
+        targets = _kernels.run_chunk(draws, *stack_tables(points, symbol))
+        assert targets.shape == (len(cases), n)
+        for row, (first, trans, loglik, stages) in zip(targets, points):
+            assert np.array_equal(row == symbol, vector_recursion(
+                draws[:, :stages], first, trans, loglik, symbol))
+
+
+class TestForestKernel:
+    """One call walks a stack of points, one trie root each, over shared draws."""
+
+    @pytest.mark.parametrize("stage_counts", [(3, 4), (4, 3), (9, 10, 11, 12),
+                                              (12, 9, 11, 10)])
+    @pytest.mark.parametrize("alpha_sq", [0.25, 4.0, 12.0])
+    def test_mixed_pad_group_matches_vector_recursion(self, stage_counts, alpha_sq):
+        cases = forest_cases(stage_counts, alpha_sq)
+        cases += [parity_case("ideal", alpha_sq, stage_counts[0])]
+        assert_forest_matches_vector_recursion(cases, 3000, 21)
+
+    @pytest.mark.parametrize("max_nodes", [_kernels.MAX_NODES, 4])
+    def test_node_renumbering_at_m30(self, monkeypatch, max_nodes):
+        # 20,000 trials take the table past MAX_NODES per live point; with 4
+        # the table is renumbered every bin, across the point that retires
+        monkeypatch.setattr(_kernels, "MAX_NODES", max_nodes)
+        assert_forest_matches_vector_recursion(forest_cases((29, 30), 3.0), 20_000, 33)
+
+    def test_stack_at_stack_trials_edge(self):
+        cases = forest_cases((3, 4), 2.0, names=("experimental", "delay"))
+        n = _kernels.STACK_TRIALS // len(cases)
+        assert n * len(cases) == _kernels.STACK_TRIALS
+        assert_forest_matches_vector_recursion(cases, n, 5)
+
+    def test_no_trials(self):
+        cases = forest_cases((5, 8), 1.0)
+        for n in (0, 1):
+            assert_forest_matches_vector_recursion(cases, n, 3)
 
 
 class TestEstimateError:
@@ -204,7 +256,7 @@ class TestEstimateErrors:
             return draws(self, *args)
 
         def counting_kernel(*args):
-            kernel_calls.append(args[0].shape)
+            kernel_calls.append((args[0].shape, tuple(args[4].tolist())))
             return kernel(*args)
 
         monkeypatch.setattr(RngSpec, "draws", counting_draws)
@@ -215,13 +267,77 @@ class TestEstimateErrors:
         assert sorted(calls) == sorted(
             (symbol, start, n, top) for top in (4, 8, 9, 13) for symbol in range(4)
             for start, n in ((0, 1024), (1024, 226)))
+        # one kernel call per task: each group's points fit in one stack of
+        # STACK_TRIALS rows, and every call gets the group's draws whole
+        stacks = {4: (1, 1, 3, 3, 4, 4), 8: (5, 5, 8, 8), 9: (9, 9), 13: (13, 13)}
         assert sorted(kernel_calls) == sorted(
-            (n, inference.stages) for inference, _ in points for _symbol in range(4)
+            ((n, top), stages) for top, stages in stacks.items() for _symbol in range(4)
             for n in (1024, 226))
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError, match="trial count"):
-            estimate_errors(grid_points(), 0, RngSpec(0))
+    @pytest.mark.parametrize("trials", [0, 2, 3])
+    def test_fewer_trials_than_symbols_rejected(self, trials):
+        # a symbol without trials would drop out of the equal-prior mean
+        with pytest.raises(ValueError, match="trials must be >= 4"):
+            estimate_errors(grid_points(), trials, RngSpec(0))
+
+    def test_four_trials_one_per_symbol(self):
+        res = estimate_errors([(model(0.0, 1), None)], 4, RngSpec(0))[0]
+        assert res.error_prob == 0.75 and res.per_symbol_error == (0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("stack_trials", [3 * 1024, 1000])
+    def test_stacks_split_at_stack_trials(self, monkeypatch, stack_trials):
+        # 3 * 1024: full stacks of exactly 3 points of 1024 trials; 1000: a chunk
+        # longer than a stack still runs, one point per call
+        points, rng = grid_points(), RngSpec(31)
+        expected = estimate_errors(points, 5000, rng, chunk_size=1024)
+        rows, kernel = [], _kernels.run_chunk
+
+        def recording(*args):
+            rows.append((len(args[0]), len(args[4])))
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "run_chunk", recording)
+        monkeypatch.setattr(_kernels, "STACK_TRIALS", stack_trials)
+        assert estimate_errors(points, 5000, rng, chunk_size=1024) == expected
+        per_call = max(1, stack_trials // 1024)
+        group_sizes = (6, 4, 2, 2)
+        assert sorted(p for n, p in rows if n == 1024) == sorted(
+            min(per_call, size - lo) for size in group_sizes for _symbol in range(4)
+            for lo in range(0, size, per_call))
+        assert all(n * p <= max(stack_trials, n) for n, p in rows)
+        assert sum(p for n, p in rows if n == 226) == 4 * len(points)
+
+    @pytest.mark.parametrize("cpus, n_workers, chunk_size, expected", [
+        (8, 100_000, 256, 8),   # 20 tasks: capped by the cores
+        (8, 100_000, 5000, 4),  # 4 tasks: capped by the tasks
+        (8, 3, 256, 3),
+        (None, 4, 256, None),   # cpu_count unknown: serial, no pool
+        (8, 1, 256, None)])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, n_workers, chunk_size, expected):
+        # a recording executor that runs serially: no thread is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        points = [(model(1.0, 4, **EXPERIMENTAL), None)]
+        serial = estimate_errors(points, 5000, RngSpec(2), chunk_size=chunk_size)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        got = estimate_errors(points, 5000, RngSpec(2), n_workers=n_workers,
+                              chunk_size=chunk_size)
+        assert got == serial
+        assert sizes == ([] if expected is None else [expected])
 
     @pytest.mark.parametrize("chunk_size", [0, -1])
     def test_non_positive_chunk_size_rejected(self, chunk_size):
@@ -237,12 +353,61 @@ class TestEstimateErrors:
             estimate_errors([(model(1.0, 4), None), (inference, wrong)], 100, RngSpec(0))
 
 
-class TestTracerContract:
-    """The per-layer trace wraps ``_kernels.run_chunk`` and ``RngSpec.draws`` by name."""
+def load_spans():
+    """``perfbench/spans.py``, the tracer of the per-layer benchmark, by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
 
-    def test_signature(self):
-        params = list(inspect.signature(_kernels.run_chunk).parameters)
-        assert params == ["draws", "first", "trans", "loglik", "m_true"]
+
+class TestTracerContract:
+    """The per-layer trace wraps ``_kernels.run_chunk`` and ``RngSpec.draws`` by name,
+    and reads the kernel's positional arguments."""
+
+    def test_kernel_arguments_bind_to_tracer_attrs(self, monkeypatch):
+        # spans._kernel_attrs(draws, first, trans, loglik, m_true) reads the
+        # (n, top) draws and the nbytes of arguments 1-3
+        spans = load_spans()
+        calls, kernel = [], _kernels.run_chunk
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "run_chunk", recording)
+        estimate_errors(grid_points(), 1000, RngSpec(1), chunk_size=100)
+        assert len(calls) == 4 * 4 * 3  # pad groups x symbols x chunks
+        for args, kwargs in calls:
+            assert not kwargs and len(args) == 5
+            inspect.signature(spans._kernel_attrs).bind(*args)
+            assert args[0].ndim == 2
+            assert all(isinstance(a, np.ndarray) for a in args[1:4])
+            assert spans._kernel_attrs(*args) == {
+                "trial_stages": args[0].size,
+                "bytes_in": sum(a.nbytes for a in args[:4])}
+
+    def test_traced_stages_sweep(self):
+        from qpskrx import cli
+        from qpskrx.config import load_config
+
+        spans = load_spans()
+        cfg = load_config(None, {"alpha_sq": 2.0, "m_start": 3, "m_stop": 6,
+                                 "trials": 400, "workers": 2}, mode="stages-sweep")
+        untraced = cli.render_csv(cfg, *cli.run(cfg))
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            traced = cli.render_csv(cfg, *cli.run(cfg))
+        assert traced == untraced
+        metrics = spans.layer_metrics(tracer.spans, workers=2)
+        # pad groups {3, 4} and {5, 6}, each point with and without discard:
+        # one draw and one stack of 4 points per group and symbol, 100 trials
+        assert metrics["montecarlo.draws.calls"] == 8
+        assert metrics["kernels.run_chunk.calls"] == 8
+        assert metrics["kernels.run_chunk.trial_stages"] == 4 * 100 * (4 + 6)
+        assert metrics["bayes.truth_tables.calls"] > 0
 
     def test_monte_carlo_calls_go_through_module_attribute(self, monkeypatch):
         calls = []

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import qpsk_amplitudes
-from qpskrx import _kernels
+from oracles import qpsk_amplitudes, run_point
 from qpskrx.bayes import InferenceModel
 from qpskrx.physics import ChannelModel, off_probs
 
@@ -16,8 +15,7 @@ def kernel_clicks(u, p_off):
     """Whether the kernel's one-bin trial with uniform ``u`` clicks."""
     # ideal inference: an off keeps target 0 (correct), a click moves it to 2
     loglik = InferenceModel(1.0, 1).log_likelihood_table()
-    mask = _kernels.run_chunk(np.array([[u]]), np.full(4, p_off),
-                              np.full((4, 4), p_off), loglik, 0)
+    mask = run_point(np.array([[u]]), np.full(4, p_off), np.full((4, 4), p_off), loglik, 0)
     return not mask[0]
 
 

@@ -11,6 +11,10 @@ Run from the repository root.  Both revisions are exported with
 run from each export, unchanged, with seeds K..K+N-1; parent and change
 alternate which runs first.  The end-to-end metrics are each run's reported
 values; a pair also keeps the run's batch count, CSV sha256 and points.
+Then each side runs the workload once with ``--trace 1`` at seed K; the
+``layers`` entry keeps the medians over its traced batches of the metrics in
+``LAYER_METRICS`` (kernel calls and busy time, draw busy time, process CPU
+time, ...) and their change/parent ratios.
 
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
 interpreters, 10 rounds alternating the two sides: per side and round, the
@@ -38,6 +42,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("sweep-m10", "stages-m3-30", "enumerate-m16")
+LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
+                 "kernels.run_chunk.trial_stages", "montecarlo.draws.calls",
+                 "montecarlo.draws.busy_s", "bayes.enumerate.busy_s", "process.cpu_s",
+                 "trace.wall_s")
 EXACT_STAGES = (10, 16, 20)
 EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
@@ -75,19 +83,39 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of ``perfbench/run.py`` in ``tree``: its pair entry."""
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
-    record = json.loads(next(line for line in out if line.startswith("record "))[7:])
-    result = json.loads(out[-1])
-    return {**{m: result["metrics"][m]["value"] for m in METRICS},
-            "batches": len(record["batch_walls_s"]["untraced"]),
+def parse_output(lines: list[str], metrics: tuple[str, ...], batches: str) -> dict:
+    """A run's entry from the stdout of ``perfbench/run.py``.
+
+    The values of ``metrics`` from the last line's JSON result, the count of
+    ``batches`` ("untraced" or "traced") and, from the ``record`` line, the
+    CSV sha256 and the points failed and attempted.
+    """
+    record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
+    result = json.loads(lines[-1])
+    return {**{m: result["metrics"][m]["value"] for m in metrics},
+            "batches": len(record["batch_walls_s"][batches]),
             "csv_sha256": record["csv_sha256"],
             "points_failed": result["failed"],
             "points_attempted": result["attempted"]}
+
+
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> dict:
+    """One run of ``perfbench/run.py`` in ``tree``: a pair entry (``--trace 0``)
+    or a per-layer entry (``--trace 1``, its traced batches)."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
+    if trace:
+        return parse_output(out, LAYER_METRICS, "traced")
+    return parse_output(out, METRICS, "untraced")
+
+
+def layer_ratios(layers: dict) -> dict:
+    """Change over parent for each per-layer metric (None where the parent reads 0)."""
+    return {m: (layers["change"][m] / layers["parent"][m] if layers["parent"][m] else None)
+            for m in LAYER_METRICS}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -197,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
                         f"{args.seconds:g} --trace 0, run from a git archive of each "
                         f"commit; parent and change alternate which runs first, seeds "
                         f"{args.first_seed}-{args.first_seed + args.pairs - 1}; "
-                        f"end-to-end metrics are each run's reported value",
+                        f"end-to-end metrics are each run's reported value; layers: "
+                        f"one --trace 1 run per side at seed {args.first_seed}",
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
@@ -212,7 +241,16 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: wall_s {pair['parent']['wall_s']:.4f} -> "
                       f"{pair['change']['wall_s']:.4f}", flush=True)
-            record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
+            layers = {"seed": args.first_seed, "parent": None, "change": None}
+            for side in SIDES:
+                layers[side] = run_perfbench(trees[side], workload, args.first_seed,
+                                             args.seconds, trace=1)
+            layers["change_over_parent"] = layer_ratios(layers)
+            print(f"{workload} traced: kernel calls "
+                  f"{layers['parent']['kernels.run_chunk.calls']:g} -> "
+                  f"{layers['change']['kernels.run_chunk.calls']:g}", flush=True)
+            record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs,
+                                             "layers": layers}
         record["exact_layer"] = run_exact(trees)
     out = Path(f"BENCH_{record['commit']}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
