@@ -57,9 +57,10 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
     step = step.reshape(-1, 4)                  # row 8 * point + 4 * e + cur
     trans = trans.ravel()                       # entry 16 * point + 4 * prev + cur
     out = np.empty((len(stages), len(draws)), dtype=np.intp)
-    live = np.arange(len(stages))               # point of each row of ``node``
-    node = np.repeat(live[:, None], len(draws), axis=1)  # trie node of each trial
-    point = live                                # per node: its point (a forest root each)
+    rows = np.argsort(-stages, kind="stable")   # point of each row of ``node``, longest first
+    node = np.empty_like(out)                   # trie node of each (point, trial)
+    node[:] = rows[:, None]                     # point p starts at its root, node p
+    point = np.arange(len(stages))              # per node: its point
     lp = np.zeros((len(stages), 4))             # per node: un-normalized log-posterior
     cur = np.zeros(len(stages), dtype=np.intp)  # per node: current target
     p_off = first                               # per node: truth no-click probability
@@ -68,7 +69,7 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
         node += node                            # child node: 2 * parent + outcome
         node += click
         kids = np.arange(2 * len(lp))           # both children of every node
-        if len(kids) > MAX_NODES * len(live):   # keep only the children trials reached
+        if len(kids) > MAX_NODES * len(node):   # keep only the children trials reached
             index = np.empty_like(kids)
             kids = kids[np.bincount(node.ravel(), minlength=len(kids)) > 0]
             index[kids] = np.arange(len(kids))
@@ -78,8 +79,8 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
         lp = lp.take(parent, axis=0) + step.take(8 * point + 4 * e + prev, axis=0)
         cur = lp.argmax(axis=1)
         p_off = trans.take(16 * point + 4 * prev + cur)
-        done = stages[live] == i + 1            # points that end at this bin retire
-        if done.any():
-            out[live[done]] = cur[node[done]]
-            node, live = node[~done], live[~done]
+        live = np.count_nonzero(stages > i + 1)  # rows from ``live`` on end at this bin
+        if live < len(node):
+            out[rows[live:len(node)]] = cur.take(node[live:])
+            node = node[:live]
     return out
