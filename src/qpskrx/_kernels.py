@@ -12,7 +12,8 @@ gathers its node's no-click probability, compares it with the trial's
 uniform and shifts in the outcome, while the posterior update and the
 re-targeting run once per node, for all points in one array op.  A point
 retires after its own last bin: its trials' final targets are read and its
-row of trials is dropped.  Only when the doubled table would pass
+row of trials is dropped (rows are ordered by stage count, longest first,
+so it drops off the end).  Only when the doubled table would pass
 ``MAX_NODES`` per live point are the nodes renumbered to the children that
 trials reached.  ``STACK_TRIALS`` caps the (point, trial) rows of one call.
 Each node's un-normalized log-posterior ``lp`` is built from the same IEEE

@@ -274,7 +274,11 @@ class TestEstimateErrors:
             ((n, top), stages) for top, stages in stacks.items() for _symbol in range(4)
             for n in (1024, 226))
 
-    @pytest.mark.parametrize("trials", [0, 2, 3])
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 4"):
+            estimate_errors(grid_points(), 0, RngSpec(0))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3])
     def test_fewer_trials_than_symbols_rejected(self, trials):
         # a symbol without trials would drop out of the equal-prior mean
         with pytest.raises(ValueError, match="trials must be >= 4"):
