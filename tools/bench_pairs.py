@@ -241,10 +241,9 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: wall_s {pair['parent']['wall_s']:.4f} -> "
                       f"{pair['change']['wall_s']:.4f}", flush=True)
-            layers = {"seed": args.first_seed, "parent": None, "change": None}
-            for side in SIDES:
-                layers[side] = run_perfbench(trees[side], workload, args.first_seed,
-                                             args.seconds, trace=1)
+            layers = {"seed": args.first_seed,
+                      **{side: run_perfbench(trees[side], workload, args.first_seed,
+                                             args.seconds, trace=1) for side in SIDES}}
             layers["change_over_parent"] = layer_ratios(layers)
             print(f"{workload} traced: kernel calls "
                   f"{layers['parent']['kernels.run_chunk.calls']:g} -> "
