@@ -1,25 +1,20 @@
 """Hot per-chunk trial kernel: a walk through a forest of history tries.
 
 The kernel consumes a pre-generated ``(n_trials, top)`` array of uniform
-variates, one row per trial; a column-major array makes each bin's column
-contiguous.  Several points of one pad group (their stage counts round up to
-the same multiple of 4) share those draws, and each point gets its own trie
-of outcome prefixes: trials that have seen the same prefix are in the same
-receiver state, so after bin i they share one node.  Each bin's nodes are
-both children of every node of the bin before, child ``2 * parent +
-outcome``, and each node records its point; so per (point, trial) a bin only
-gathers its node's no-click probability, compares it with the trial's
-uniform and shifts in the outcome, while the posterior update and the
-re-targeting run once per node, for all points in one array op.  A point
-retires after its own last bin: its trials' final targets are read and its
-row of trials is dropped (rows are ordered by stage count, longest first,
-so it drops off the end).  Only when the doubled table would pass
-``MAX_NODES`` per live point are the nodes renumbered to the children that
-trials reached.  ``STACK_TRIALS`` caps the (point, trial) rows of one call.
-Each node's un-normalized log-posterior ``lp`` is built from the same IEEE
-adds, in the same order, as the receiver's per-trial recursion, and its
-target is the first-maximum argmax of ``lp``, so outcomes (exact hypothesis
-ties included) are bitwise those of the per-trial recursion.
+variates, one row per trial (column-major, so each bin's column is
+contiguous), shared by a stack of points of one pad group.  Each point roots
+its own trie of outcome prefixes: trials with the same prefix are in the
+same receiver state, so after bin i they share one node, child ``2 * parent
++ outcome`` of the bin before.  Per (point, trial) a bin only gathers its
+node's no-click probability, compares it with the uniform and shifts in the
+outcome; the posterior update and re-targeting run once per node, for all
+points in one array op.  Points come longest first, so a point that ends
+drops off the end of the rows, its final targets written in place.  Nodes
+are renumbered to the children trials reached only when the doubled table
+would pass ``MAX_NODES`` per live point.  Each node's log-posterior ``lp``
+is built from the same IEEE adds, in the same order, as the receiver's
+per-trial recursion, and its target is the first-maximum argmax, so
+outcomes (exact ties included) are bitwise those of that recursion.
 """
 
 from __future__ import annotations
@@ -30,6 +25,8 @@ import numpy as np
 MAX_NODES = 1024
 # (point, trial) rows per kernel call; a call stacks at most this many.
 STACK_TRIALS = 1 << 16
+# ROLL[cur, h] = (h - cur) % 4: the phase of hypothesis h relative to target cur
+ROLL = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
 
 
 def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,33 +37,37 @@ def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np
     ``p_off[prev, cur, m]`` is the truth no-click probability of symbol ``m``
     in bins >= 1 (from ``trans[(m - prev) % 4, (cur - prev) % 4]``).
     """
-    hyp = np.arange(4)
-    step = loglik[:, (hyp[None, :] - hyp[:, None]) % 4]
-    p, c, m = np.ix_(hyp, hyp, hyp)
-    return step, trans[(m - p) % 4, (c - p) % 4]
+    p, c, m = np.ix_(range(4), range(4), range(4))
+    return loglik[:, ROLL], trans[(m - p) % 4, (c - p) % 4]
+
+
+def symbol_tables(first: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One point's truth tables by symbol ``m`` and target, as ``run_chunk`` reads them:
+    ``[m, cur]`` in bin 0 (``first[(m - cur) % 4]``), ``[m, prev, cur]`` in later bins."""
+    m, p, c = np.ix_(range(4), range(4), range(4))
+    return first[ROLL.T], trans[(m - p) % 4, (c - p) % 4]
 
 
 def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
-              step: np.ndarray, stages: np.ndarray) -> np.ndarray:
-    """Walk P points of one symbol over the shared ``draws``; final targets (P, n).
+              loglik: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """Walk P points of one symbol over the shared ``(n, top)`` draws; final targets (P, n).
 
-    Point p reads the first ``stages[p]`` columns of the ``(n, top)`` draws.
-    ``first[p]`` is its truth bin-0 no-click probability of the chunk's
-    symbol; ``trans[p, 4 * prev + cur]`` (that symbol's column) and
-    ``step[p, 4 * e + cur]`` are its ``receiver_step`` tables.
+    Point p reads the first ``stages[p]`` columns; ``stages`` must not increase.
+    ``first[p]`` and ``trans[p]`` are its ``symbol_tables`` for the chunk's
+    symbol, ``loglik[p]`` its (2, 4) log-likelihood table.
     """
-    step = step.reshape(-1, 4)                  # row 8 * point + 4 * e + cur
-    trans = trans.ravel()                       # entry 16 * point + 4 * prev + cur
-    out = np.empty((len(stages), len(draws)), dtype=np.intp)
-    rows = np.argsort(-stages, kind="stable")   # point of each row of ``node``, longest first
-    node = np.empty_like(out)                   # trie node of each (point, trial)
-    node[:] = rows[:, None]                     # point p starts at its root, node p
-    point = np.arange(len(stages))              # per node: its point
-    lp = np.zeros((len(stages), 4))             # per node: un-normalized log-posterior
-    cur = np.zeros(len(stages), dtype=np.intp)  # per node: current target
-    p_off = first                               # per node: truth no-click probability
-    for i in range(int(stages.max())):
-        click = draws[:, i] >= p_off[node]      # one bin's uniforms, broadcast over points
+    ends = stages.tolist()
+    if ends != sorted(ends, reverse=True):
+        raise ValueError(f"stages must not increase, got {ends}")
+    first, trans = first.ravel(), trans.ravel()  # [4*point + cur], [4*(4*point + prev) + cur]
+    step = loglik[..., ROLL].swapaxes(1, 2).reshape(-1, 4)  # row 2 * (4 * point + cur) + e
+    out = node = np.empty((len(ends), len(draws)), dtype=np.intp)  # node per (point, trial)
+    node[:] = np.arange(len(ends))[:, None]     # point p starts at its root, node p
+    lp = np.zeros((len(ends), 4))               # per node: un-normalized log-posterior
+    key = 4 * np.arange(len(ends))              # per node: 4 * point + current target
+    p_off = first.take(key)                     # per node: truth no-click probability
+    for i in range(ends[0]):
+        click = draws[:, i] >= p_off.take(node)  # one bin's uniforms, broadcast over points
         node += node                            # child node: 2 * parent + outcome
         node += click
         kids = np.arange(2 * len(lp))           # both children of every node
@@ -74,14 +75,17 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
             index = np.empty_like(kids)
             kids = kids[np.bincount(node.ravel(), minlength=len(kids)) > 0]
             index[kids] = np.arange(len(kids))
-            node = index[node]
-        parent, e = kids >> 1, kids & 1
-        point, prev = point.take(parent), cur.take(parent)
-        lp = lp.take(parent, axis=0) + step.take(8 * point + 4 * e + prev, axis=0)
+            node[:] = index.take(node)
+        parent = kids >> 1
+        pk = key.take(parent)                   # 4 * point + prev
+        lp = lp.take(parent, axis=0) + step.take(2 * pk + (kids & 1), axis=0)
         cur = lp.argmax(axis=1)
-        p_off = trans.take(16 * point + 4 * prev + cur)
-        live = np.count_nonzero(stages > i + 1)  # rows from ``live`` on end at this bin
-        if live < len(node):
-            out[rows[live:len(node)]] = cur.take(node[live:])
+        p_off = trans.take(4 * pk + cur)
+        key = (pk & -4) + cur
+        live = len(node)
+        while live and ends[live - 1] == i + 1:
+            live -= 1
+        if live < len(node):                    # rows from ``live`` on end at this bin
+            node[live:] = cur.take(node[live:])
             node = node[:live]
     return out

@@ -85,40 +85,37 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
         raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    # per point, built once: stage count, bin-0 no-click probability and later
-    # bins' table by symbol, log-likelihood rows (see ``_kernels.run_chunk``)
+    # per point, built once: the tables ``_kernels.run_chunk`` reads
     stages = np.array([inference.stages for inference, _ in points])
-    first, trans = np.empty((4, len(points))), np.empty((4, len(points), 16))
-    step = np.empty((len(points), 8, 4))
+    first, trans = np.empty((4, len(points), 4)), np.empty((4, len(points), 4, 4))
+    loglik = np.empty((len(points), 2, 4))
     for i, (inference, truth) in enumerate(points):
         if truth is None:
             truth = truth_from_inference(inference)
         if truth.stages != inference.stages:
             raise ValueError("truth model stage count must match the inference model")
-        step_i, p_off = _kernels.receiver_step(inference.log_likelihood_table(), truth.trans)
-        first[:, i], trans[:, i] = truth.first, p_off.reshape(16, 4).T
-        step[i] = step_i.reshape(8, 4)
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(stages.tolist()):
-        groups.setdefault(4 * ((m + 3) // 4), []).append(i)
+        first[:, i], trans[:, i] = _kernels.symbol_tables(truth.first, truth.trans)
+        loglik[i] = inference.log_likelihood_table()
+    groups: dict[int, list[int]] = {}  # members longest first, as the kernel takes them
+    for i in np.argsort(-stages, kind="stable").tolist():
+        groups.setdefault(4 * ((stages[i] + 3) // 4), []).append(i)
     counts = _symbol_trial_counts(trials)
 
     tasks = []
     for members in groups.values():
-        top = int(stages[members].max())
         for symbol, n_sym in enumerate(counts):
             for start in range(0, n_sym, chunk_size):
-                tasks.append((members, top, symbol, start, min(chunk_size, n_sym - start)))
+                tasks.append((members, symbol, start, min(chunk_size, n_sym - start)))
 
     def run_task(task):
-        members, top, symbol, start, n = task
-        draws = rng.draws(symbol, start, n, top)
+        members, symbol, start, n = task
+        draws = rng.draws(symbol, start, n, int(stages[members[0]]))  # at the group's top M
         per_call = max(1, _kernels.STACK_TRIALS // n)  # points stacked in one kernel call
         tallies = []
         for lo in range(0, len(members), per_call):
             stack = members[lo:lo + per_call]
             targets = _kernels.run_chunk(draws, first[symbol, stack], trans[symbol, stack],
-                                         step[stack], stages[stack])
+                                         loglik[stack], stages[stack])
             tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
         return tallies
 

@@ -78,15 +78,13 @@ def stack_tables(points, symbol):
 
     ``points`` holds ``(first, trans, loglik, stages)`` per point: truth
     tables, inference log-likelihoods and stage count.  Returns ``(first,
-    trans, step, stages)`` for the chunk's ``symbol``, indexed as
-    ``truth_off_prob`` and ``posterior_step`` read the tables.
+    trans, loglik, stages)`` for the chunk's ``symbol``, the truth tables
+    indexed by receiver target as ``truth_off_prob`` reads them.
     """
-    hyp = np.arange(4)
-    return (np.array([first[symbol % 4] for first, *_ in points]),
-            np.array([[trans[(symbol - prev) % 4, (cur - prev) % 4]
-                       for prev in range(4) for cur in range(4)] for _, trans, *_ in points]),
-            np.array([[loglik[e, (hyp - cur) % 4] for e in (0, 1) for cur in range(4)]
-                      for *_, loglik, _ in points]),
+    return (np.array([[first[(symbol - cur) % 4] for cur in range(4)] for first, *_ in points]),
+            np.array([[[trans[(symbol - prev) % 4, (cur - prev) % 4] for cur in range(4)]
+                       for prev in range(4)] for _, trans, *_ in points]),
+            np.array([loglik for *_, loglik, _ in points]),
             np.array([stages for *_, stages in points]))
 
 

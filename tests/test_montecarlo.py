@@ -140,8 +140,9 @@ def forest_cases(stage_counts, alpha_sq, names=("experimental", "mismatch", "del
 
 
 def assert_forest_matches_vector_recursion(cases, n, seed):
-    """Each row of a stacked kernel call equals the point's own recursion."""
-    top = max(inference.stages for inference, _ in cases)
+    """Each row of a stacked kernel call, longest first, equals the point's own recursion."""
+    cases = sorted(cases, key=lambda case: -case[0].stages)
+    top = cases[0][0].stages
     points = [(truth.first, truth.trans, inference.log_likelihood_table(),
                inference.stages) for inference, truth in cases]
     for symbol in range(4):
@@ -156,8 +157,7 @@ def assert_forest_matches_vector_recursion(cases, n, seed):
 class TestForestKernel:
     """One call walks a stack of points, one trie root each, over shared draws."""
 
-    @pytest.mark.parametrize("stage_counts", [(3, 4), (4, 3), (9, 10, 11, 12),
-                                              (12, 9, 11, 10)])
+    @pytest.mark.parametrize("stage_counts", [(3, 4), (9, 10, 11, 12), (29, 30)])
     @pytest.mark.parametrize("alpha_sq", [0.25, 4.0, 12.0])
     def test_mixed_pad_group_matches_vector_recursion(self, stage_counts, alpha_sq):
         cases = forest_cases(stage_counts, alpha_sq)
@@ -181,6 +181,13 @@ class TestForestKernel:
         cases = forest_cases((5, 8), 1.0)
         for n in (0, 1):
             assert_forest_matches_vector_recursion(cases, n, 3)
+
+    def test_increasing_stages_rejected(self):
+        inference, truth = parity_case("experimental", 1.0, 4)
+        point = (truth.first, truth.trans, inference.log_likelihood_table())
+        tables = stack_tables([(*point, 3), (*point, 4)], 0)
+        with pytest.raises(ValueError, match="stages must not increase"):
+            _kernels.run_chunk(RngSpec(1).draws(0, 0, 10, 4), *tables)
 
 
 class TestEstimateError:
@@ -267,9 +274,9 @@ class TestEstimateErrors:
         assert sorted(calls) == sorted(
             (symbol, start, n, top) for top in (4, 8, 9, 13) for symbol in range(4)
             for start, n in ((0, 1024), (1024, 226)))
-        # one kernel call per task: each group's points fit in one stack of
-        # STACK_TRIALS rows, and every call gets the group's draws whole
-        stacks = {4: (1, 1, 3, 3, 4, 4), 8: (5, 5, 8, 8), 9: (9, 9), 13: (13, 13)}
+        # one kernel call per task: each group's points, longest first, fit in
+        # one stack of STACK_TRIALS rows, and every call gets the group's draws whole
+        stacks = {4: (4, 4, 3, 3, 1, 1), 8: (8, 8, 5, 5), 9: (9, 9), 13: (13, 13)}
         assert sorted(kernel_calls) == sorted(
             ((n, top), stages) for top, stages in stacks.items() for _symbol in range(4)
             for n in (1024, 226))
@@ -410,7 +417,6 @@ class TestTracerContract:
         # one draw and one stack of 4 points per group and symbol, 100 trials
         assert metrics["montecarlo.draws.calls"] == 8
         assert metrics["kernels.run_chunk.calls"] == 8
-        assert metrics["kernels.run_chunk.trial_stages"] == 4 * 100 * (4 + 6)
         assert metrics["bayes.truth_tables.calls"] > 0
 
     def test_monte_carlo_calls_go_through_module_attribute(self, monkeypatch):
