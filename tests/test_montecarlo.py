@@ -396,6 +396,8 @@ class TestTracerContract:
             inspect.signature(spans._kernel_attrs).bind(*args)
             assert args[0].ndim == 2
             assert all(isinstance(a, np.ndarray) for a in args[1:4])
+            # per point, the per-point kernel's tables: first 4, trans 16 and loglik 8 float64
+            assert sum(a.nbytes for a in args[1:4]) == (4 + 16 + 8) * 8 * len(args[4])
             assert spans._kernel_attrs(*args) == {
                 "trial_stages": args[0].size,
                 "bytes_in": sum(a.nbytes for a in args[:4])}
