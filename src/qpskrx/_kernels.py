@@ -82,10 +82,8 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
         cur = lp.argmax(axis=1)
         p_off = trans.take(4 * pk + cur)
         key = (pk & -4) + cur
-        live = len(node)
-        while live and ends[live - 1] == i + 1:
-            live -= 1
-        if live < len(node):                    # rows from ``live`` on end at this bin
+        live = len(node) - ends.count(i + 1)    # rows from ``live`` on end at this bin
+        if live < len(node):
             node[live:] = cur.take(node[live:])
             node = node[:live]
     return out

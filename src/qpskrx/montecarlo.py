@@ -117,6 +117,7 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
             targets = _kernels.run_chunk(draws, first[symbol, stack], trans[symbol, stack],
                                          loglik[stack], stages[stack])
             tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
+            del targets  # not held through the next call
         return tallies
 
     correct = np.zeros((len(points), 4), dtype=np.int64)
