@@ -14,7 +14,8 @@ are renumbered to the children trials reached only when the doubled table
 would pass ``MAX_NODES`` per live point.  Each node's log-posterior ``lp``
 is built from the same IEEE adds, in the same order, as the receiver's
 per-trial recursion, and its target is the first-maximum argmax, so
-outcomes (exact ties included) are bitwise those of that recursion.
+outcomes (exact ties included) are bitwise those of that recursion.  The
+exact DP reads a point's tables in the same layout (``bayes.point_tables``).
 """
 
 from __future__ import annotations
@@ -29,23 +30,17 @@ STACK_TRIALS = 1 << 16
 ROLL = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
 
 
-def receiver_step(loglik: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin tables indexed by targets, shared by this kernel and the exact DP.
-
-    ``step[e, cur, h]`` is the log-likelihood added to ``lp[h]`` when target
-    ``cur`` sees outcome ``e`` (from ``loglik[e, (h - cur) % 4]``);
-    ``p_off[prev, cur, m]`` is the truth no-click probability of symbol ``m``
-    in bins >= 1 (from ``trans[(m - prev) % 4, (cur - prev) % 4]``).
-    """
-    p, c, m = np.ix_(range(4), range(4), range(4))
-    return loglik[:, ROLL], trans[(m - p) % 4, (c - p) % 4]
-
-
 def symbol_tables(first: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One point's truth tables by symbol ``m`` and target, as ``run_chunk`` reads them:
-    ``[m, cur]`` in bin 0 (``first[(m - cur) % 4]``), ``[m, prev, cur]`` in later bins."""
+    """One point's truth tables by symbol ``m`` and target: ``[m, cur]`` in bin 0,
+    ``[m, prev, cur]`` in later bins (row ``4 * prev + cur`` of ``[m]``)."""
     m, p, c = np.ix_(range(4), range(4), range(4))
     return first[ROLL.T], trans[(m - p) % 4, (c - p) % 4]
+
+
+def step_rows(loglik: np.ndarray) -> np.ndarray:
+    """Rows ``2 * (4 * point + cur) + e`` of ``loglik[..., e, (h - cur) % 4]`` by ``h``:
+    the log-likelihoods added to ``lp`` when target ``cur`` sees outcome ``e``."""
+    return loglik[..., ROLL].swapaxes(-3, -2).reshape(-1, 4)
 
 
 def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
@@ -60,7 +55,7 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
     if ends != sorted(ends, reverse=True):
         raise ValueError(f"stages must not increase, got {ends}")
     first, trans = first.ravel(), trans.ravel()  # [4*point + cur], [4*(4*point + prev) + cur]
-    step = loglik[..., ROLL].swapaxes(1, 2).reshape(-1, 4)  # row 2 * (4 * point + cur) + e
+    step = step_rows(loglik)                    # row 2 * (4 * point + cur) + e
     out = node = np.empty((len(ends), len(draws)), dtype=np.intp)  # node per (point, trial)
     node[:] = np.arange(len(ends))[:, None]     # point p starts at its root, node p
     lp = np.zeros((len(ends), 4))               # per node: un-normalized log-posterior

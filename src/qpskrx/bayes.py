@@ -4,7 +4,8 @@ The receiver splits the signal into M bins.  Each bin, the current MAP
 hypothesis is displaced to vacuum; the detector outcome multiplies the
 posterior by the per-bin likelihood and the MAP target is refreshed.  Because
 everything is phase-covariant, likelihoods depend only on the index difference
-``delta = (m - target) mod 4`` and can be tabulated once per model.
+``delta = (m - target) mod 4`` and can be tabulated once per model.  Both
+estimators read one point's tables, in one layout, from ``point_tables``.
 
 ``enumerate_error_probability`` is the exact answer the Monte Carlo engine
 is checked against.  It is a dynamic program with one layer per bin: outcome
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import receiver_step
+from . import _kernels
 from .physics import ChannelModel, off_probs
 
 _NEG_INF = float("-inf")
@@ -121,6 +122,17 @@ def truth_from_inference(model: InferenceModel) -> TruthTables:
                                 model.nu_per_state)
 
 
+def point_tables(model: InferenceModel,
+                 truth: TruthTables | None = None) -> tuple[np.ndarray, ...]:
+    """``_kernels.symbol_tables`` of ``truth`` (default: the matched one) and the
+    model's ``log_likelihood_table``: one point's tables, read by both estimators."""
+    if truth is None:
+        truth = truth_from_inference(model)
+    if truth.stages != model.stages:
+        raise ValueError("truth model stage count must match the inference model")
+    return (*_kernels.symbol_tables(truth.first, truth.trans), model.log_likelihood_table())
+
+
 MAX_ENUM_STAGES = 20
 
 
@@ -170,25 +182,18 @@ def enumerate_detail(model: InferenceModel,
     """
     M = model.stages
     if M > MAX_ENUM_STAGES:
-        raise ValueError(
-            f"enumeration is capped at {MAX_ENUM_STAGES} stages; got M={M}")
-    if truth is None:
-        truth = truth_from_inference(model)
-    if truth.stages != M:
-        raise ValueError("truth model stage count must match the inference model")
-
-    # step[4 * e + cur, h]: log-likelihood added to lp[h] when target cur sees e
-    # p_off[4 * prev + cur, m]: truth no-click probability of symbol m in bins >= 1
-    step, p_off = receiver_step(model.log_likelihood_table(), truth.trans)
-    step, p_off = step.reshape(8, 4), p_off.reshape(16, 4)
+        raise ValueError(f"enumeration is capped at {MAX_ENUM_STAGES} stages; got M={M}")
+    first, trans, loglik = point_tables(model, truth)
+    step = _kernels.step_rows(loglik)   # row 2 * cur + e: added to lp when target cur sees e
+    p_off = trans.reshape(4, 16).T      # row 4 * prev + cur: truth no-click prob. by symbol
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
     prev = cur = np.zeros(1, dtype=np.int8)
     peak = 1
     for i in range(M):
-        p_t = truth.first[None, :] if i == 0 else p_off.take(4 * prev + cur, axis=0)
-        lp = np.concatenate((lp + step.take(cur, axis=0), lp + step.take(cur + 4, axis=0)))
+        p_t = first.T.take(cur, axis=0) if i == 0 else p_off.take(4 * prev + cur, axis=0)
+        lp = np.concatenate([lp + step.take(2 * cur + e, axis=0) for e in (0, 1)])
         w = np.concatenate((w * p_t, w * (1.0 - p_t)))
         prev = np.concatenate((cur, cur))
         del p_t  # keeps the merge's peak memory down

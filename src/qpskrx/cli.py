@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key] = getattr(args, key)
         if args.json and not args.out:
             raise ConfigError("--json: needs --out, next to which the JSON mirror is written")
+        json_path = args.out and os.path.splitext(args.out)[0] + ".json"
+        if args.json and json_path == args.out:
+            raise ConfigError(f"--json: the JSON mirror {json_path} would overwrite --out")
         if args.alpha_sq_grid:
             overrides.update(zip(
                 ("alpha_sq_start", "alpha_sq_stop", "alpha_sq_points", "alpha_sq_spacing"),
@@ -237,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
             if args.json:
-                json_path = args.out.rsplit(".", 1)[0] + ".json"
                 with open(json_path, "w") as fh:
                     fh.write(render_json(cfg, columns, rows))
         else:

@@ -115,6 +115,9 @@ class RunConfig:
               f"must leave a bin width t_total_us / m > 0 (m = {self.m})")
         check(0.0 <= self.dt_us <= self.t_bin_us, "dt_us",
               f"must be in [0, t_bin = {self.t_bin_us}]")
+        if self.mode == "stages-sweep":  # every M up to m_stop has a discard window
+            t_bin = self.t_total_us / self.m_stop
+            check(self.dt_us <= t_bin, "dt_us", f"must be <= t_total_us / m_stop = {t_bin}")
         check(0.0 <= self.dt_start_us <= self.dt_stop_us, "dt_start_us",
               "must satisfy 0 <= dt_start <= dt_stop")
         check(self.dt_stop_us <= self.t_bin_us, "dt_stop_us",

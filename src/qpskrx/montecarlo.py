@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import InferenceModel, TruthTables, truth_from_inference
+from .bayes import InferenceModel, TruthTables, point_tables
+# ``truth_from_inference`` stays importable from here: perfbench/spans.py traces it by this name.
+from .bayes import truth_from_inference  # noqa: F401
 
 DEFAULT_CHUNK = 1 << 16
 DRAW_BLOCK = 4096  # trials per Philox call in RngSpec.draws: a cache-sized row-major block
@@ -85,17 +87,10 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
         raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    # per point, built once: the tables ``_kernels.run_chunk`` reads
+    # per point, built once: the tables ``_kernels.run_chunk`` reads, by point and symbol
     stages = np.array([inference.stages for inference, _ in points])
-    first, trans = np.empty((4, len(points), 4)), np.empty((4, len(points), 4, 4))
-    loglik = np.empty((len(points), 2, 4))
-    for i, (inference, truth) in enumerate(points):
-        if truth is None:
-            truth = truth_from_inference(inference)
-        if truth.stages != inference.stages:
-            raise ValueError("truth model stage count must match the inference model")
-        first[:, i], trans[:, i] = _kernels.symbol_tables(truth.first, truth.trans)
-        loglik[i] = inference.log_likelihood_table()
+    tables = [point_tables(*point) for point in points]
+    first, trans, loglik = (np.array([table[k] for table in tables]) for k in range(3))
     groups: dict[int, list[int]] = {}  # members longest first, as the kernel takes them
     for i in np.argsort(-stages, kind="stable").tolist():
         groups.setdefault(4 * ((stages[i] + 3) // 4), []).append(i)
@@ -114,7 +109,7 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
         tallies = []
         for lo in range(0, len(members), per_call):
             stack = members[lo:lo + per_call]
-            targets = _kernels.run_chunk(draws, first[symbol, stack], trans[symbol, stack],
+            targets = _kernels.run_chunk(draws, first[stack, symbol], trans[stack, symbol],
                                          loglik[stack], stages[stack])
             tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
             del targets  # not held through the next call

@@ -173,7 +173,10 @@ def lexsort_enumeration(model, truth=None):
     """
     if truth is None:
         truth = truth_from_inference(model)
-    step, p_off = _kernels.receiver_step(model.log_likelihood_table(), truth.trans)
+    c, h = np.ix_(range(4), range(4))
+    step = model.log_likelihood_table()[:, (h - c) % 4]  # step[e, cur, h]
+    p, c, m = np.ix_(range(4), range(4), range(4))
+    p_off = truth.trans[(m - p) % 4, (c - p) % 4]        # p_off[prev, cur, m]
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))
     prev = np.zeros(1, dtype=np.int8)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import (brute_force_error, kernel_outcomes, lexsort_enumeration,
                      normalized, posterior_step, reference_trial,
                      truth_off_prob, walk_enumeration)
+from qpskrx._kernels import step_rows
 from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, _order_key,
-                          enumerate_detail, enumerate_error_probability,
+                          enumerate_detail, enumerate_error_probability, point_tables,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.delay import DelayParams, delay_truth_tables
@@ -301,6 +302,47 @@ class TestTruthTables:
         model = InferenceModel(1.5, 4, 0.65, 0.996, 9.1e-3)
         t = truth_from_inference(model)
         np.testing.assert_allclose(t.first, model.off_probs(), rtol=1e-15)
+
+
+class TestPointTables:
+    """The one table layout both estimators read, entry by entry against the oracles."""
+
+    model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
+    ch = ChannelModel(0.65, 0.996)
+    # delay model, hold 0.37 us and swing 0.63 us in a 20 us bin
+    truth = oracle_truth(3.0, 10, ch, 9.1e-3, 0.5)
+
+    @pytest.mark.parametrize("dt", [0.0, 0.5, 1.1])
+    def test_truth_entries(self, dt):
+        truth = oracle_truth(3.0, 10, self.ch, 9.1e-3, dt)
+        first, trans, _ = point_tables(self.model, truth)
+        assert first.shape == (4, 4) and trans.shape == (4, 4, 4)
+        # the previous target matters until the discard window covers the 1 us ramp
+        assert (len(set(trans[0, :, 1].tolist())) > 1) == (dt < 1.0)
+        args = (truth.first, truth.trans)
+        for m, prev, cur in itertools.product(range(4), repeat=3):
+            assert first[m, cur] == truth_off_prob(*args, 0, m, prev, cur)
+            assert trans[m, prev, cur] == truth_off_prob(*args, 1, m, prev, cur)
+            assert trans.reshape(4, 16).T[4 * prev + cur, m] == trans[m, prev, cur]
+
+    def test_step_rows(self):
+        *_, loglik = point_tables(self.model, self.truth)
+        np.testing.assert_array_equal(loglik, self.model.log_likelihood_table())
+        stacked = np.stack([loglik, 2.0 * loglik])  # two points, as run_chunk takes them
+        for cur, e, h in itertools.product(range(4), (0, 1), range(4)):
+            assert step_rows(loglik)[2 * cur + e, h] == loglik[e][(h - cur) % 4]
+            for point in (0, 1):
+                assert (step_rows(stacked)[2 * (4 * point + cur) + e, h]
+                        == stacked[point, e, (h - cur) % 4])
+
+    def test_matched_truth_by_default(self):
+        for default, matched in zip(point_tables(self.model),
+                                    point_tables(self.model, truth_from_inference(self.model))):
+            np.testing.assert_array_equal(default, matched)
+
+    def test_stage_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="stage count"):
+            point_tables(InferenceModel(3.0, 9), self.truth)
 
 
 class TestMirrorTies:

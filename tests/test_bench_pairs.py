@@ -117,3 +117,15 @@ class TestLayerRatios:
         assert ratios["kernels.run_chunk.calls"] == 0.5
         assert ratios["process.cpu_s"] == 0.5
         assert ratios["bayes.enumerate.busy_s"] is None  # layer idle on both sides
+
+
+class TestSourceLines:
+    def test_counts_each_package_file_and_the_total(self, tmp_path):
+        package = tmp_path / "src" / "qpskrx"
+        package.mkdir(parents=True)
+        (package / "b.py").write_text("x = 1\n\ny = 2\n")
+        (package / "a.py").write_text('"""One line."""\n')
+        (package / "notes.txt").write_text("not counted\n")
+        (tmp_path / "src" / "other.py").write_text("not counted\n")
+        assert bench_pairs.source_lines(tmp_path) == {
+            "files": {"a.py": 1, "b.py": 3}, "total": 4}

@@ -193,6 +193,23 @@ class TestCliMain:
         assert data["columns"] == ["alpha_sq", "sql", "sql_lossy", "helstrom"]
         assert len(data["rows"]) == 2
 
+    def test_json_mirror_stays_in_the_out_directory(self, tmp_path, monkeypatch):
+        # the extension is split off the file name, not off the dotted directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v2").mkdir()
+        rc = main(["bounds", "--alpha-sq-grid", "0:1:2", "--out", "runs.v2/table", "--json"])
+        assert rc == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "runs.v2", "runs.v2/table", "runs.v2/table.json"]
+        assert json.loads((tmp_path / "runs.v2" / "table.json").read_text())["rows"]
+
+    def test_json_mirror_over_out_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["bounds", "--alpha-sq-grid", "0:1:2", "--out", str(out), "--json"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --json: ")
+        assert not out.exists()
+
     def test_json_without_out_rejected(self, capsys):
         rc = main(["bounds", "--alpha-sq-grid", "1:2:3", "--json"])
         assert rc == 1
@@ -247,6 +264,14 @@ class TestCliMain:
         assert rc == 1
         assert "trials: must be >= 4" in capsys.readouterr().err
         assert load_config(overrides={"trials": 4}).trials == 4
+
+    @pytest.mark.parametrize("grid", ["182:182", "150:190"])
+    def test_stages_sweep_discard_checked_at_m_stop(self, capsys, grid):
+        # the default 1.1 us discard window passes t_total_us / m_stop = 200 / 182 us
+        assert main(["stages-sweep", "--m-grid", grid, "--trials", "8"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: dt_us: must be <= t_total_us / m_stop = ")
+        assert main(["stages-sweep", "--m-grid", "181", "--trials", "8"]) == 0
 
     def test_huge_seed_rejected_by_name(self, capsys):
         rc = main(["sweep", "--seed", str(2 ** 126), "--trials", "10"])

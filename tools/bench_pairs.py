@@ -22,8 +22,9 @@ best of 5 walls and the peak states at M = 10, 16 and 20 (experimental
 condition, |alpha|^2 = 3), and the median of 15 repetitions of the five
 ``enumerate-m16`` points.
 
-The record, headed by the change's commit subject, goes to
-``BENCH_<change sha>.json`` in the current directory.
+The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
+side, and their total.  The record, headed by the change's commit subject,
+goes to ``BENCH_<change sha>.json`` in the current directory.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def export(rev: str, dest: Path) -> Path:
     archive = subprocess.run(["git", "archive", rev], check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
     return dest
+
+
+def source_lines(tree: Path) -> dict:
+    """Line count of each ``src/qpskrx/*.py`` file of ``tree``, and their total."""
+    files = {path.name: len(path.read_text().splitlines())
+             for path in sorted((tree / "src" / "qpskrx").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def cpu_model() -> str:
@@ -230,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
+        record["size"] = {side: source_lines(trees[side]) for side in SIDES}
         for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):
