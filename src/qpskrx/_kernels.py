@@ -14,8 +14,11 @@ are renumbered to the children trials reached only when the doubled table
 would pass ``MAX_NODES`` per live point.  Each node's log-posterior ``lp``
 is built from the same IEEE adds, in the same order, as the receiver's
 per-trial recursion, and its target is the first-maximum argmax, so
-outcomes (exact ties included) are bitwise those of that recursion.  The
-exact DP reads a point's tables in the same layout (``bayes.point_tables``).
+outcomes are bitwise those of that recursion.  The adds are exact (the
+log-likelihoods lie on ``bayes.InferenceModel.log_likelihood_table``'s
+dyadic grid), so hypotheses that tie in real arithmetic tie bitwise and go
+to the lowest index.  The exact DP reads a point's tables in the same layout
+(``bayes.point_tables``).
 """
 
 from __future__ import annotations

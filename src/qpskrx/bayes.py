@@ -10,16 +10,20 @@ estimators read one point's tables, in one layout, from ``point_tables``.
 ``enumerate_error_probability`` is the exact answer the Monte Carlo engine
 is checked against.  It is a dynamic program with one layer per bin: outcome
 histories that leave the receiver in the same state (log-posterior vector and
-previous target) are merged on one int64 order key, so a layer holds at most
-a few 10^4 states at M=16 where a plain walk visits 2^M histories.  The test
+previous target) are merged on one int64 order key, so a layer holds a few
+thousand states at M=16 where a plain walk visits 2^M histories.  The test
 suite keeps the 2^M walk and a merge by one five-key sort as its oracles.
 
 Every path (this dynamic program, the Monte Carlo kernel and the test
 oracles) keeps the un-normalized log-posterior ``lp`` and targets its first
-maximum, so ties go to the lowest index.  A history to which every hypothesis
-gives zero likelihood (possible when the inference model is ideal and the
-truth model is not) follows the same rule: all of ``lp`` is -inf from then
-on, and the receiver targets, and finally decides, symbol 0.
+maximum, so ties go to the lowest index.  ``lp`` sums entries of
+``log_likelihood_table``, which lie on a dyadic grid fine enough for every
+sum of M entries to be exact: its value does not depend on the order of the
+adds, and hypotheses that tie in real arithmetic tie bitwise.  A history to
+which every hypothesis gives zero likelihood (possible when the inference
+model is ideal and the truth model is not) follows the same rule: all of
+``lp`` is -inf from then on, and the receiver targets, and finally decides,
+symbol 0.
 """
 
 from __future__ import annotations
@@ -84,9 +88,38 @@ class InferenceModel:
         return off_probs(self.gamma_sq, self.channel(), self.nu_per_bin)
 
     def log_likelihood_table(self) -> np.ndarray:
-        """(2, 4) array of log p(e | delta); row 0 is "off", row 1 is "on"."""
+        """(2, 4) array of log p(e | delta) on the dyadic grid of ``_grid_exponent``;
+        row 0 is "off", row 1 is "on".
+
+        The off row is ``[o, o - t, o - 2t, o - t]``, with o = log p_off(0) and
+        t = log p_off(0) - log p_off(1) each rounded to the grid: affine in
+        cos(delta pi/2), as the exact logs are.  Every on entry is rounded on
+        its own.  A zero likelihood stays -inf and a rounded zero is +0.0.
+        """
         p_off = self.off_probs()
-        return np.array([[_log(p) for p in p_off], [_log(1.0 - p) for p in p_off]])
+        logs = [[_log(p) for p in p_off], [_log(1.0 - p) for p in p_off]]
+        k = _grid_exponent(logs, self.stages)
+        o = _dyadic(logs[0][0], k)
+        t = _dyadic(logs[0][0] - logs[0][1], k)
+        off = (o, o - t, o - 2.0 * t, o - t)
+        return np.array([[x if p > 0.0 else _NEG_INF for x, p in zip(off, p_off)],
+                         [_dyadic(x, k) for x in logs[1]]])
+
+
+def _grid_exponent(logs: list[list[float]], stages: int) -> int:
+    """k such that ``stages`` times the largest finite |log| is below 2^(50 - k).
+
+    A grid entry lies within two steps 2^-k of its log, so any sum of
+    ``stages`` entries is below 2^(53 - k) in magnitude: a multiple of 2^-k
+    that float64 holds exactly, whatever the order of the adds.
+    """
+    finite = [abs(x) for row in logs for x in row if x > _NEG_INF]
+    return min(50 - math.frexp(max(finite, default=0.0))[1] - stages.bit_length(), 1074)
+
+
+def _dyadic(x: float, k: int) -> float:
+    """``x`` rounded to the nearest multiple of 2^-k (zero is +0.0); inf and nan stay."""
+    return math.ldexp(round(math.ldexp(x, k)), -k) if math.isfinite(x) else x
 
 
 @dataclass(frozen=True)
@@ -133,7 +166,9 @@ def point_tables(model: InferenceModel,
     return (*_kernels.symbol_tables(truth.first, truth.trans), model.log_likelihood_table())
 
 
-MAX_ENUM_STAGES = 20
+# Merged states a layer of the exact DP may hold (the experimental condition
+# peaks at 170,308 states at M=50, |alpha|^2 = 3).
+MAX_ENUM_STATES = 1 << 18
 
 
 @dataclass
@@ -176,13 +211,13 @@ def enumerate_detail(model: InferenceModel,
     described by its un-normalized log-posterior ``lp`` and previous target
     (the current target is the first-maximum argmax of ``lp``).  Children with
     value-equal ``(lp, prev)`` share one ``_order_key`` and merge into a state
-    whose per-symbol linear weights are summed in child order.  ``lp`` takes
-    the same IEEE adds as the batch kernels, so exact hypothesis ties settle as
-    in Monte Carlo; only the weights' order of summation differs from a 2^M walk.
+    whose per-symbol linear weights are summed in child order.  ``lp`` sums are
+    exact, so histories that reach the same real log-posterior merge, and ties
+    go to the lowest index as in Monte Carlo and in the 2^M walk; only the
+    weights' order of summation differs from that walk.  A layer of more than
+    ``MAX_ENUM_STATES`` merged states raises ``ValueError``.
     """
     M = model.stages
-    if M > MAX_ENUM_STAGES:
-        raise ValueError(f"enumeration is capped at {MAX_ENUM_STAGES} stages; got M={M}")
     first, trans, loglik = point_tables(model, truth)
     step = _kernels.step_rows(loglik)   # row 2 * cur + e: added to lp when target cur sees e
     p_off = trans.reshape(4, 16).T      # row 4 * prev + cur: truth no-click prob. by symbol
@@ -198,6 +233,9 @@ def enumerate_detail(model: InferenceModel,
         prev = np.concatenate((cur, cur))
         del p_t  # keeps the merge's peak memory down
         states, group = np.unique(_order_key(lp, prev), return_inverse=True)
+        if len(states) > MAX_ENUM_STATES:
+            raise ValueError(f"enumeration: layer {i + 1} of {M} holds {len(states)} merged "
+                             f"states, over the budget of {MAX_ENUM_STATES}")
         w = np.stack([np.bincount(group, weights=w[:, k], minlength=len(states))
                       for k in range(4)], axis=1)
         # any child of a state will do: lp starts at +0.0 and only adds logs of

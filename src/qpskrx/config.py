@@ -14,6 +14,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "enumerate")
 
+# Modes that read ``m`` (stages-sweep runs m_start..m_stop instead) and, of
+# those, the modes that read ``dt_us`` (delay-sweep replaces it by its dt grid).
+READS_M = ("sweep", "delay-sweep", "efficiency-sweep", "enumerate")
+READS_DT_US = ("sweep", "efficiency-sweep", "enumerate")
+
 # Philox keys are (seed << 2) | symbol and must stay below 2**128.
 SEED_LIMIT = 2 ** 126
 
@@ -111,23 +116,27 @@ class RunConfig:
         check(0.0 <= self.xi <= 1.0, "xi", "must be in [0, 1]")
         check(self.nu_per_state >= 0, "nu_per_state", "must be >= 0")
         check(self.t_total_us > 0, "t_total_us", "must be > 0")
-        check(self.t_bin_us > 0, "t_total_us",
-              f"must leave a bin width t_total_us / m > 0 (m = {self.m})")
-        check(0.0 <= self.dt_us <= self.t_bin_us, "dt_us",
-              f"must be in [0, t_bin = {self.t_bin_us}]")
-        if self.mode == "stages-sweep":  # every M up to m_stop has a discard window
-            t_bin = self.t_total_us / self.m_stop
-            check(self.dt_us <= t_bin, "dt_us", f"must be <= t_total_us / m_stop = {t_bin}")
+        check(self.dt_us >= 0.0, "dt_us", "must be >= 0")
         check(0.0 <= self.dt_start_us <= self.dt_stop_us, "dt_start_us",
               "must satisfy 0 <= dt_start <= dt_stop")
-        check(self.dt_stop_us <= self.t_bin_us, "dt_stop_us",
-              f"must be <= t_bin = {self.t_bin_us}")
         check(self.dt_points >= 1, "dt_points", "must be >= 1")
         check(self.t_hold_us >= 0, "t_hold_us", "must be >= 0")
         check(self.t_swing_us >= 0, "t_swing_us", "must be >= 0")
-        check(self.t_hold_us + self.t_swing_us <= self.t_bin_us, "t_swing_us",
-              f"hold + swing must be <= t_bin = {self.t_bin_us}")
         check(self.workers >= 1, "workers", "must be >= 1")
+        # bin-width bounds, each checked only in the modes that read the field
+        if self.mode in READS_M:
+            check(self.t_bin_us > 0, "t_total_us",
+                  f"must leave a bin width t_total_us / m > 0 (m = {self.m})")
+        if self.mode in READS_DT_US:
+            check(self.dt_us <= self.t_bin_us, "dt_us", f"must be <= t_bin = {self.t_bin_us}")
+        if self.mode == "stages-sweep":  # every M up to m_stop has a discard window
+            t_bin = self.t_total_us / self.m_stop
+            check(self.dt_us <= t_bin, "dt_us", f"must be <= t_total_us / m_stop = {t_bin}")
+        if self.mode == "delay-sweep":
+            check(self.dt_stop_us <= self.t_bin_us, "dt_stop_us",
+                  f"must be <= t_bin = {self.t_bin_us}")
+            check(self.t_hold_us + self.t_swing_us <= self.t_bin_us, "t_swing_us",
+                  f"hold + swing must be <= t_bin = {self.t_bin_us}")
         return self
 
     def to_dict(self) -> dict:

@@ -5,9 +5,11 @@
   over trials.  Both are bitwise oracles of ``_kernels.run_chunk``, which
   ``run_point`` calls on one point and ``stack_tables`` feeds a stack of.
 - ``walk_enumeration``: all 2^M outcome histories, the oracle of
-  ``enumerate_detail``; ``lexsort_enumeration``: the same merged-state
-  dynamic program with the merge done by ``np.lexsort``, its bitwise
-  oracle; ``brute_force_error``: the ideal receiver from complex
+  ``enumerate_detail``; ``decimal_enumeration``: the same walk with a
+  60-digit log-posterior built without the package's log-likelihood table,
+  the oracle of the tie rule; ``lexsort_enumeration``: the same
+  merged-state dynamic program with the merge done by ``np.lexsort``, its
+  bitwise oracle; ``brute_force_error``: the ideal receiver from complex
   amplitudes, sharing no table with the package.
 - ``off_probability_visibility``, ``off_prob_swing_discrete`` and
   ``qpsk_gram``: the click probability at any phase, the L-mode product of
@@ -19,6 +21,7 @@ every hypothesis gives zero likelihood, go to the lowest index.
 """
 
 import cmath
+import decimal
 import itertools
 import math
 
@@ -135,13 +138,47 @@ def vector_recursion(draws, first, trans, loglik, m_true):
 def walk_enumeration(model, truth=None):
     """Walk over every outcome history: (per-symbol error, branch totals).
 
-    The posterior takes the receiver's IEEE adds, so ties are settled as in
-    ``enumerate_detail``; each history's weight is exp of its summed
-    log-probabilities, and the weights are summed with ``math.fsum``.
+    The posterior takes the receiver's adds of ``log_likelihood_table``
+    entries, which are exact on its dyadic grid, so ties go to the lowest
+    index as in ``enumerate_detail``; each history's weight is exp of its
+    summed log-probabilities, and the weights are summed with ``math.fsum``.
     """
+    return _walk(model, truth, model.log_likelihood_table().tolist(), argmax4)
+
+
+DECIMAL_DIGITS = 60
+DECIMAL_TIE = decimal.Decimal("1e-40")
+
+
+def decimal_enumeration(model, truth=None):
+    """``walk_enumeration`` with a log-posterior exact to 60 digits.
+
+    Reads no package log-likelihood table: the off log-likelihood is the
+    exponent -(nu_b + 2 eta gamma^2 (1 - xi cos(delta pi/2))) and the on one
+    log(1 - p_off), both in ``decimal`` from the model's parameters.
+    Hypotheses within 1e-40 of the maximum tie and go to the lowest index:
+    the documented rule, whatever the order of the adds.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=DECIMAL_DIGITS)):
+        stages = D(model.stages)
+        gamma_sq, nu = D(model.alpha_sq) / stages, D(model.nu_per_state) / stages
+        off = [-(nu + 2 * D(model.eta_total) * gamma_sq * (1 - D(model.xi) * cos))
+               for cos in (1, 0, -1, 0)]
+        ll = [off, [(1 - x.exp()).ln() for x in off]]
+
+        def argmax(lp):
+            best = max(lp) - DECIMAL_TIE
+            return next(h for h in range(4) if lp[h] >= best)
+
+        return _walk(model, truth, ll, argmax, D(0))
+
+
+def _walk(model, truth, ll, argmax, zero=0.0):
+    """Per-symbol error and branch totals over all 2^M histories, the receiver
+    adding ``ll[e][(h - target) % 4]`` to ``lp`` and retargeting to ``argmax(lp)``."""
     if truth is None:
         truth = truth_from_inference(model)
-    ll = model.log_likelihood_table().tolist()
     first, trans = truth.first.tolist(), truth.trans.tolist()
     correct = [[] for _ in range(4)]
     total = [[] for _ in range(4)]
@@ -155,10 +192,10 @@ def walk_enumeration(model, truth=None):
         p_off = [truth_off_prob(first, trans, i, m, prev, cur) for m in range(4)]
         for e in (0, 1):
             lb2 = [lb[m] + log(1.0 - p if e else p) for m, p in enumerate(p_off)]
-            lp2, target = posterior_step(lp, cur, e, ll)
-            walk(i + 1, lp2, cur, target, lb2)
+            lp2 = [lp[h] + ll[e][(h - cur) % 4] for h in range(4)]
+            walk(i + 1, lp2, cur, argmax(lp2), lb2)
 
-    walk(0, [0.0] * 4, 0, 0, [0.0] * 4)
+    walk(0, [zero] * 4, 0, 0, [0.0] * 4)
     return (np.array([1.0 - math.fsum(c) for c in correct]),
             np.array([math.fsum(t) for t in total]))
 

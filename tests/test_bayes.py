@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (brute_force_error, kernel_outcomes, lexsort_enumeration,
-                     normalized, posterior_step, reference_trial,
-                     truth_off_prob, walk_enumeration)
+from oracles import (brute_force_error, decimal_enumeration, kernel_outcomes,
+                     lexsort_enumeration, log, normalized, posterior_step,
+                     reference_trial, truth_off_prob, walk_enumeration)
+from qpskrx import bayes
 from qpskrx._kernels import step_rows
-from qpskrx.bayes import (MAX_ENUM_STAGES, InferenceModel, _order_key,
+from qpskrx.bayes import (InferenceModel, _grid_exponent, _order_key,
                           enumerate_detail, enumerate_error_probability, point_tables,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
@@ -41,9 +42,79 @@ class TestBinLikelihood:
             math.exp(-2), rel=1e-12)
 
     def test_complement(self):
-        ll = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3).log_likelihood_table()
-        np.testing.assert_allclose(np.exp(ll[1]), 1.0 - np.exp(ll[0]),
-                                   rtol=0, atol=1e-15)
+        # the logs that the dyadic table rounds; the table itself is checked
+        # against them in TestDyadicTable
+        p = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3).off_probs()
+        np.testing.assert_allclose(np.exp([log(1.0 - x) for x in p]),
+                                   1.0 - np.exp([log(x) for x in p]), rtol=0, atol=1e-15)
+
+
+# (alpha_sq, stages, eta, xi, nu per state), extreme inputs included: p_off(2)
+# underflows to 0 at 500, every p_off(delta) does at 1e300 (ideal aside)
+DYADIC_MODELS = [
+    (2.0, 4, 0.7, 0.99, 1e-3), (3.0, 10, 0.65, 0.996, 9.1e-3), (2.5, 7, 0.65, 0.996, 9.1e-3),
+    (1.0, 3, 1.0, 1.0, 0.0), (0.0, 4, 1.0, 1.0, 0.0), (0.0, 5, 0.65, 0.996, 9.1e-3),
+    (9.4, 50, 0.657 * 0.9505, 0.996, 9.1e-3), (3.0, 100_000, 0.8, 0.99, 5e-3),
+    (500.0, 1, 0.65, 0.996, 5e-324), (1e300, 1, 1.0, 1.0, 0.0),
+    (1e300, 7, 0.65, 0.996, 9.1e-3), (1e300, 3, 0.8, 0.0, 1e300),
+    (1e-300, 3, 0.65, 0.996, 5e-324), (7.0, 2, 0.3, 0.5, 1e-12),
+]
+
+
+@pytest.fixture(params=DYADIC_MODELS, ids=lambda p: "-".join(map(str, p)))
+def dyadic(request):
+    """A model, its table, the exact logs the table rounds and its grid exponent."""
+    model = InferenceModel(*request.param)
+    p = model.off_probs()
+    logs = [[log(x) for x in p], [log(1.0 - x) for x in p]]
+    return model, model.log_likelihood_table(), logs, _grid_exponent(logs, model.stages)
+
+
+class TestDyadicTable:
+    """``log_likelihood_table`` on its grid: exact sums, hence order-free ties."""
+
+    def test_entries_on_the_grid(self, dyadic):
+        _, ll, logs, k = dyadic
+        finite = ll[np.isfinite(ll)]
+        assert all(math.ldexp(x, k).is_integer() for x in finite.tolist())
+        np.testing.assert_array_equal(np.isfinite(ll), np.isfinite(logs))
+        assert not np.isnan(ll).any()
+        assert not np.signbit(ll[ll == 0.0]).any()  # a rounded zero is +0.0
+
+    def test_off_row_affine_and_mirror(self, dyadic):
+        _, ll, *_ = dyadic
+        off = ll[0]
+        if np.isfinite(off).all():
+            assert off[0] + off[2] == 2.0 * off[1]
+        assert ll[0, 1] == ll[0, 3] and ll[1, 1] == ll[1, 3]
+
+    def test_entries_near_the_logs(self, dyadic):
+        # o and the on row round once (half a step); o - t and o - 2t carry
+        # the rounding of o and of t and the roundoff of the logs
+        _, ll, logs, k = dyadic
+        finite, logs = np.isfinite(ll), np.array(logs)
+        assert np.all(np.abs(ll[finite] - logs[finite]) <= math.ldexp(2.0, -k))
+        on = finite[1]
+        assert np.all(np.abs(ll[1, on] - logs[1, on]) <= math.ldexp(0.5, -k))
+        if finite[0, 0]:
+            assert abs(ll[0, 0] - logs[0, 0]) <= math.ldexp(0.5, -k)
+
+    def test_sums_of_m_entries_exact(self, dyadic):
+        model, ll, _, k = dyadic
+        finite = np.abs(ll[np.isfinite(ll)])
+        assert model.stages * math.ldexp(finite.max(initial=0.0), k) < 2.0 ** 53
+
+    def test_sums_independent_of_order(self, dyadic):
+        model, ll, *_ = dyadic
+        rng = np.random.default_rng(5)
+        rows = step_rows(ll)[rng.integers(0, 8, size=min(model.stages, 2000))]
+        sums = []
+        for _ in range(4):
+            lp = np.zeros(4)
+            for row in rng.permutation(rows):
+                lp = lp + row
+            sums.append(lp.tobytes())
+        assert len(set(sums)) == 1
 
 
 class TestPosteriorUpdate:
@@ -130,10 +201,20 @@ class TestEnumeration:
         d = enumerate_detail(InferenceModel(1.7, 6, 0.8, 0.99, 5e-3))
         assert d.error_prob == pytest.approx(d.per_symbol_error.mean(), abs=1e-14)
 
-    def test_stage_cap(self):
-        enumerate_error_probability(ideal(1.0, MAX_ENUM_STAGES))
-        with pytest.raises(ValueError, match="capped"):
-            enumerate_error_probability(ideal(1.0, MAX_ENUM_STAGES + 1))
+    def test_past_twenty_stages(self):
+        detail = enumerate_detail(InferenceModel(3.0, 21, 0.657 * 0.9505, 0.996, 9.1e-3))
+        assert detail.peak_states <= bayes.MAX_ENUM_STATES
+        assert detail.error_prob == pytest.approx(detail.per_symbol_error.mean(), abs=1e-15)
+
+    def test_state_budget(self, monkeypatch):
+        model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
+        peak = enumerate_detail(model).peak_states
+        monkeypatch.setattr(bayes, "MAX_ENUM_STATES", peak)
+        enumerate_detail(model)
+        monkeypatch.setattr(bayes, "MAX_ENUM_STATES", peak - 1)
+        with pytest.raises(ValueError, match=rf"layer \d+ of 10 holds {peak} merged states, "
+                                             rf"over the budget of {peak - 1}"):
+            enumerate_detail(model)
 
     def test_truth_stage_mismatch_rejected(self):
         truth = truth_from_inference(ideal(1.0, 4))
@@ -168,6 +249,15 @@ ORACLE_MODELS = {
 }
 ORACLE_ALPHA_SQ = (0.0, 0.25, 1.0, 3.0, 7.0, 12.0)
 ORACLE_TOL = 1e-13
+# inference for the tie-rule grid against the decimal walk; "sweep" is the
+# sweep default at M=10 (eta_t * eta_spd times the discard multiplier)
+TIE_MODELS = {
+    "ideal": (1.0, 1.0, 0.0),
+    "experimental": (0.65, 0.996, 9.1e-3),
+    "sweep": (0.657 * 0.9505, 0.996, 9.1e-3),
+    "lossy": (0.8, 0.99, 5e-3),
+}
+TIE_ALPHA_SQ = (0.25, 1.0, 3.0, 5.0, 9.4)
 
 
 def oracle_truth(alpha_sq, stages, ch, nu, dt):
@@ -211,15 +301,31 @@ class TestMergedStates:
             assert_matches_walk(InferenceModel(alpha_sq, stages), truth)
 
     def test_per_symbol_ties_at_experimental_condition(self):
-        # a merge keyed on the 8 (outcome, target) counts rebuilds lp in
-        # another order, settles exact ties differently and moves these
-        # per-symbol errors by 1e-4 or more while the average agrees to 1e-16
+        # hypotheses whose outcome counts tie in real arithmetic: a float lp
+        # summed in time order split them by its last bit and moved these
+        # per-symbol errors by 2e-4 against the decimal walk, while the
+        # average agreed to 1e-16; the dyadic table's sums are exact
         model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
         detail = enumerate_detail(model)
-        per_symbol, _ = walk_enumeration(model)
-        np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
-                                   rtol=0, atol=ORACLE_TOL)
-        assert detail.error_prob == pytest.approx(per_symbol.mean(), abs=ORACLE_TOL)
+        for per_symbol, _ in (walk_enumeration(model), decimal_enumeration(model)):
+            np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
+                                       rtol=0, atol=ORACLE_TOL)
+            assert detail.error_prob == pytest.approx(per_symbol.mean(), abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("dt", [None, 0.0, 1.1], ids=["uniform", "delay0", "delay1.1"])
+    @pytest.mark.parametrize("name", sorted(TIE_MODELS))
+    def test_tie_rule_matches_decimal_walk(self, name, dt):
+        eta, xi, nu = TIE_MODELS[name]
+        for alpha_sq in TIE_ALPHA_SQ:
+            for stages in range(1, 11):
+                model = InferenceModel(alpha_sq, stages, eta, xi, nu)
+                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                per_symbol, totals = decimal_enumeration(model, truth)
+                detail = enumerate_detail(model, truth)
+                np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
+                                           rtol=0, atol=ORACLE_TOL)
+                np.testing.assert_allclose(detail.branch_totals, totals,
+                                           rtol=0, atol=ORACLE_TOL)
 
     def test_peak_states_below_history_count(self):
         detail = enumerate_detail(InferenceModel(3.0, 16, 0.65, 0.996, 9.1e-3))

@@ -78,6 +78,38 @@ class TestSummarizeExact:
         assert out["M16"]["ratio_median"] == 0.75
 
 
+    def test_refused_stage_count_kept_without_ratio(self):
+        def probe(scale, refuse_from=None):
+            return {**{f"M{m}": ({"refused": f"capped; got M={m}"}
+                                 if refuse_from and m >= refuse_from else
+                                 {"best_s": scale * m, "peak_states": m})
+                       for m in bench_pairs.EXACT_STAGES},
+                    "five_point_s": scale}
+
+        rounds = [{"first": "parent", "parent": probe(1.0, 21), "change": probe(0.5)},
+                  {"first": "change", "parent": probe(2.0, 21), "change": probe(1.5)}]
+        out = bench_pairs.summarize_exact(rounds)
+        assert out["M50"]["parent"] == {"refused": "capped; got M=50"}
+        assert out["M50"]["change"] == {"best_s": 50.0, "peak_states": 50}
+        assert out["M50"]["ratio_median"] is None
+        assert out["M30"]["ratio_median"] is None
+        assert out["M20"]["ratio_median"] == 0.625
+
+    def test_stages_probe_records_a_refusal(self):
+        class Detail:
+            peak_states = 7
+
+        def refuse(model):
+            raise ValueError(f"enumeration is capped at 20 stages; got M={model}")
+
+        assert bench_pairs.probe_stages(lambda model: Detail(), 30)["peak_states"] == 7
+        assert bench_pairs.probe_stages(refuse, 30) == {
+            "refused": "enumeration is capped at 20 stages; got M=30"}
+
+    def test_exact_layer_reaches_fifty_stages(self):
+        assert {30, 50} <= set(bench_pairs.EXACT_STAGES)
+
+
 def perfbench_stdout(metrics, untraced=3, traced=0, failed=0):
     """Lines as ``perfbench/run.py`` prints them: progress, record, metrics, result."""
     record = {"csv_sha256": "abc", "batch_walls_s": {"untraced": [0.1] * untraced,

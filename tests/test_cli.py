@@ -273,6 +273,27 @@ class TestCliMain:
             "error: dt_us: must be <= t_total_us / m_stop = ")
         assert main(["stages-sweep", "--m-grid", "181", "--trials", "8"]) == 0
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--m", "100", "--trials", "8", "--alpha-sq-grid", "1:1:1"],
+        ["stages-sweep", "--m", "100", "--m-grid", "3:4", "--trials", "8"],
+        ["stages-sweep", "--m", "1000", "--m-grid", "3", "--trials", "8"],
+        ["bounds", "--m", "1000", "--alpha-sq-grid", "1:1:1"]])
+    def test_bin_width_unchecked_where_unread(self, capsys, args):
+        # 2 us bins (0.2 us at m = 1000) are shorter than the default dt_stop_us =
+        # 3 us and than hold + swing at m = 1000, but only delay-sweep reads
+        # those fields, and stages-sweep and bounds do not read m
+        assert main(args) == 0
+
+    @pytest.mark.parametrize("args, error", [
+        (["delay-sweep", "--m", "100", "--trials", "8"], "dt_stop_us: must be <= t_bin = 2.0"),
+        (["delay-sweep", "--m", "1000", "--dt-grid", "0:0.1:2", "--trials", "8"],
+         "t_swing_us: hold + swing must be <= t_bin = 0.2"),
+        (["sweep", "--m", "200", "--trials", "8"], "dt_us: must be <= t_bin = 1.0"),
+        (["enumerate", "--m", "200"], "dt_us: must be <= t_bin = 1.0")])
+    def test_bin_width_checked_where_read(self, capsys, args, error):
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {error} ")
+
     def test_huge_seed_rejected_by_name(self, capsys):
         rc = main(["sweep", "--seed", str(2 ** 126), "--trials", "10"])
         assert rc == 1
@@ -300,7 +321,11 @@ class TestCliMain:
 
 
 # Rendered CSV sha256 of one small config per mode.  A change that claims to
-# leave the numbers alone must leave these bytes alone.
+# leave the numbers alone must leave these bytes alone.  The log-likelihood
+# table's dyadic grid made log-posterior sums exact, so hypotheses that tie in
+# real arithmetic go to the lowest index.  The enumerate and stages-sweep
+# digests and every one from delay-sweep-truth-off on moved with it; bounds,
+# sweep, efficiency-sweep and delay-sweep-truth-on held.
 GOLDEN_CSV = [
     # sql takes math.erf since scipy left the runtime dependencies: three
     # values moved by 2.2e-16 (sql at 1 and 2, sql_lossy at 4)
@@ -308,7 +333,7 @@ GOLDEN_CSV = [
      "c21bda8e3df3d4ccfbe2f311002b89d2a65e95589facfe10bbaeb284c99c05a0"),
     ("enumerate", {"m": 6, "alpha_sq_start": 0.5, "alpha_sq_stop": 4.0,
                    "alpha_sq_points": 3},
-     "00e040eed82e7307c88c526aa54b2fdbe5c461a152dcf04c6b55256ec00f895b"),
+     "d7794009ea266499507f6686f93af26dbc9314a25061a6c5be274a255e04d150"),
     ("sweep", {"m": 4, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 4000, "seed": 3},
      "f5e27001cee3ff5d7f6127530a72872913cbd046506abda8856753b07160c80d"),
@@ -318,34 +343,34 @@ GOLDEN_CSV = [
      "f758efa45cf179457055dd8159ffb84e12db2c7011590db68553e0991f78cc74"),
     ("stages-sweep", {"m_start": 3, "m_stop": 5, "alpha_sq": 3.0, "trials": 3000,
                       "seed": 5},
-     "110880bc022efda8c0c1dfb2db0bbcf5fe718e60d654549359348a59a605e7cf"),
+     "ac3e1e1172b3387c188c583ae5cf25715a9f8577965bc8ede609c5bad8b6c755"),
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": True},
      "56fbb9bd7bd46b670db6235d3c1cd4835947f47168e80cb456c8cac6195054a4"),
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": False},
-     "0c139442f0d3c0c4c1358fe15201b1f3868f23982326d28c4d655fd242ef11e9"),
+     "9be3ae4d570a13e416653a64e6a27aeb2fab0e64202f988a0a6baadc5c95510d"),
     # pad groups 4, 8, 12 and 16, of unequal size, run on two workers
     ("stages-sweep", {"m_start": 3, "m_stop": 13, "alpha_sq": 3.0, "trials": 3000,
                       "seed": 7, "workers": 2},
-     "91dc76f06b742e56e406fbdf6a6423bc0835026f90c67068d8a00d1d213082ab"),
+     "2146022c51b3f22755e1ccb222e40066a94d2f65a8eb95715940351f766ca5b3"),
     # 67,500 trials per symbol: two chunks, the last one short
     ("sweep", {"m": 6, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 270_000, "seed": 8, "workers": 2},
-     "e64434c66c8f1081e195da12dce576270f36187d22fc1b9f8af1b1b0ea58a280"),
+     "47192b868836a0f1c507a399fcf5a25f418f1905494ae9702a980f1735953380"),
     # hold and swing fill the bin exactly: no settle segment
     ("delay-sweep", {"m": 13, "alpha_sq": 3.3, "t_hold_us": 0.37,
                      "t_swing_us": 15.014615384615386, "dt_start_us": 0.0,
                      "dt_stop_us": 2.0, "dt_points": 3, "trials": 4000, "seed": 10},
-     "b440ab512a2871fb37e8c80ef309deb1aa955dd6a195cde1f54e5a061733233e"),
+     "687ae75336ca8232ba1a862ef558c1483b3d8e11b8cd6c1148dc582349d30dff"),
     # the whole bin is hold: the stale phase is nulled throughout
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "t_hold_us": 20.0, "t_swing_us": 0.0,
                      "dt_start_us": 0.0, "dt_stop_us": 2.0, "dt_points": 3,
                      "trials": 4000, "seed": 11},
-     "a7f82e98a14bc2be87744c2dd86ff1e03d7315ab1bc939bd508a9e56e0503443"),
+     "2069a31c9998e8d3165e4b2802274bee3a4df6178358a9c439e6cc68b8f10903"),
     ("delay-sweep", {"m": 4, "alpha_sq": 9.4, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 12, "truth_delay": False},
-     "22c0b0687cbaa8097828de3847f62e3f7e826e06e591bec3832dd54263459ec6"),
+     "428129484f8b1d2e4364b89ba541e9bf2e6e1fdb8142a840942fb46c028e7953"),
 ]
 
 

@@ -18,9 +18,11 @@ time, ...) and their change/parent ratios.
 
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
 interpreters, 10 rounds alternating the two sides: per side and round, the
-best of 5 walls and the peak states at M = 10, 16 and 20 (experimental
-condition, |alpha|^2 = 3), and the median of 15 repetitions of the five
-``enumerate-m16`` points.
+best of 5 walls and the peak states at M = 10, 16, 20, 30 and 50
+(experimental condition, |alpha|^2 = 3), and the median of 15 repetitions of
+the five ``enumerate-m16`` points.  A side whose ``enumerate_detail`` raises
+``ValueError`` at some M (a revision that caps M at 20) records that M as
+refused, with the message, and gets no ratio there.
 
 The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
 side, and their total.  The record, headed by the change's commit subject,
@@ -47,7 +49,7 @@ LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
                  "kernels.run_chunk.trial_stages", "montecarlo.draws.calls",
                  "montecarlo.draws.busy_s", "bayes.enumerate.busy_s", "process.cpu_s",
                  "trace.wall_s")
-EXACT_STAGES = (10, 16, 20)
+EXACT_STAGES = (10, 16, 20, 30, 50)
 EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
 EXACT_ROUNDS = 10
@@ -149,6 +151,20 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
+def probe_stages(enumerate_detail, model) -> dict:
+    """Best of ``EXACT_BEST_OF`` walls of ``enumerate_detail(model)`` and its peak
+    states, or the message of the ``ValueError`` with which it refuses the model."""
+    walls = []
+    for _ in range(EXACT_BEST_OF):
+        t0 = time.perf_counter()
+        try:
+            detail = enumerate_detail(model)
+        except ValueError as exc:
+            return {"refused": str(exc)}
+        walls.append(time.perf_counter() - t0)
+    return {"best_s": min(walls), "peak_states": detail.peak_states}
+
+
 def exact_probe(tree: str) -> dict:
     """Time ``enumerate_detail`` from ``tree`` in this interpreter (see module doc)."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench"]
@@ -164,11 +180,9 @@ def exact_probe(tree: str) -> dict:
             enumerate_detail(model)
         return time.perf_counter() - t0
 
-    out = {}
-    for m in EXACT_STAGES:
-        model = matched_inference(cfg, EXACT_ALPHA_SQ, m=m)
-        out[f"M{m}"] = {"best_s": min(wall([model]) for _ in range(EXACT_BEST_OF)),
-                        "peak_states": enumerate_detail(model).peak_states}
+    out = {f"M{m}": probe_stages(enumerate_detail,
+                                 matched_inference(cfg, EXACT_ALPHA_SQ, m=m))
+           for m in EXACT_STAGES}
     five = [matched_inference(cfg, float(a)) for a in alpha_grid(cfg)]
     wall(five)  # warm-up
     out["five_point_s"] = statistics.median(wall(five) for _ in range(FIVE_POINT_REPS))
@@ -176,15 +190,21 @@ def exact_probe(tree: str) -> dict:
 
 
 def summarize_exact(rounds: list[dict]) -> dict:
-    """Per stage count and for the five points: per-side medians and change/parent."""
+    """Per stage count and for the five points: per-side medians and change/parent.
+
+    A side that refused a stage count keeps the refusal; the ratio is then None.
+    """
     out = {}
     for m in EXACT_STAGES:
         key = f"M{m}"
-        out[key] = {side: {"best_s": statistics.median(r[side][key]["best_s"] for r in rounds),
-                           "peak_states": rounds[0][side][key]["peak_states"]}
+        first = rounds[0]
+        out[key] = {side: first[side][key] if "refused" in first[side][key] else
+                    {"best_s": statistics.median(r[side][key]["best_s"] for r in rounds),
+                     "peak_states": first[side][key]["peak_states"]}
                     for side in SIDES}
-        out[key]["ratio_median"] = statistics.median(
-            r["change"][key]["best_s"] / r["parent"][key]["best_s"] for r in rounds)
+        out[key]["ratio_median"] = None if any("refused" in out[key][s] for s in SIDES) else (
+            statistics.median(r["change"][key]["best_s"] / r["parent"][key]["best_s"]
+                              for r in rounds))
     ratios = [r["change"]["five_point_s"] / r["parent"]["five_point_s"] for r in rounds]
     out["enumerate_m16_five_points"] = {
         **{side: quartiles([r[side]["five_point_s"] for r in rounds]) for side in SIDES},
