@@ -43,11 +43,6 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else _NEG_INF
 
 
-# DELTA_NEW[dprev, step] = (dprev - step) mod 4: a TruthTables.trans index
-# turned into the delta of symbol m from the bin's (new) target
-DELTA_NEW = np.subtract.outer(np.arange(4), np.arange(4)) % 4
-
-
 @dataclass(frozen=True)
 class InferenceModel:
     """Likelihood model used in the posterior update.
@@ -143,10 +138,10 @@ class TruthTables:
 
 
 def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
-                         nu_per_state: float = 0.0) -> TruthTables:
+                         nu_per_state: float) -> TruthTables:
     """Truth model with identical per-bin statistics (no delay, lumped loss)."""
     p = off_probs(alpha_sq / stages, ch, nu_per_state / stages)
-    return TruthTables(stages, p, p[DELTA_NEW])
+    return TruthTables(stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 
 
 def truth_from_inference(model: InferenceModel) -> TruthTables:

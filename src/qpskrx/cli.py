@@ -134,8 +134,6 @@ def run(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):  # includes numpy float64 (a float subclass)
         return repr(float(value))
     return str(value)
@@ -216,19 +214,19 @@ def main(argv: list[str] | None = None) -> int:
         json_path = args.out and os.path.splitext(args.out)[0] + ".json"
         if args.json and json_path == args.out:
             raise ConfigError(f"--json: the JSON mirror {json_path} would overwrite --out")
-        if args.alpha_sq_grid:
+        if args.alpha_sq_grid is not None:
             overrides.update(zip(
                 ("alpha_sq_start", "alpha_sq_stop", "alpha_sq_points", "alpha_sq_spacing"),
                 _parse_flag("--alpha-sq-grid", args.alpha_sq_grid,
                             (float, float, int, str), required=3)))
-        if args.dt_grid:
+        if args.dt_grid is not None:
             overrides.update(zip(("dt_start_us", "dt_stop_us", "dt_points"),
                                  _parse_flag("--dt-grid", args.dt_grid, (float, float, int),
                                              required=3)))
-        if args.m_grid:
+        if args.m_grid is not None:
             ms = _parse_flag("--m-grid", args.m_grid, (int, int))
             overrides.update({"m_start": ms[0], "m_stop": ms[-1]})
-        if args.eta_spd_list:
+        if args.eta_spd_list is not None:
             overrides["eta_spd_list"] = _parse_flag("--eta-spd-list", args.eta_spd_list,
                                                     float, sep=",")
         if args.truth_delay is not None:

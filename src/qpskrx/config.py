@@ -9,7 +9,7 @@ window 1.1 us, M = 10 feedback stages.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "enumerate")
@@ -79,9 +79,8 @@ class RunConfig:
     def t_bin_us(self) -> float:
         return self.t_total_us / self.m
 
-    def discard_multiplier(self, m: int | None = None) -> float:
+    def discard_multiplier(self, m: int) -> float:
         """Lumped efficiency factor 1 - (M-1)*dt/T for the discard windows."""
-        m = self.m if m is None else m
         return 1.0 - (m - 1) * self.dt_us / self.t_total_us
 
     def validate(self) -> "RunConfig":
@@ -91,11 +90,15 @@ class RunConfig:
 
         for f in fields(self):
             kind, ok = _JSON_TYPES[f.type]
-            check(ok(getattr(self, f.name)), f.name, f"must be {kind}")
+            value = getattr(self, f.name)
+            check(ok(value), f.name, f"must be {kind}")
+            if "float" in f.type:  # json.dumps would echo inf and nan, which are not JSON
+                low = 0 if f.name.startswith("alpha_sq") else -sys.float_info.max
+                # compared, not math.isfinite: an int past float's range is rejected too
+                check(all(low <= v <= sys.float_info.max
+                          for v in (value if isinstance(value, list) else [value])),
+                      f.name, "must be finite" + (" and >= 0" if low == 0 else ""))
         check(self.mode in MODES, "mode", f"must be one of {MODES}")
-        for name in ("alpha_sq_start", "alpha_sq_stop", "alpha_sq"):
-            value = getattr(self, name)
-            check(math.isfinite(value) and value >= 0, name, "must be finite and >= 0")
         check(self.alpha_sq_stop >= self.alpha_sq_start, "alpha_sq_stop",
               "must be >= alpha_sq_start")
         check(self.alpha_sq_points >= 1, "alpha_sq_points", "must be >= 1")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import DELTA_NEW, TruthTables
+from . import _kernels
+from .bayes import TruthTables
 from .physics import ChannelModel, off_probs
 
 # signed minimal rotation, in quarter turns, for each (new - prev) mod 4
@@ -34,9 +35,9 @@ _SIGNED_SPAN = (0, 1, 2, -1)
 class DelayParams:
     """Bin timing: total width, stale-phase hold, and ramp duration (us)."""
 
-    t_bin: float = 20.0
-    t_hold: float = 0.37
-    t_swing: float = 0.63
+    t_bin: float
+    t_hold: float
+    t_swing: float
 
     def __post_init__(self):
         if self.t_hold < 0 or self.t_swing < 0:
@@ -115,8 +116,8 @@ def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
     nu_bin = nu_per_state / stages
     ret_hold, ret_swing, ret_settle = _discard_retentions(params, discard_dt)
     hold = off_probs(gamma_sq * ret_hold * params.hold_fraction, ch)
-    swing = off_probs(gamma_sq * ret_swing * params.swing_fraction, ch)[DELTA_NEW]
-    settle = off_probs(gamma_sq * ret_settle * params.settle_fraction, ch)[DELTA_NEW]
+    swing = off_probs(gamma_sq * ret_swing * params.swing_fraction, ch)[_kernels.ROLL.T]
+    settle = off_probs(gamma_sq * ret_settle * params.settle_fraction, ch)[_kernels.ROLL.T]
     if include_delay:
         hold = hold[:, None]                # stale phase: indexed by dprev alone
         for dprev in range(4):
@@ -124,6 +125,6 @@ def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                 swing[dprev, step] = off_prob_swing_analytic(
                     dprev, 0, step, gamma_sq * ret_swing, params, ch)
     else:
-        hold = hold[DELTA_NEW]
+        hold = hold[_kernels.ROLL.T]
     trans = hold * swing * settle * math.exp(-nu_bin)
     return TruthTables(stages, off_probs(gamma_sq, ch, nu_bin), trans)

@@ -23,7 +23,7 @@ from .bayes import InferenceModel, TruthTables, point_tables
 # ``truth_from_inference`` stays importable from here: perfbench/spans.py traces it by this name.
 from .bayes import truth_from_inference  # noqa: F401
 
-DEFAULT_CHUNK = 1 << 16
+DEFAULT_CHUNK = 1 << 16  # at most this many trials per (pad group, symbol, chunk) task
 DRAW_BLOCK = 4096  # trials per Philox call in RngSpec.draws: a cache-sized row-major block
 
 
@@ -70,8 +70,7 @@ def _symbol_trial_counts(trials: int) -> list[int]:
 
 
 def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
-                    trials: int, rng: RngSpec, n_workers: int = 1,
-                    chunk_size: int = DEFAULT_CHUNK) -> list[SimulationResult]:
+                    trials: int, rng: RngSpec, n_workers: int = 1) -> list[SimulationResult]:
     """Monte Carlo estimates for a grid of ``(inference, truth)`` points.
 
     Every point sees the same uniforms for a given (symbol, trial): common
@@ -85,8 +84,6 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     """
     if trials < 4:
         raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     # per point, built once: the tables ``_kernels.run_chunk`` reads, by point and symbol
     stages = np.array([inference.stages for inference, _ in points])
     tables = [point_tables(*point) for point in points]
@@ -99,8 +96,8 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     tasks = []
     for members in groups.values():
         for symbol, n_sym in enumerate(counts):
-            for start in range(0, n_sym, chunk_size):
-                tasks.append((members, symbol, start, min(chunk_size, n_sym - start)))
+            for start in range(0, n_sym, DEFAULT_CHUNK):
+                tasks.append((members, symbol, start, min(DEFAULT_CHUNK, n_sym - start)))
 
     def run_task(task):
         members, symbol, start, n = task
@@ -142,7 +139,6 @@ def _result(correct: list[int], counts: list[int], trials: int) -> SimulationRes
 
 
 def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,
-                   truth: TruthTables | None = None, n_workers: int = 1,
-                   chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
+                   truth: TruthTables | None = None, n_workers: int = 1) -> SimulationResult:
     """Monte Carlo error-probability estimate of one point (see ``estimate_errors``)."""
-    return estimate_errors([(inference, truth)], trials, rng, n_workers, chunk_size)[0]
+    return estimate_errors([(inference, truth)], trials, rng, n_workers)[0]

@@ -23,6 +23,7 @@ import pytest
 from _acceptance_report import report
 from oracles import (normalized, off_prob_swing_discrete, posterior_step,
                      qpsk_gram)
+from qpskrx import montecarlo
 from qpskrx.bayes import (InferenceModel, enumerate_detail,
                           enumerate_error_probability, truth_from_inference)
 from qpskrx.bounds import gram_eigenvalues, helstrom_qpsk, sql_heterodyne
@@ -260,7 +261,7 @@ def test_c10_swing_limit_convergence():
                   f"median error ratio L=1e2/1e4 = {np.median(ratios):.0f}")
 
 
-def test_c11_property_suites():
+def test_c11_property_suites(monkeypatch):
     """Property checks, among them the exact mirror symmetry m -> -m.
 
     The matched model is symmetric under m -> -m, so its tables must be
@@ -309,10 +310,10 @@ def test_c11_property_suites():
         eig_ok &= bool(np.abs(lam - dense).max() <= 1e-10)
     checks["srm-eigensolver-agreement"] = eig_ok
 
-    # worker-count determinism
+    # worker-count determinism, over 40 tasks of at most 1024 trials
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
     m = InferenceModel(2.0, 10, ETA_SE, XI, NU)
-    runs = [estimate_error(m, 40_000, RngSpec(5), n_workers=w, chunk_size=1024)
-            for w in (1, 2, 4)]
+    runs = [estimate_error(m, 40_000, RngSpec(5), n_workers=w) for w in (1, 2, 4)]
     checks["worker-determinism"] = all(
         r.error_prob == runs[0].error_prob
         and r.per_symbol_error == runs[0].per_symbol_error for r in runs[1:])

@@ -161,3 +161,34 @@ class TestSourceLines:
         (tmp_path / "src" / "other.py").write_text("not counted\n")
         assert bench_pairs.source_lines(tmp_path) == {
             "files": {"a.py": 1, "b.py": 3}, "total": 4}
+
+
+class TestTier1Counts:
+    @pytest.mark.parametrize("last_line, expected", [
+        ("458 passed in 71.95s (0:01:11)", (458, 0, 0, 0)),
+        ("3 failed, 120 passed, 1 skipped in 107.00s (0:01:47)", (120, 3, 1, 0)),
+        ("2 failed, 418 passed, 5 skipped, 2 warnings, 1 error in 80.70s", (418, 2, 5, 1)),
+        ("1 passed, 2 errors in 0.50s", (1, 0, 0, 2)),
+        ("========= 7 skipped, 4 deselected in 0.12s =========", (0, 0, 7, 0)),
+        ("no tests ran in 0.01s", (0, 0, 0, 0))])
+    def test_summary_line(self, last_line, expected):
+        stdout = "C01 zero-signal limit: PASS - 4 passed checks\n....s\n" + last_line + "\n"
+        assert bench_pairs.tier1_counts(stdout) == dict(
+            zip(("passed", "failed", "skipped", "errors"), expected))
+
+    def test_no_output(self):
+        assert bench_pairs.tier1_counts("") == {
+            "passed": 0, "failed": 0, "skipped": 0, "errors": 0}
+
+    def test_run_counts_a_tree(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "helper.py").write_text("VALUE = 1\n")
+        (tmp_path / "test_tree.py").write_text(
+            "import pytest\nfrom helper import VALUE\n\n"
+            "def test_pass():\n    assert VALUE == 1\n\n"
+            "def test_fail():\n    assert VALUE == 2\n\n"
+            "@pytest.mark.skip\ndef test_skip():\n    pass\n")
+        run = bench_pairs.run_tier1(tmp_path)
+        assert run["returncode"] == 1 and run["wall_s"] > 0
+        assert {k: run[k] for k in ("passed", "failed", "skipped", "errors")} == {
+            "passed": 1, "failed": 1, "skipped": 1, "errors": 0}

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +68,28 @@ class TestLoadConfig:
         assert main(["delay-sweep", "--config", str(path)]) == 1
         assert "t_total_us:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["alpha_sq_start", "alpha_sq_stop", "alpha_sq"])
-    def test_non_finite_alpha_sq_rejected(self, capsys, name, value):
-        with pytest.raises(ConfigError, match=f"^{name}: must be finite and >= 0"):
+    @pytest.mark.parametrize("value", [math.inf, math.nan,
+                                       pytest.param(10 ** 400, id="int-past-float")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if "float" in f.type])
+    def test_non_finite_alpha_sq_rejected(self, tmp_path, capsys, name, value):
+        # and every other float field, in every mode: json.dumps would echo inf
+        # and nan into the CSV header, which would then not be JSON
+        if name.startswith("alpha_sq"):
+            message = f"{name}: must be finite and >= 0"
+            runs = [{"alpha_sq_start": ["bounds", "--alpha-sq-grid", f"{value}:{value}:3"],
+                     "alpha_sq_stop": ["bounds", "--alpha-sq-grid", f"0:{value}:3"],
+                     "alpha_sq": ["stages-sweep", "--alpha-sq", str(value)]}[name]]
+        else:
+            message = f"{name}: must be finite (got"
+            value = [0.73, value] if name == "eta_spd_list" else value
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({name: value}))  # written as Infinity or NaN
+            runs = [[mode, "--config", str(path), "--trials", "8"] for mode in MODES]
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
             load_config(overrides={name: value})
-        flags = {"alpha_sq_start": ["bounds", "--alpha-sq-grid", f"{value}:{value}:3"],
-                 "alpha_sq_stop": ["bounds", "--alpha-sq-grid", f"0:{value}:3"],
-                 "alpha_sq": ["stages-sweep", "--alpha-sq", str(value)]}[name]
-        assert main(flags) == 1
-        assert f"{name}: must be finite and >= 0" in capsys.readouterr().err
+        for args in runs:
+            assert main(args) == 1
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [
         ("trials", "5"), ("m", 4.5), ("seed", 1.5), ("seed", True), ("workers", 1.5),
@@ -159,6 +173,17 @@ class TestRun:
         _, rows = run(cfg)
         assert [r["eta_spd"] for r in rows] == [0.73, 1.0]
 
+    @pytest.mark.parametrize("mode", list(RUNNERS))
+    def test_rows_hold_only_numbers(self, mode):
+        # render_csv formats ints and floats only: a bool would print as True
+        cfg = load_config(overrides={"m": 3, "m_start": 3, "m_stop": 4, "trials": 8,
+                                     "alpha_sq_points": 2, "dt_points": 2,
+                                     "eta_spd_list": [0.73, 1]}, mode=mode)
+        _, rows = run(cfg)
+        values = [value for row in rows for value in row.values()]
+        assert values and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                              for v in values)
+
 
 class TestCliMain:
     def test_bounds_to_file(self, tmp_path):
@@ -225,7 +250,12 @@ class TestCliMain:
         ["delay-sweep", "--dt-grid", "0:1:3:4"],
         ["stages-sweep", "--m-grid", "3:x"],
         ["stages-sweep", "--m-grid", "3:4:5"],
-        ["efficiency-sweep", "--eta-spd-list", "0.7,x"]])
+        ["efficiency-sweep", "--eta-spd-list", "0.7,x"],
+        # an empty value is malformed too, not a missing flag
+        ["bounds", "--alpha-sq-grid", ""],
+        ["delay-sweep", "--dt-grid", ""],
+        ["stages-sweep", "--m-grid", ""],
+        ["efficiency-sweep", "--eta-spd-list", ""]])
     def test_malformed_flag_named(self, capsys, args):
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error: {args[1]}: ")

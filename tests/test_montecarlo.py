@@ -36,7 +36,7 @@ def parity_case(name, alpha_sq, stages):
         return inference, truth_from_inference(inference)
     truth = delay_truth_tables(alpha_sq, stages, inference.channel(),
                                EXPERIMENTAL["nu_per_state"],
-                               DelayParams(200.0 / stages), 1.1)
+                               DelayParams(200.0 / stages, 0.37, 0.63), 1.1)
     return inference, truth
 
 
@@ -70,10 +70,10 @@ class TestRngSpec:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
         m = model(2.0, 10, **EXPERIMENTAL)
-        results = [estimate_error(m, 40_000, RngSpec(5), n_workers=w, chunk_size=1024)
-                   for w in (1, 2, 4)]
+        results = [estimate_error(m, 40_000, RngSpec(5), n_workers=w) for w in (1, 2, 4)]
         for r in results[1:]:
             assert r.error_prob == results[0].error_prob
             assert r.per_symbol_error == results[0].per_symbol_error
@@ -238,13 +238,13 @@ def grid_points():
 
 class TestEstimateErrors:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_per_point_estimates(self, workers):
+    def test_matches_per_point_estimates(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
         points = grid_points()
         rng = RngSpec(31)
-        grid = estimate_errors(points, 5000, rng, n_workers=workers, chunk_size=1024)
+        grid = estimate_errors(points, 5000, rng, n_workers=workers)
         for (inference, truth), res in zip(points, grid):
-            assert res == estimate_error(inference, 5000, rng, truth=truth,
-                                         n_workers=workers, chunk_size=1024)
+            assert res == estimate_error(inference, 5000, rng, truth=truth, n_workers=workers)
             # independent of the grouping: each point's own draws, per symbol
             if truth is None:
                 truth = truth_from_inference(inference)
@@ -268,8 +268,9 @@ class TestEstimateErrors:
 
         monkeypatch.setattr(RngSpec, "draws", counting_draws)
         monkeypatch.setattr(_kernels, "run_chunk", counting_kernel)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
         points = grid_points()
-        estimate_errors(points, 5000, RngSpec(31), chunk_size=1024)
+        estimate_errors(points, 5000, RngSpec(31))
         # 1250 trials per symbol: chunks of 1024 and 226; each group draws at its top M
         assert sorted(calls) == sorted(
             (symbol, start, n, top) for top in (4, 8, 9, 13) for symbol in range(4)
@@ -299,8 +300,9 @@ class TestEstimateErrors:
     def test_stacks_split_at_stack_trials(self, monkeypatch, stack_trials):
         # 3 * 1024: full stacks of exactly 3 points of 1024 trials; 1000: a chunk
         # longer than a stack still runs, one point per call
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
         points, rng = grid_points(), RngSpec(31)
-        expected = estimate_errors(points, 5000, rng, chunk_size=1024)
+        expected = estimate_errors(points, 5000, rng)
         rows, kernel = [], _kernels.run_chunk
 
         def recording(*args):
@@ -309,7 +311,7 @@ class TestEstimateErrors:
 
         monkeypatch.setattr(_kernels, "run_chunk", recording)
         monkeypatch.setattr(_kernels, "STACK_TRIALS", stack_trials)
-        assert estimate_errors(points, 5000, rng, chunk_size=1024) == expected
+        assert estimate_errors(points, 5000, rng) == expected
         per_call = max(1, stack_trials // 1024)
         group_sizes = (6, 4, 2, 2)
         assert sorted(p for n, p in rows if n == 1024) == sorted(
@@ -341,21 +343,14 @@ class TestEstimateErrors:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk_size)
         points = [(model(1.0, 4, **EXPERIMENTAL), None)]
-        serial = estimate_errors(points, 5000, RngSpec(2), chunk_size=chunk_size)
+        serial = estimate_errors(points, 5000, RngSpec(2))
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        got = estimate_errors(points, 5000, RngSpec(2), n_workers=n_workers,
-                              chunk_size=chunk_size)
+        got = estimate_errors(points, 5000, RngSpec(2), n_workers=n_workers)
         assert got == serial
         assert sizes == ([] if expected is None else [expected])
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_non_positive_chunk_size_rejected(self, chunk_size):
-        # a negative size would run no trials and report every symbol wrong
-        with pytest.raises(ValueError, match="chunk_size"):
-            estimate_errors([(model(1.0, 3), None)], 1000, RngSpec(1),
-                            chunk_size=chunk_size)
 
     def test_stage_mismatch_rejected(self):
         inference = model(1.0, 5)
@@ -389,7 +384,8 @@ class TestTracerContract:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "run_chunk", recording)
-        estimate_errors(grid_points(), 1000, RngSpec(1), chunk_size=100)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
+        estimate_errors(grid_points(), 1000, RngSpec(1))
         assert len(calls) == 4 * 4 * 3  # pad groups x symbols x chunks
         for args, kwargs in calls:
             assert not kwargs and len(args) == 5
@@ -430,8 +426,9 @@ class TestTracerContract:
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "run_chunk", counting)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
         m = model(1.0, 4, **EXPERIMENTAL)
-        estimate_error(m, 1000, RngSpec(1), chunk_size=100)
+        estimate_error(m, 1000, RngSpec(1))
         assert sum(calls) == 1000
 
     def test_draws_go_through_class_attribute(self, monkeypatch):
@@ -443,6 +440,7 @@ class TestTracerContract:
             return draws(self, symbol, start, n, stages)
 
         monkeypatch.setattr(RngSpec, "draws", counting)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
         estimate_errors([(model(1.0, 4, **EXPERIMENTAL), None), (model(2.0, 3), None)],
-                        1000, RngSpec(1), chunk_size=100)
+                        1000, RngSpec(1))
         assert sum(calls) == 1000  # one draw per (pad group, symbol, chunk)

@@ -24,6 +24,10 @@ the five ``enumerate-m16`` points.  A side whose ``enumerate_detail`` raises
 ``ValueError`` at some M (a revision that caps M at 20) records that M as
 refused, with the message, and gets no ratio there.
 
+The ``tier1`` section runs the tier-1 test command ``TIER1`` once per side
+in its export, parent first: the wall seconds, by this process's clock, and
+the passed, failed, skipped and error counts of pytest's summary line.
+
 The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
 side, and their total.  The record, headed by the change's commit subject,
 goes to ``BENCH_<change sha>.json`` in the current directory.
@@ -35,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,9 @@ EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
 EXACT_ROUNDS = 10
 FIVE_POINT_REPS = 15
+# the tier-1 verify command of ROADMAP.md, run with PYTHONPATH=src prepended
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COUNT = re.compile(r"(\d+) (passed|failed|skipped|errors?)\b")
 
 
 def git(*args: str) -> str:
@@ -213,6 +221,27 @@ def summarize_exact(rounds: list[dict]) -> dict:
     return out
 
 
+def tier1_counts(stdout: str) -> dict:
+    """Passed, failed, skipped and error counts from pytest's last output line,
+    e.g. ``2 failed, 418 passed, 1 skipped, 1 error in 80.70s (0:01:20)``."""
+    lines = stdout.strip().splitlines()
+    counts = dict.fromkeys(("passed", "failed", "skipped", "errors"), 0)
+    for n, word in TIER1_COUNT.findall(lines[-1] if lines else ""):
+        counts["errors" if word.startswith("error") else word] = int(n)
+    return counts
+
+
+def run_tier1(tree: Path) -> dict:
+    """One run of the tier-1 tests in ``tree``: wall seconds, exit code and counts."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    return {"wall_s": time.perf_counter() - t0, "returncode": done.returncode,
+            **tier1_counts(done.stdout)}
+
+
 def run_exact(trees: dict) -> dict:
     records = []
     for r in range(EXACT_ROUNDS):
@@ -259,6 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
         record["size"] = {side: source_lines(trees[side]) for side in SIDES}
+        record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+                           "first": SIDES[0],
+                           **{side: run_tier1(trees[side]) for side in SIDES}}
+        print(f"tier-1: {record['tier1']['parent']['wall_s']:.1f} s -> "
+              f"{record['tier1']['change']['wall_s']:.1f} s", flush=True)
         for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):
