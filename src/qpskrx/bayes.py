@@ -135,6 +135,8 @@ class TruthTables:
     def __post_init__(self):
         if self.first.shape != (4,) or self.trans.shape != (4, 4):
             raise ValueError("truth tables must have shapes (4,) and (4, 4)")
+        if not all(np.all((t >= 0.0) & (t <= 1.0)) for t in (self.first, self.trans)):
+            raise ValueError("truth tables must hold probabilities in [0, 1], not nan")
 
 
 def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,

@@ -286,7 +286,7 @@ def off_probability_visibility(theta, gamma_sq, ch, nu_per_bin=0.0):
 def off_prob_swing_discrete(m, prev_target, new_target, gamma_sq, p, ch, L):
     """Swing segment as a product over L modes at equally spaced ramp phases."""
     span = (new_target - prev_target + 1) % 4 - 1  # signed minimal quarter turns
-    gp_sq = ch.eta_total * p.swing_fraction * gamma_sq / L
+    gp_sq = ch.eta_total * (p.t_swing / p.t_bin) * gamma_sq / L
     theta = span * (math.pi / 2) * np.arange(L) / (L - 1)
     phase = ((m - prev_target) % 4) * math.pi / 2
     return math.exp((-2.0 * gp_sq * (1.0 - ch.xi * np.cos(theta - phase))).sum())

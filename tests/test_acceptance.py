@@ -248,7 +248,7 @@ def test_c10_swing_limit_convergence():
         prev = int(rng.integers(0, 4))
         new = (prev + int(rng.integers(1, 4))) % 4
         g = rng.uniform(0.0, 0.5)
-        exact = off_prob_swing_analytic(m, prev, new, g, params, ch)
+        exact = off_prob_swing_analytic(m, prev, new, g * params.t_swing / params.t_bin, ch)
         e_hi = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**4) - exact)
         e_lo = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**2) - exact)
         worst = max(worst, e_hi)

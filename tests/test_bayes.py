@@ -265,7 +265,7 @@ def oracle_truth(alpha_sq, stages, ch, nu, dt):
     if dt is None:
         return uniform_truth_tables(alpha_sq, stages, ch, nu)
     return delay_truth_tables(alpha_sq, stages, ch, nu,
-                              DelayParams(200.0 / stages, 0.37, 0.63), dt)
+                              DelayParams(200.0 / stages, 0.37, 0.63), dt, True)
 
 
 def assert_matches_walk(model, truth=None):
@@ -478,7 +478,7 @@ class TestMirrorTies:
 
     def test_delay_truth_tables_first_row(self):
         t = delay_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3,
-                               DelayParams(20.0, 0.37, 0.63), 1.1)
+                               DelayParams(20.0, 0.37, 0.63), 1.1, True)
         assert t.first[1] == t.first[3]
 
 

@@ -1,13 +1,19 @@
 """Summary arithmetic of the BENCH writer, ``tools/bench_pairs.py``."""
 
+import hashlib
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+BENCH_PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
@@ -192,3 +198,84 @@ class TestTier1Counts:
         assert run["returncode"] == 1 and run["wall_s"] > 0
         assert {k: run[k] for k in ("passed", "failed", "skipped", "errors")} == {
             "passed": 1, "failed": 1, "skipped": 1, "errors": 0}
+
+
+def default_run(sha, wall=1.0, returncode=0):
+    return {"wall_s": wall, "returncode": returncode, "csv_sha256": sha}
+
+
+class TestDefaults:
+    def test_equal_bytes_per_mode(self):
+        runs = {"sweep": {"first": "parent", "parent": default_run("a"),
+                          "change": default_run("a", 0.8)},
+                "bounds": {"first": "change", "parent": default_run("a"),
+                           "change": default_run("b")},
+                "enumerate": {"first": "parent", "parent": default_run(None, returncode=1),
+                              "change": default_run(None, returncode=1)}}
+        out = bench_pairs.summarize_defaults(runs)
+        assert out["sweep"]["csv_sha256_equal"] is True
+        assert out["sweep"]["change"] == default_run("a", 0.8)
+        assert out["sweep"]["first"] == "parent"
+        assert out["bounds"]["csv_sha256_equal"] is False
+        assert out["enumerate"]["csv_sha256_equal"] is False  # no CSV on either side
+
+    def test_run_in_a_tree(self, tmp_path):
+        package = tmp_path / "src" / "qpskrx"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            "import sys\n"
+            "mode, out = sys.argv[1], sys.argv[3]\n"
+            "if mode == 'bad':\n    sys.exit(1)\n"
+            "open(out, 'w').write(mode + '\\n')\n")
+        run = bench_pairs.run_default(tmp_path, "sweep", tmp_path / "sweep.csv")
+        assert run["returncode"] == 0 and run["wall_s"] > 0
+        assert run["csv_sha256"] == hashlib.sha256(b"sweep\n").hexdigest()
+        bad = bench_pairs.run_default(tmp_path, "bad", tmp_path / "bad.csv")
+        assert bad["returncode"] == 1 and bad["csv_sha256"] is None
+
+
+STOPPED_WRITER = """
+import importlib.util, subprocess, sys, tempfile
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+bench_pairs.stop_on_sigterm()
+with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=sys.argv[2]) as tmp:
+    child = ("import os, sys, time; p = sys.argv[1]; open(p + '.tmp', 'w').write("
+             "str(os.getpid())); os.replace(p + '.tmp', p); time.sleep(60)")
+    subprocess.run([sys.executable, "-c", child, sys.argv[3]])
+"""
+
+
+def pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestStop:
+    def test_sigterm_kills_the_child_and_removes_the_exports(self, tmp_path):
+        work, pid_file = tmp_path / "work", tmp_path / "child.pid"
+        work.mkdir()
+        writer = subprocess.Popen([sys.executable, "-c", STOPPED_WRITER, str(BENCH_PAIRS),
+                                   str(work), str(pid_file)])
+        child = None
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            child = int(pid_file.read_text())
+            assert [p.name[:12] for p in work.iterdir()] == ["bench_pairs_"]
+            writer.send_signal(signal.SIGTERM)
+            code = writer.wait(timeout=30)
+            assert not pid_alive(child)
+            assert list(work.iterdir()) == []
+            assert code == 128 + signal.SIGTERM
+        finally:
+            writer.kill()
+            writer.wait()
+            if child is not None and pid_alive(child):
+                os.kill(child, signal.SIGKILL)

@@ -401,6 +401,13 @@ GOLDEN_CSV = [
     ("delay-sweep", {"m": 4, "alpha_sq": 9.4, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 12, "truth_delay": False},
      "428129484f8b1d2e4364b89ba541e9bf2e6e1fdb8142a840942fb46c028e7953"),
+    # one discard window ends inside the hold, three inside the swing
+    ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.2, "dt_stop_us": 0.8,
+                     "dt_points": 4, "trials": 4000, "seed": 13, "truth_delay": True},
+     "362805b5683f37507abe85c9716a29970b15af736552380bed065b4fa924e938"),
+    ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.2, "dt_stop_us": 0.8,
+                     "dt_points": 4, "trials": 4000, "seed": 13, "truth_delay": False},
+     "803579cb1f231ed795253cd5be668a0500ca68389adc5d56147e96cf62e43656"),
 ]
 
 
@@ -411,7 +418,8 @@ class TestGoldenCsv:
              "delay-sweep-truth-on", "delay-sweep-truth-off",
              "stages-sweep-pad-groups", "sweep-two-chunks",
              "delay-sweep-no-settle", "delay-sweep-all-hold",
-             "delay-sweep-truth-off-m4"])
+             "delay-sweep-truth-off-m4", "delay-sweep-swing-window-truth-on",
+             "delay-sweep-swing-window-truth-off"])
     def test_csv_bytes(self, tmp_path, mode, config, digest):
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg_path.write_text(json.dumps(config))

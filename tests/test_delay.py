@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
+from qpskrx.bayes import TruthTables
 from qpskrx.delay import DelayParams, delay_truth_tables, off_prob_swing_analytic
 from qpskrx.physics import ChannelModel, off_probs
 
@@ -15,6 +16,11 @@ def bin_off(m, prev, new, gamma_sq, p, ch, nu=0.0, dt=0.0, include_delay=True):
     """No-click probability of symbol ``m`` in a later bin, read off the table."""
     t = delay_truth_tables(gamma_sq, 1, ch, nu, p, dt, include_delay)
     return t.trans[(m - prev) % 4, (new - prev) % 4]
+
+
+def swing_sq(gamma_sq, p):
+    """Intensity of the undiscarded swing segment."""
+    return gamma_sq * p.t_swing / p.t_bin
 
 
 def random_case(rng):
@@ -29,64 +35,111 @@ def random_case(rng):
 
 class TestTimeShares:
     def test_reference_timing(self):
-        assert DEFAULTS.hold_fraction == pytest.approx(0.37 / 20, rel=1e-12)
-        assert DEFAULTS.swing_fraction == pytest.approx(0.63 / 20, rel=1e-12)
-        assert DEFAULTS.settle_fraction == pytest.approx(19.0 / 20, rel=1e-12)
+        hold, swing, settle = DEFAULTS.shares(0.0)
+        assert hold == pytest.approx(0.37 / 20, rel=1e-12)
+        assert swing == pytest.approx(0.63 / 20, rel=1e-12)
+        assert settle == pytest.approx(19.0 / 20, rel=1e-12)
 
     def test_no_hold_segment(self):
-        assert DelayParams(20.0, 0.0, 0.63).hold_fraction == 0.0
+        assert DelayParams(20.0, 0.0, 0.63).shares(0.0)[0] == 0.0
 
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(5)
         for p in [DEFAULTS, DelayParams(200 / 13, 0.37, 15.014615384615386)] + [
                 random_case(rng)[0] for _ in range(50)]:
-            total = p.hold_fraction + p.swing_fraction + p.settle_fraction
-            assert total == pytest.approx(1.0, abs=1e-15)
-            assert p.settle_fraction >= 0.0
+            shares = p.shares(0.0)
+            assert sum(shares) == pytest.approx(1.0, abs=1e-15)
+            assert shares[2] >= 0.0
+
+    def test_shares_sum_to_the_time_outside_the_window(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            p = random_case(rng)[0]
+            dt = rng.uniform(0, p.t_bin)
+            shares = p.shares(dt)
+            assert min(shares) >= 0.0
+            assert sum(shares) == pytest.approx((p.t_bin - dt) / p.t_bin, abs=1e-15)
+
+    def test_window_over_the_whole_bin_keeps_nothing(self):
+        nu_bin = 9.1e-3 / 10
+        for p in (DEFAULTS, DelayParams(20.0, 20.0, 0.0), DelayParams(20.0, 0.0, 20.0)):
+            assert p.shares(p.t_bin) == (0.0, 0.0, 0.0)
+            for include_delay in (True, False):
+                t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p,
+                                       p.t_bin, include_delay)
+                assert t.trans.tolist() == [[math.exp(-nu_bin)] * 4] * 4
+
+    def test_window_outside_the_bin_rejected(self):
+        for dt in (-0.1, 20.5, math.nan):
+            with pytest.raises(ValueError, match="discard window"):
+                DEFAULTS.shares(dt)
 
     def test_all_hold_bin_has_finite_table(self):
         p = DelayParams(20.0, 20.0, 0.0)
-        assert (p.hold_fraction, p.swing_fraction, p.settle_fraction) == (1.0, 0.0, 0.0)
-        t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 1.1)
+        assert p.shares(0.0) == (1.0, 0.0, 0.0)
+        t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 1.1, True)
         assert np.all(np.isfinite(t.trans))
         assert np.all((t.trans > 0.0) & (t.trans <= 1.0))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("times", [(20.0, math.nan, 0.63), (math.inf, 0.37, 0.63),
+                                       (20.0, 0.37, math.inf), (0.0, 0.0, 0.0),
+                                       (-1.0, 0.0, 0.0)])
+    def test_delay_params_reject_non_finite_or_empty_bin(self, times):
+        with pytest.raises(ValueError, match="finite and t_bin > 0"):
+            DelayParams(*times)
+
+    @pytest.mark.parametrize("first, trans", [
+        (np.full(4, 1.5), np.full((4, 4), 0.5)),
+        (np.full(4, 0.5), np.full((4, 4), -0.2)),
+        (np.full(4, math.nan), np.full((4, 4), 0.5)),
+        (np.full(4, 0.5), np.full((4, 4), math.nan))])
+    def test_truth_tables_reject_non_probabilities(self, first, trans):
+        with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
+            TruthTables(10, first, trans)
+
+    def test_truth_tables_accept_the_closed_interval(self):
+        TruthTables(10, np.array([0.0, 1.0, 0.5, 1.0]), np.eye(4))
 
 
 class TestHoldSegment:
     def test_matched_phase(self):
         # an all-hold bin nulls the previous target whatever the new one is
-        t = delay_truth_tables(1.0, 1, IDEAL, 0.0, DelayParams(20.0, 20.0, 0.0), 0.0)
+        t = delay_truth_tables(1.0, 1, IDEAL, 0.0, DelayParams(20.0, 20.0, 0.0), 0.0, True)
         assert t.trans[0].tolist() == [1.0] * 4
 
     def test_opposite_phase_value(self):
         # settle sits at the new target (exactly 1), so hold * swing is left
+        hold, swing, _ = DEFAULTS.shares(0.0)
         p = bin_off(2, 0, 2, 1.0, DEFAULTS, IDEAL)
-        p /= off_prob_swing_analytic(2, 0, 2, 1.0, DEFAULTS, IDEAL)
+        p /= off_prob_swing_analytic(2, 0, 2, 1.0 * swing, IDEAL)
         assert p == pytest.approx(math.exp(-2 * 0.0185 * 2), rel=1e-12)
-        assert off_probs(DEFAULTS.hold_fraction * 1.0, IDEAL)[2] == pytest.approx(
+        assert off_probs(hold * 1.0, IDEAL)[2] == pytest.approx(
             math.exp(-2 * 0.0185 * 2), rel=1e-12)
 
     def test_vacuum_signal(self):
-        t = delay_truth_tables(0.0, 1, ChannelModel(0.65, 0.996), 0.0, DEFAULTS, 0.0)
+        t = delay_truth_tables(0.0, 1, ChannelModel(0.65, 0.996), 0.0, DEFAULTS, 0.0, True)
         assert t.trans.tolist() == [[1.0] * 4] * 4
 
 
 class TestSwingSegment:
     def test_vacuum_signal(self):
-        assert off_prob_swing_analytic(1, 0, 2, 0.0, DEFAULTS, IDEAL) == 1.0
+        assert off_prob_swing_analytic(1, 0, 2, swing_sq(0.0, DEFAULTS), IDEAL) == 1.0
         assert off_prob_swing_discrete(1, 0, 2, 0.0, DEFAULTS, IDEAL, 50) == pytest.approx(
             1.0, abs=1e-15)
 
     def test_zero_visibility_is_phase_independent(self):
         ch = ChannelModel(0.8, 0.0)
-        vals = {off_prob_swing_analytic(m, 0, 1, 0.7, DEFAULTS, ch) for m in range(4)}
+        vals = {off_prob_swing_analytic(m, 0, 1, swing_sq(0.7, DEFAULTS), ch)
+                for m in range(4)}
         ref = math.exp(-2 * 0.8 * (0.63 / 20) * 0.7)
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-12)
 
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError, match="degenerate swing"):
-            off_prob_swing_analytic(1, 2, 2, 0.5, DEFAULTS, IDEAL)
+            off_prob_swing_analytic(1, 2, 2, swing_sq(0.5, DEFAULTS), IDEAL)
 
     def test_two_mode_product_by_hand(self):
         # L=2, m = prev_target: endpoints theta in {0, m2*pi/2}
@@ -102,7 +155,7 @@ class TestSwingSegment:
         rng = np.random.default_rng(7)
         for _ in range(25):
             p, ch, m, prev, new, g = random_case(rng)
-            target = off_prob_swing_analytic(m, prev, new, g, p, ch)
+            target = off_prob_swing_analytic(m, prev, new, swing_sq(g, p), ch)
             errs = [abs(off_prob_swing_discrete(m, prev, new, g, p, ch, L) - target)
                     for L in (10, 100, 10**4)]
             assert errs[0] >= errs[1] >= errs[2]
@@ -134,19 +187,18 @@ class TestFullBin:
 
     def test_partial_swing_discard_fraction(self):
         # dt = 0.5 us: hold fully discarded, swing keeps 1 - (0.5-0.37)/0.63
-        from qpskrx.delay import _discard_retentions
-        ret_hold, ret_swing, ret_settle = _discard_retentions(DEFAULTS, 0.5)
-        assert ret_hold == 0.0
+        hold, swing, settle = DEFAULTS.shares(0.5)
+        ret_swing = swing / DEFAULTS.shares(0.0)[1]
+        assert hold == 0.0
         assert ret_swing == pytest.approx(1 - (0.5 - 0.37) / 0.63, rel=1e-12)
         assert ret_swing == pytest.approx(0.79365, abs=1e-5)
-        assert ret_settle == 1.0
+        assert settle == DEFAULTS.shares(0.0)[2]
 
     def test_covered_swing_share_stays_non_negative(self):
         # (0.1 + 0.2) - 0.1 exceeds 0.2 by an ulp, so the covered swing would
-        # keep a share of -2.2e-16 without the clamp
-        from qpskrx.delay import _discard_retentions
+        # keep a share of -2.2e-16 without the outer max
         p = DelayParams(20.0, 0.1, 0.2)
-        assert _discard_retentions(p, 0.5)[1] == 0.0
+        assert p.shares(0.5)[1] == 0.0
         for include_delay in (True, False):
             t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 0.5,
                                    include_delay)
@@ -174,7 +226,7 @@ class TestFullBin:
 class TestDelayTruthTables:
     def test_first_bin_has_no_discard_or_delay(self):
         ch = ChannelModel(0.65, 0.996)
-        t = delay_truth_tables(3.3, 10, ch, 9.1e-3, DEFAULTS, 1.1)
+        t = delay_truth_tables(3.3, 10, ch, 9.1e-3, DEFAULTS, 1.1, True)
         for d in range(4):
             expected = off_probability_visibility(d * math.pi / 2, 0.33, ch, 9.1e-4)
             assert t.first[d] == pytest.approx(expected, rel=1e-12)

@@ -36,7 +36,7 @@ def parity_case(name, alpha_sq, stages):
         return inference, truth_from_inference(inference)
     truth = delay_truth_tables(alpha_sq, stages, inference.channel(),
                                EXPERIMENTAL["nu_per_state"],
-                               DelayParams(200.0 / stages, 0.37, 0.63), 1.1)
+                               DelayParams(200.0 / stages, 0.37, 0.63), 1.1, True)
     return inference, truth
 
 

@@ -28,18 +28,29 @@ The ``tier1`` section runs the tier-1 test command ``TIER1`` once per side
 in its export, parent first: the wall seconds, by this process's clock, and
 the passed, failed, skipped and error counts of pytest's summary line.
 
+The ``defaults`` section runs ``python -m qpskrx.cli MODE --out FILE`` at
+the default config, once per side in its export for each mode of the
+change's ``config.MODES``, alternating which side goes first: the wall
+seconds, by this process's clock, the exit code, the CSV sha256 and whether
+the two sides wrote the same bytes.
+
 The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
 side, and their total.  The record, headed by the change's commit subject,
 goes to ``BENCH_<change sha>.json`` in the current directory.
+
+A SIGTERM stops the writer as an exit does: the running child is killed and
+the exports are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -231,15 +242,54 @@ def tier1_counts(stdout: str) -> dict:
     return counts
 
 
+def tree_env() -> dict:
+    """This process's environment with ``src`` prepended to PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+
+
 def run_tier1(tree: Path) -> dict:
     """One run of the tier-1 tests in ``tree``: wall seconds, exit code and counts."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
-                          text=True)
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=tree_env(),
+                          capture_output=True, text=True)
     return {"wall_s": time.perf_counter() - t0, "returncode": done.returncode,
             **tier1_counts(done.stdout)}
+
+
+def run_default(tree: Path, mode: str, out: Path) -> dict:
+    """One CLI run of ``mode`` at its default config in ``tree``: wall seconds,
+    exit code and the sha256 of the CSV it wrote (None if it wrote none)."""
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qpskrx.cli", mode, "--out", str(out)],
+                          cwd=tree, env=tree_env(), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return {"wall_s": wall, "returncode": done.returncode, "csv_sha256": sha}
+
+
+def summarize_defaults(runs: dict) -> dict:
+    """Each mode's runs with ``csv_sha256_equal``: both sides wrote the same CSV."""
+    return {mode: {**r, "csv_sha256_equal": r["parent"]["csv_sha256"] is not None
+                   and r["parent"]["csv_sha256"] == r["change"]["csv_sha256"]}
+            for mode, r in runs.items()}
+
+
+def run_defaults(trees: dict, out_dir: Path) -> dict:
+    modes = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json; from qpskrx.config import MODES; "
+                               "print(json.dumps(MODES))"],
+        cwd=trees["change"], env=tree_env(), check=True, capture_output=True,
+        text=True).stdout)
+    runs = {}
+    for i, mode in enumerate(modes):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        runs[mode] = {"first": order[0], "parent": None, "change": None}
+        for side in order:
+            runs[mode][side] = run_default(trees[side], mode, out_dir / f"{side}-{mode}.csv")
+        print(f"defaults {mode}: {runs[mode]['parent']['wall_s']:.2f} s -> "
+              f"{runs[mode]['change']['wall_s']:.2f} s", flush=True)
+    return summarize_defaults(runs)
 
 
 def run_exact(trees: dict) -> dict:
@@ -261,6 +311,12 @@ def run_exact(trees: dict) -> dict:
             "summary": summarize_exact(records), "rounds": records}
 
 
+def stop_on_sigterm() -> None:
+    """Make SIGTERM raise ``SystemExit``, so that ``subprocess.run`` kills its
+    child and ``TemporaryDirectory`` removes the exports on the way out."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--exact-probe"]:
@@ -273,6 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=21)
     args = parser.parse_args(argv)
+    stop_on_sigterm()
 
     shas = {side: git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     record = {"change": git("log", "-1", "--format=%s", shas["change"]),
@@ -293,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
                            **{side: run_tier1(trees[side]) for side in SIDES}}
         print(f"tier-1: {record['tier1']['parent']['wall_s']:.1f} s -> "
               f"{record['tier1']['change']['wall_s']:.1f} s", flush=True)
+        record["defaults"] = run_defaults(trees, Path(tmp))
         for workload in WORKLOADS:
             pairs = []
             for i in range(args.pairs):
