@@ -9,10 +9,11 @@ estimators read one point's tables, in one layout, from ``point_tables``.
 
 ``enumerate_error_probability`` is the exact answer the Monte Carlo engine
 is checked against.  It is a dynamic program with one layer per bin: outcome
-histories that leave the receiver in the same state (log-posterior vector and
-previous target) are merged on one int64 order key, so a layer holds a few
-thousand states at M=16 where a plain walk visits 2^M histories.  The test
-suite keeps the 2^M walk and a merge by one five-key sort as its oracles.
+histories that leave the receiver in the same state (the outcome counts the
+log-posterior depends on, and the previous target) are merged on one int64
+key, so a layer holds a few thousand states at M=16 where a plain walk
+visits 2^M histories.  The test suite keeps the 2^M walk and a merge by one
+``np.lexsort`` over raw outcome counts as its oracles.
 
 Every path (this dynamic program, the Monte Carlo kernel and the test
 oracles) keeps the un-normalized log-posterior ``lp`` and targets its first
@@ -198,6 +199,37 @@ def _order_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return 4 * key + prev
 
 
+# Bits the count key may fill; value keys of rows with a -inf in lp start at
+# 2^KEY_BITS, above every count key and, below 2^63, clear of overflow.
+KEY_BITS = 61
+# W[delta]: the t's in the off log-likelihood o - W[delta] t (log_likelihood_table)
+_W = (0, 1, 2, 1)
+_ONES = np.ones(4)
+
+
+def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
+    """Row ``2 * cur + e``: what outcome e at target cur adds to the count key, and
+    whether the key's fields fit in ``KEY_BITS``.
+
+    The key packs, most significant first, X_0, X_1, X_2 (2 M + 1 values each),
+    the click counts n_0, n_1, n_2 (M + 1 values each) and the previous target
+    in the low 2 bits.  X_h = sum_c n_{c,off} W[(h - c) % 4] counts the t's that
+    no-clicks at target c took from hypothesis h, so after i bins
+    ``lp[h] = N o - X_h t + sum_c n_{c,on} on[(h - c) % 4]`` with N = (X_0 + X_2) / 2
+    no-clicks, X_3 = X_0 - X_1 + X_2 and n_3 = i - N - n_0 - n_1 - n_2.  When the
+    fields do not fit, the rows only carry the previous target.
+    """
+    nx, nn = (2 * stages).bit_length(), stages.bit_length()
+    fits = 2 + 3 * (nx + nn) <= KEY_BITS
+    steps = np.repeat(np.arange(4, dtype=np.int64), 2)  # prev = cur
+    if fits:
+        for c in range(4):
+            steps[2 * c] += sum(_W[(h - c) % 4] << 2 + 3 * nn + (2 - h) * nx
+                                for h in range(3))
+            steps[2 * c + 1] += 1 << 2 + (2 - c) * nn if c < 3 else 0
+    return steps, fits
+
+
 def enumerate_detail(model: InferenceModel,
                      truth: TruthTables | None = None) -> EnumerationDetail:
     """Exact error probability, one layer of merged receiver states per bin.
@@ -206,40 +238,55 @@ def enumerate_detail(model: InferenceModel,
     while the posterior is propagated with the inference model, mirroring the
     receiver's actual feedback trajectory.  After bin i a history is fully
     described by its un-normalized log-posterior ``lp`` and previous target
-    (the current target is the first-maximum argmax of ``lp``).  Children with
-    value-equal ``(lp, prev)`` share one ``_order_key`` and merge into a state
-    whose per-symbol linear weights are summed in child order.  ``lp`` sums are
-    exact, so histories that reach the same real log-posterior merge, and ties
-    go to the lowest index as in Monte Carlo and in the 2^M walk; only the
-    weights' order of summation differs from that walk.  A layer of more than
-    ``MAX_ENUM_STATES`` merged states raises ``ValueError``.
+    (the current target is the first-maximum argmax of ``lp``).  Children are
+    merged on an int64 key into states whose per-symbol linear weights are
+    summed in child order.  A child's key is its parent's plus one
+    ``_count_steps`` row: the outcome counts ``lp`` is a function of and the
+    previous target.  ``lp`` sums are exact, so equal counts give bitwise-equal
+    ``lp``, and ties go to the lowest index as in Monte Carlo and in the 2^M
+    walk; only the weights' order of summation differs from that walk.  A row
+    with a -inf in ``lp`` (the table has a zero likelihood) takes its
+    ``_order_key`` value instead, so dead hypotheses whose histories differ
+    still merge; so does every row when the count fields do not fit in
+    ``KEY_BITS``.  A layer of more than ``MAX_ENUM_STATES`` merged states
+    raises ``ValueError``.
     """
     M = model.stages
     first, trans, loglik = point_tables(model, truth)
     step = _kernels.step_rows(loglik)   # row 2 * cur + e: added to lp when target cur sees e
     p_off = trans.reshape(4, 16).T      # row 4 * prev + cur: truth no-click prob. by symbol
+    count_steps, fits = _count_steps(M)
+    dying = not fits or bool(np.isneginf(loglik).any())
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
+    ck = np.zeros(1, dtype=np.int64)  # count key, previous target cleared
     prev = cur = np.zeros(1, dtype=np.int8)
     peak = 1
     for i in range(M):
         p_t = first.T.take(cur, axis=0) if i == 0 else p_off.take(4 * prev + cur, axis=0)
         lp = np.concatenate([lp + step.take(2 * cur + e, axis=0) for e in (0, 1)])
         w = np.concatenate((w * p_t, w * (1.0 - p_t)))
-        prev = np.concatenate((cur, cur))
+        ck = np.concatenate([ck + count_steps.take(2 * cur + e) for e in (0, 1)])
         del p_t  # keeps the merge's peak memory down
-        states, group = np.unique(_order_key(lp, prev), return_inverse=True)
+        key = ck
+        if dying:  # rows with a -inf in lp, or all rows when the fields do not fit
+            dead = (lp @ _ONES == _NEG_INF) | (not fits)  # lp holds no +inf or nan
+            key = np.where(dead, (1 << KEY_BITS) + _order_key(lp, ck & 3), ck)
+        states, group = np.unique(key, return_inverse=True)
         if len(states) > MAX_ENUM_STATES:
             raise ValueError(f"enumeration: layer {i + 1} of {M} holds {len(states)} merged "
                              f"states, over the budget of {MAX_ENUM_STATES}")
         w = np.stack([np.bincount(group, weights=w[:, k], minlength=len(states))
                       for k in range(4)], axis=1)
-        # any child of a state will do: lp starts at +0.0 and only adds logs of
-        # (0, 1] or -inf, so it has no -0.0 and value-equal rows are bitwise equal
+        # any child of a state will do: its count key, and lp, which starts at
+        # +0.0 and only adds logs of (0, 1] or -inf, so it has no -0.0 and
+        # value-equal rows are bitwise equal
         rep = np.empty(len(states), dtype=np.intp)
         rep[group] = np.arange(len(group))
-        lp, prev = lp[rep], (states & 3).astype(np.int8)
+        lp, ck = lp[rep], ck[rep]
+        prev = ck & 3
+        ck -= prev
         cur = lp.argmax(axis=1).astype(np.int8)
         peak = max(peak, len(states))
 

@@ -8,8 +8,8 @@
   ``enumerate_detail``; ``decimal_enumeration``: the same walk with a
   60-digit log-posterior built without the package's log-likelihood table,
   the oracle of the tie rule; ``lexsort_enumeration``: the same
-  merged-state dynamic program with the merge done by ``np.lexsort``, its
-  bitwise oracle; ``brute_force_error``: the ideal receiver from complex
+  merged-state dynamic program with the merge done by ``np.lexsort`` over
+  coordinates of raw per-target outcome counts, its bitwise oracle; ``brute_force_error``: the ideal receiver from complex
   amplitudes, sharing no table with the package.
 - ``off_probability_visibility``, ``off_prob_swing_discrete`` and
   ``qpsk_gram``: the click probability at any phase, the L-mode product of
@@ -200,22 +200,33 @@ def _walk(model, truth, ll, argmax, zero=0.0):
             np.array([math.fsum(t) for t in total]))
 
 
-def lexsort_enumeration(model, truth=None):
-    """``enumerate_detail`` with states merged by a five-key ``np.lexsort``.
+# W[delta]: the t's in the off entry o - W[delta] t of log_likelihood_table
+W = (0, 1, 2, 1)
 
-    Each layer sorts the children on (lp0, lp1, lp2, lp3, prev), marks a new
-    state wherever a row differs from the one before it, and sums the weights
-    of each run with ``np.bincount`` in child order.  The package must give
-    the same states, weights and peak layer bit for bit.
+
+def lexsort_enumeration(model, truth=None, counts=True):
+    """``enumerate_detail`` with states merged by one ``np.lexsort``.
+
+    Each child carries its raw outcome counts n[c, e], per target c and
+    outcome e.  A child whose ``lp`` is finite sorts on X_0..X_3, where
+    X_h = sum_c n[c, 0] W[(h - c) % 4], then n[0, 1]..n[3, 1], then prev; a
+    child with a -inf in ``lp`` (every child if ``counts`` is false) sorts
+    after them on (lp0, lp1, lp2, lp3, prev).  A new state starts wherever a
+    sorted row differs from the one before it, and the weights of each run
+    are summed with ``np.bincount`` in child order.  The package must give the
+    same states, weights and peak layer bit for bit.
     """
     if truth is None:
         truth = truth_from_inference(model)
     c, h = np.ix_(range(4), range(4))
     step = model.log_likelihood_table()[:, (h - c) % 4]  # step[e, cur, h]
+    proj = np.array(W)[(h - c) % 4]                      # proj[c, h] = W[(h - c) % 4]
     p, c, m = np.ix_(range(4), range(4), range(4))
     p_off = truth.trans[(m - p) % 4, (c - p) % 4]        # p_off[prev, cur, m]
+    outcome = np.eye(8, dtype=np.int64)                  # row 2 * cur + e
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))
+    n = np.zeros((1, 8), dtype=np.int64)                 # n[:, 2 * c + e]
     prev = np.zeros(1, dtype=np.int8)
     cur = np.zeros(1, dtype=np.int8)
     peak = 1
@@ -223,21 +234,25 @@ def lexsort_enumeration(model, truth=None):
         p_t = truth.first[None, :] if i == 0 else p_off[prev, cur]
         lp = np.concatenate((lp + step[0, cur], lp + step[1, cur]))
         w = np.concatenate((w * p_t, w * (1.0 - p_t)))
+        n = np.concatenate((n + outcome[2 * cur], n + outcome[2 * cur + 1]))
         prev = np.concatenate((cur, cur))
-        order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
-        lp, prev = lp[order], prev[order]
+        dead = (np.isneginf(lp).any(axis=1) | (not counts))[:, None]
+        coords = np.column_stack((n[:, 0::2] @ proj, n[:, 1::2]))
+        rows = np.column_stack((dead, np.where(dead, 0, coords), np.where(dead, lp, 0.0),
+                                prev))
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
         new = np.empty(len(order), dtype=bool)
         new[0] = True
-        np.any(lp[1:] != lp[:-1], axis=1, out=new[1:])
-        new[1:] |= prev[1:] != prev[:-1]
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
         group = np.empty(len(order), dtype=np.intp)
         group[order] = np.cumsum(new) - 1
-        n = int(new.sum())
-        w = np.stack([np.bincount(group, weights=w[:, k], minlength=n)
+        size = int(new.sum())
+        w = np.stack([np.bincount(group, weights=w[:, k], minlength=size)
                       for k in range(4)], axis=1)
-        lp, prev = lp[new], prev[new]
+        lp, n, prev = lp[order][new], n[order][new], prev[order][new]
         cur = lp.argmax(axis=1).astype(np.int8)
-        peak = max(peak, n)
+        peak = max(peak, size)
     per_symbol = 1.0 - np.array([w[cur == k, k].sum() for k in range(4)])
     return EnumerationDetail(float(per_symbol.mean()), per_symbol, w.sum(axis=0), peak)
 

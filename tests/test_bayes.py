@@ -349,6 +349,42 @@ class TestMergedStates:
         model = InferenceModel(alpha_sq, 20, 0.657 * 0.9505, 0.996, 9.1e-3)
         assert_bitwise_equal(enumerate_detail(model), lexsort_enumeration(model))
 
+    @pytest.mark.parametrize("alpha_sq, peak, error_prob", [
+        (3.0, 4651, 0.005408237758829981), (9.4, 5423, 1.7204094759915023e-08)])
+    def test_dead_columns_merge_by_value_at_m100(self, alpha_sq, peak, error_prob):
+        # ideal inference: a click at target c leaves lp[c] = -inf.  Merged on
+        # outcome counts alone, histories that differ only in a dead column's
+        # counts stay apart (268,856 states at layer 92 at 3.0, over the
+        # budget); peak and error_prob are those of a merge on lp values
+        detail = enumerate_detail(InferenceModel(alpha_sq, 100))
+        assert detail.peak_states == peak
+        assert detail.error_prob == pytest.approx(error_prob, rel=0, abs=1e-15)
+
+    def test_minus_inf_in_the_off_row(self):
+        # p_off(2) = exp(-953) underflows, so no-clicks kill a column too
+        model = InferenceModel(800.0, 3, 0.9, 0.99, 0.01)
+        o, ot, dead, ot3 = model.log_likelihood_table()[0]
+        assert dead == -np.inf and ot == ot3 and -np.inf < ot < o
+        assert_matches_walk(model)
+        assert_bitwise_equal(enumerate_detail(model), lexsort_enumeration(model))
+
+    @pytest.mark.parametrize("model", [InferenceModel(3.0, 16, 0.657 * 0.9505, 0.996, 9.1e-3),
+                                       InferenceModel(1.0, 12, 0.8, 0.99, 5e-3)],
+                             ids=["experimental-m16", "lossy-m12"])
+    def test_value_key_when_count_fields_do_not_fit(self, monkeypatch, model):
+        # X_0..X_2 take (2M).bit_length() bits each, n_0..n_2 M.bit_length()
+        # and prev 2; one bit short, every row merges on its lp values
+        counts, values = lexsort_enumeration(model), lexsort_enumeration(model, counts=False)
+        assert counts.branch_totals.tobytes() != values.branch_totals.tobytes()
+        bits = 5 + 6 * model.stages.bit_length()
+        monkeypatch.setattr(bayes, "KEY_BITS", bits)
+        assert_bitwise_equal(enumerate_detail(model), counts)
+        monkeypatch.setattr(bayes, "KEY_BITS", bits - 1)
+        assert_bitwise_equal(enumerate_detail(model), values)
+
+    def test_count_fields_fit_below_m512(self):
+        assert bayes._count_steps(511)[1] and not bayes._count_steps(512)[1]
+
 
 def assert_bitwise_equal(detail, oracle):
     assert detail.error_prob == oracle.error_prob

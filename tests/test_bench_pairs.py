@@ -66,8 +66,9 @@ class TestSummarize:
 class TestSummarizeExact:
     def test_ratios_per_round(self):
         def probe(scale):
-            return {**{f"M{m}": {"best_s": scale * m, "peak_states": m}
-                       for m in bench_pairs.EXACT_STAGES},
+            return {**{key: {"best_s": scale * int(key.rpartition("M")[2]),
+                             "peak_states": int(key.rpartition("M")[2])}
+                       for key in bench_pairs.EXACT_KEYS},
                     "five_point_s": scale}
 
         rounds = [{"first": "parent", "parent": probe(1.0), "change": probe(0.5)},
@@ -82,14 +83,19 @@ class TestSummarizeExact:
         assert out["M16"]["parent"] == {"best_s": 16.0, "peak_states": 16}
         assert out["M16"]["change"]["best_s"] == 20.0
         assert out["M16"]["ratio_median"] == 0.75
+        assert out["ideal_M100"]["parent"] == {"best_s": 100.0, "peak_states": 100}
+        assert out["ideal_M100"]["ratio_median"] == 0.75
 
 
     def test_refused_stage_count_kept_without_ratio(self):
         def probe(scale, refuse_from=None):
-            return {**{f"M{m}": ({"refused": f"capped; got M={m}"}
-                                 if refuse_from and m >= refuse_from else
-                                 {"best_s": scale * m, "peak_states": m})
-                       for m in bench_pairs.EXACT_STAGES},
+            def entry(m):
+                if refuse_from and m >= refuse_from:
+                    return {"refused": f"capped; got M={m}"}
+                return {"best_s": scale * m, "peak_states": m}
+
+            return {**{key: entry(int(key.rpartition("M")[2]))
+                       for key in bench_pairs.EXACT_KEYS},
                     "five_point_s": scale}
 
         rounds = [{"first": "parent", "parent": probe(1.0, 21), "change": probe(0.5)},
@@ -100,6 +106,8 @@ class TestSummarizeExact:
         assert out["M50"]["ratio_median"] is None
         assert out["M30"]["ratio_median"] is None
         assert out["M20"]["ratio_median"] == 0.625
+        assert out["ideal_M100"]["parent"] == {"refused": "capped; got M=100"}
+        assert out["ideal_M100"]["ratio_median"] is None
 
     def test_stages_probe_records_a_refusal(self):
         class Detail:
@@ -114,6 +122,11 @@ class TestSummarizeExact:
 
     def test_exact_layer_reaches_fifty_stages(self):
         assert {30, 50} <= set(bench_pairs.EXACT_STAGES)
+
+    def test_exact_layer_times_the_ideal_model(self):
+        # the ideal model's -inf log-posteriors take the DP's value-key merge
+        assert bench_pairs.EXACT_KEYS[-2:] == ("ideal_M50", "ideal_M100")
+        assert len(set(bench_pairs.EXACT_KEYS)) == len(bench_pairs.EXACT_KEYS)
 
 
 def perfbench_stdout(metrics, untraced=3, traced=0, failed=0):

@@ -19,10 +19,12 @@ time, ...) and their change/parent ratios.
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
 interpreters, 10 rounds alternating the two sides: per side and round, the
 best of 5 walls and the peak states at M = 10, 16, 20, 30 and 50
-(experimental condition, |alpha|^2 = 3), and the median of 15 repetitions of
-the five ``enumerate-m16`` points.  A side whose ``enumerate_detail`` raises
-``ValueError`` at some M (a revision that caps M at 20) records that M as
-refused, with the message, and gets no ratio there.
+(experimental condition, |alpha|^2 = 3) and of the ideal model at M = 50 and
+100 (|alpha|^2 = 3, where every click leaves a -inf in the log-posterior),
+and the median of 15 repetitions of the five ``enumerate-m16`` points.  A
+side whose ``enumerate_detail`` raises ``ValueError`` at some M (a revision
+that caps M at 20) records that M as refused, with the message, and gets no
+ratio there.
 
 The ``tier1`` section runs the tier-1 test command ``TIER1`` once per side
 in its export, parent first: the wall seconds, by this process's clock, and
@@ -66,6 +68,9 @@ LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
                  "montecarlo.draws.busy_s", "bayes.enumerate.busy_s", "process.cpu_s",
                  "trace.wall_s")
 EXACT_STAGES = (10, 16, 20, 30, 50)
+IDEAL_STAGES = (50, 100)
+# exact-layer entries: the experimental condition by M, then the ideal model
+EXACT_KEYS = (*(f"M{m}" for m in EXACT_STAGES), *(f"ideal_M{m}" for m in IDEAL_STAGES))
 EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
 EXACT_ROUNDS = 10
@@ -187,7 +192,7 @@ def probe_stages(enumerate_detail, model) -> dict:
 def exact_probe(tree: str) -> dict:
     """Time ``enumerate_detail`` from ``tree`` in this interpreter (see module doc)."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench"]
-    from qpskrx.bayes import enumerate_detail
+    from qpskrx.bayes import InferenceModel, enumerate_detail
     from qpskrx.cli import alpha_grid, matched_inference
     from workloads import make_config
 
@@ -202,6 +207,8 @@ def exact_probe(tree: str) -> dict:
     out = {f"M{m}": probe_stages(enumerate_detail,
                                  matched_inference(cfg, EXACT_ALPHA_SQ, m=m))
            for m in EXACT_STAGES}
+    out.update({f"ideal_M{m}": probe_stages(enumerate_detail, InferenceModel(EXACT_ALPHA_SQ, m))
+                for m in IDEAL_STAGES})
     five = [matched_inference(cfg, float(a)) for a in alpha_grid(cfg)]
     wall(five)  # warm-up
     out["five_point_s"] = statistics.median(wall(five) for _ in range(FIVE_POINT_REPS))
@@ -209,13 +216,13 @@ def exact_probe(tree: str) -> dict:
 
 
 def summarize_exact(rounds: list[dict]) -> dict:
-    """Per stage count and for the five points: per-side medians and change/parent.
+    """Per ``EXACT_KEYS`` entry and for the five points: per-side medians and
+    change/parent.
 
     A side that refused a stage count keeps the refusal; the ratio is then None.
     """
     out = {}
-    for m in EXACT_STAGES:
-        key = f"M{m}"
+    for key in EXACT_KEYS:
         first = rounds[0]
         out[key] = {side: first[side][key] if "refused" in first[side][key] else
                     {"best_s": statistics.median(r[side][key]["best_s"] for r in rounds),
@@ -307,7 +314,7 @@ def run_exact(trees: dict) -> dict:
     return {"method": f"fresh interpreter per side and round, sides alternating; "
                       f"best of {EXACT_BEST_OF} at M = {EXACT_STAGES}, |alpha|^2 = "
                       f"{EXACT_ALPHA_SQ}, cli.matched_inference at the enumerate-m16 "
-                      f"config; five points: median of {FIVE_POINT_REPS} after one warm-up",
+                      f"config, and of the ideal model at M = {IDEAL_STAGES}; five points: median of {FIVE_POINT_REPS} after one warm-up",
             "summary": summarize_exact(records), "rounds": records}
 
 
