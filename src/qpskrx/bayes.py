@@ -30,6 +30,7 @@ symbol 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +63,13 @@ class InferenceModel:
     def __post_init__(self):
         if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0:
             raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq}")
+        if not isinstance(self.stages, numbers.Integral):
+            raise ValueError(f"stages must be an integer, got {self.stages!r}")
+        object.__setattr__(self, "stages", int(self.stages))  # numpy ints lack bit_length
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
         ChannelModel(self.eta_total, self.xi)  # range validation
-        if self.nu_per_state < 0:
+        if not self.nu_per_state >= 0:  # nan too
             raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
 
     @property
@@ -183,24 +187,20 @@ class EnumerationDetail:
     peak_states: int
 
 
-def _order_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
+def _value_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """One int64 per row, ordered and tied as the rows (lp0, lp1, lp2, lp3, prev):
-    column value ranks (-inf included) in mixed radix, lp0 most significant."""
-    key, size, steps = 0, 1, np.zeros(len(prev), dtype=np.int64)
-    rank = np.empty_like(steps)
-    for col in lp.T:
-        order = col.argsort()
-        ranked = col[order]
-        np.cumsum(ranked[1:] != ranked[:-1], out=steps[1:])  # ties share a rank
-        rank[order], radix = steps, int(steps[-1]) + 1
-        if size * radix > 1 << 60:  # re-rank: same order and ties, ranks < N
-            key, size = np.unique(key, return_inverse=True)[1], len(key)
-        key, size = key * radix + rank, size * radix
-    return 4 * key + prev
+    4 * (rank of the row's lp, ties shared, -inf lowest) + prev."""
+    order = np.lexsort((prev, *lp.T[::-1]))
+    ranked = lp[order]
+    steps = np.zeros(len(order), dtype=np.int64)
+    steps[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    key = np.empty_like(steps)
+    key[order] = 4 * steps.cumsum() + prev[order]
+    return key
 
 
 # Bits the count key may fill; value keys of rows with a -inf in lp start at
-# 2^KEY_BITS, above every count key and, below 2^63, clear of overflow.
+# 2^KEY_BITS, above every count key and, with a count step added, below 2^63.
 KEY_BITS = 61
 # W[delta]: the t's in the off log-likelihood o - W[delta] t (log_likelihood_table)
 _W = (0, 1, 2, 1)
@@ -245,11 +245,11 @@ def enumerate_detail(model: InferenceModel,
     previous target.  ``lp`` sums are exact, so equal counts give bitwise-equal
     ``lp``, and ties go to the lowest index as in Monte Carlo and in the 2^M
     walk; only the weights' order of summation differs from that walk.  A row
-    with a -inf in ``lp`` (the table has a zero likelihood) takes its
-    ``_order_key`` value instead, so dead hypotheses whose histories differ
-    still merge; so does every row when the count fields do not fit in
-    ``KEY_BITS``.  A layer of more than ``MAX_ENUM_STATES`` merged states
-    raises ``ValueError``.
+    with a -inf in ``lp`` (the table has a zero likelihood) takes a
+    ``_value_key`` instead, one ``np.lexsort`` of those rows alone, so dead
+    hypotheses whose histories differ still merge; so does every row when the
+    count fields do not fit in ``KEY_BITS``.  A layer of more than
+    ``MAX_ENUM_STATES`` merged states raises ``ValueError``.
     """
     M = model.stages
     first, trans, loglik = point_tables(model, truth)
@@ -260,7 +260,7 @@ def enumerate_detail(model: InferenceModel,
 
     lp = np.zeros((1, 4))
     w = np.ones((1, 4))             # linear weight of the state given symbol m
-    ck = np.zeros(1, dtype=np.int64)  # count key, previous target cleared
+    ck = np.zeros(1, dtype=np.int64)  # merge key, previous target cleared
     prev = cur = np.zeros(1, dtype=np.int8)
     peak = 1
     for i in range(M):
@@ -269,17 +269,16 @@ def enumerate_detail(model: InferenceModel,
         w = np.concatenate((w * p_t, w * (1.0 - p_t)))
         ck = np.concatenate([ck + count_steps.take(2 * cur + e) for e in (0, 1)])
         del p_t  # keeps the merge's peak memory down
-        key = ck
         if dying:  # rows with a -inf in lp, or all rows when the fields do not fit
             dead = (lp @ _ONES == _NEG_INF) | (not fits)  # lp holds no +inf or nan
-            key = np.where(dead, (1 << KEY_BITS) + _order_key(lp, ck & 3), ck)
-        states, group = np.unique(key, return_inverse=True)
+            ck[dead] = (1 << KEY_BITS) + _value_key(lp[dead], ck[dead] & 3)
+        states, group = np.unique(ck, return_inverse=True)
         if len(states) > MAX_ENUM_STATES:
             raise ValueError(f"enumeration: layer {i + 1} of {M} holds {len(states)} merged "
                              f"states, over the budget of {MAX_ENUM_STATES}")
         w = np.stack([np.bincount(group, weights=w[:, k], minlength=len(states))
                       for k in range(4)], axis=1)
-        # any child of a state will do: its count key, and lp, which starts at
+        # any child of a state will do: its merge key, and lp, which starts at
         # +0.0 and only adds logs of (0, 1] or -inf, so it has no -0.0 and
         # value-equal rows are bitwise equal
         rep = np.empty(len(states), dtype=np.intp)

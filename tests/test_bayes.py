@@ -10,7 +10,7 @@ from oracles import (brute_force_error, decimal_enumeration, kernel_outcomes,
                      reference_trial, truth_off_prob, walk_enumeration)
 from qpskrx import bayes
 from qpskrx._kernels import step_rows
-from qpskrx.bayes import (InferenceModel, _grid_exponent, _order_key,
+from qpskrx.bayes import (InferenceModel, _grid_exponent, _value_key,
                           enumerate_detail, enumerate_error_probability, point_tables,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
@@ -394,7 +394,7 @@ def assert_bitwise_equal(detail, oracle):
 
 
 def assert_key_sorts_as_lexsort(lp, prev):
-    key = _order_key(lp, prev)
+    key = _value_key(lp, prev)
     order = np.lexsort((prev, lp[:, 3], lp[:, 2], lp[:, 1], lp[:, 0]))
     np.testing.assert_array_equal(np.argsort(key, kind="stable"), order)
     rows = np.column_stack((lp, prev))[order]
@@ -413,14 +413,13 @@ class TestOrderKey:
         assert_key_sorts_as_lexsort(lp, prev)
 
     def test_one_and_two_rows(self):
-        assert _order_key(np.zeros((1, 4)), np.array([2], dtype=np.int8)).tolist() == [2]
+        assert _value_key(np.zeros((1, 4)), np.array([2], dtype=np.int8)).tolist() == [2]
         lp = np.array([[0.0, -np.inf, -1.0, -2.0], [0.0, -np.inf, -1.0, -2.0]])
         assert_key_sorts_as_lexsort(lp, np.array([3, 1], dtype=np.int8))
         assert_key_sorts_as_lexsort(lp[::-1] - [0, 0, 0, 1], np.array([1, 1], dtype=np.int8))
 
     def test_rerank_past_2_to_60(self):
-        # 2^16+ distinct values per column: four radices multiply past 2^60,
-        # so the partial key is re-ranked before the last column
+        # many distinct values: 2^16+ per column, their product past 2^60
         rng = np.random.default_rng(11)
         n = 70_000
         lp = -rng.random((n, 4)) * 50.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import qpsk_amplitudes, run_point
-from qpskrx.bayes import InferenceModel
+from qpskrx.bayes import InferenceModel, enumerate_detail
 from qpskrx.physics import ChannelModel, off_probs
 
 IDEAL = ChannelModel(1.0, 1.0)
@@ -133,6 +133,28 @@ class TestValidation:
             off_probs(-1e-3, IDEAL)
         with pytest.raises(ValueError, match="nu_per_bin"):
             off_probs(0.5, IDEAL, -1e-3)
+
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ValueError, match="nu_per_state"):
+            InferenceModel(3.0, 10, 0.65, 0.996, float("nan"))
+        with pytest.raises(ValueError, match="gamma_sq"):
+            off_probs(float("nan"), IDEAL)
+        with pytest.raises(ValueError, match="nu_per_bin"):
+            off_probs(0.5, IDEAL, float("nan"))
+
+    def test_numpy_stage_count_stored_as_int(self):
+        model = InferenceModel(3.0, np.int64(10), 0.65, 0.996, 9.1e-3)
+        assert type(model.stages) is int
+        got = enumerate_detail(model)
+        want = enumerate_detail(InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3))
+        assert got.error_prob == want.error_prob
+        assert got.per_symbol_error.tobytes() == want.per_symbol_error.tobytes()
+
+    @pytest.mark.parametrize("stages", [10.0, np.float64(10.0), "10", None],
+                             ids=["float", "float64", "str", "None"])
+    def test_non_integer_stage_count_rejected(self, stages):
+        with pytest.raises(ValueError, match="stages"):
+            InferenceModel(3.0, stages)
 
     def test_channel_ranges(self):
         with pytest.raises(ValueError):
