@@ -16,7 +16,7 @@ import numpy as np
 
 def sql_heterodyne(alpha_sq: float) -> float:
     """Heterodyne (SQL) error probability at signal mean photon number ``alpha_sq``."""
-    if alpha_sq < 0:
+    if not alpha_sq >= 0:  # nan too; inf is the limit 0.0
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     return 1.0 - 0.25 * (1.0 + math.erf(math.sqrt(alpha_sq / 2.0))) ** 2
 
@@ -42,7 +42,7 @@ def gram_eigenvalues(alpha_sq: float) -> np.ndarray:
 
 def helstrom_qpsk(alpha_sq: float) -> float:
     """Minimum average error probability for the QPSK alphabet (equal priors)."""
-    if alpha_sq < 0:
-        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
+    if not 0 <= alpha_sq < math.inf:  # nan too; inf would make the Gram row nan
+        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
     lam = gram_eigenvalues(alpha_sq)
     return float(1.0 - (np.sqrt(lam).sum()) ** 2 / 16.0)

@@ -42,52 +42,48 @@ def matched_inference(cfg: RunConfig, alpha_sq: float, m: int | None = None,
     return InferenceModel(alpha_sq, m, eta_eff, cfg.xi, cfg.nu_per_state)
 
 
-def _estimate(cfg: RunConfig, points: list) -> list:
-    """One grid call for all Monte Carlo points of a run (common random numbers)."""
-    return estimate_errors(points, cfg.trials, RngSpec(cfg.seed), cfg.workers)
+def _monte_carlo(cfg: RunConfig, labels: list[dict], points: list) -> list[dict]:
+    """Each label row extended by its point's ``error_prob`` and ``stderr``, from one
+    grid call for all Monte Carlo points of a run (common random numbers)."""
+    results = estimate_errors(points, cfg.trials, RngSpec(cfg.seed), cfg.workers)
+    return [{**label, "error_prob": res.error_prob, "stderr": res.stderr}
+            for label, res in zip(labels, results)]
 
 
-def _bounds(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    rows = [{"alpha_sq": float(a),
+def _bounds(cfg: RunConfig) -> list[dict]:
+    return [{"alpha_sq": float(a),
              "sql": sql_heterodyne(a),
              "sql_lossy": sql_lossy(a, cfg.eta_se),
              "helstrom": helstrom_qpsk(a)} for a in alpha_grid(cfg)]
-    return ["alpha_sq", "sql", "sql_lossy", "helstrom"], rows
 
 
-def _enumerate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _enumerate(cfg: RunConfig) -> list[dict]:
     rows = []
     for a in alpha_grid(cfg):
         model = matched_inference(cfg, float(a))
         rows.append({"alpha_sq": float(a),
                      "alpha_sq_detected": model.eta_total * float(a),
                      "error_prob": enumerate_error_probability(model)})
-    return ["alpha_sq", "alpha_sq_detected", "error_prob"], rows
+    return rows
 
 
-def _sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _sweep(cfg: RunConfig) -> list[dict]:
     alphas = [float(a) for a in alpha_grid(cfg)]
     models = [matched_inference(cfg, a) for a in alphas]
-    results = _estimate(cfg, [(model, None) for model in models])
-    rows = [{"alpha_sq": a,
-             "alpha_sq_detected": model.eta_total * a,
-             "error_prob": res.error_prob,
-             "stderr": res.stderr} for a, model, res in zip(alphas, models, results)]
-    return ["alpha_sq", "alpha_sq_detected", "error_prob", "stderr"], rows
+    labels = [{"alpha_sq": a, "alpha_sq_detected": model.eta_total * a}
+              for a, model in zip(alphas, models)]
+    return _monte_carlo(cfg, labels, [(model, None) for model in models])
 
 
-def _efficiency_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    grid = [(eta_spd, float(a)) for eta_spd in cfg.eta_spd_list for a in alpha_grid(cfg)]
-    results = _estimate(cfg, [(matched_inference(cfg, a, eta_spd=eta_spd), None)
-                              for eta_spd, a in grid])
-    rows = [{"eta_spd": eta_spd,
-             "alpha_sq": a,
-             "error_prob": res.error_prob,
-             "stderr": res.stderr} for (eta_spd, a), res in zip(grid, results)]
-    return ["eta_spd", "alpha_sq", "error_prob", "stderr"], rows
+def _efficiency_sweep(cfg: RunConfig) -> list[dict]:
+    labels = [{"eta_spd": eta_spd, "alpha_sq": float(a)}
+              for eta_spd in cfg.eta_spd_list for a in alpha_grid(cfg)]
+    points = [(matched_inference(cfg, row["alpha_sq"], eta_spd=row["eta_spd"]), None)
+              for row in labels]
+    return _monte_carlo(cfg, labels, points)
 
 
-def _delay_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _delay_sweep(cfg: RunConfig) -> list[dict]:
     params = DelayParams(cfg.t_bin_us, cfg.t_hold_us, cfg.t_swing_us)
     dts = [float(dt) for dt in np.linspace(cfg.dt_start_us, cfg.dt_stop_us, cfg.dt_points)]
     points = [(matched_inference(dataclasses.replace(cfg, dt_us=dt), cfg.alpha_sq),
@@ -95,28 +91,23 @@ def _delay_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
                                   cfg.nu_per_state, params, dt,
                                   include_delay=cfg.truth_delay))
               for dt in dts]
-    rows = [{"dt_us": dt,
-             "error_prob": res.error_prob,
-             "stderr": res.stderr} for dt, res in zip(dts, _estimate(cfg, points))]
-    return ["dt_us", "error_prob", "stderr"], rows
+    return _monte_carlo(cfg, [{"dt_us": dt} for dt in dts], points)
 
 
-def _stages_sweep(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def _stages_sweep(cfg: RunConfig) -> list[dict]:
     ms = range(cfg.m_start, cfg.m_stop + 1)
     points = [(matched_inference(cfg, cfg.alpha_sq, m=m, include_discard=discard), None)
               for m in ms for discard in (False, True)]
-    results = _estimate(cfg, points)
-    rows = [{"m": m,
-             "error_prob_no_discard": res0.error_prob,
-             "stderr_no_discard": res0.stderr,
-             "error_prob_discard": res1.error_prob,
-             "stderr_discard": res1.stderr}
-            for m, res0, res1 in zip(ms, results[0::2], results[1::2])]
-    return ["m", "error_prob_no_discard", "stderr_no_discard",
-            "error_prob_discard", "stderr_discard"], rows
+    rows = _monte_carlo(cfg, [{} for _ in points], points)
+    # each M's (no discard, discard) pair of rows becomes one row
+    return [{"m": m, **{f"{key}_{suffix}": row[key]
+                        for suffix, row in (("no_discard", plain), ("discard", lumped))
+                        for key in ("error_prob", "stderr")}}
+            for m, plain, lumped in zip(ms, rows[0::2], rows[1::2])]
 
 
-# One function per mode of ``config.MODES``; each returns (column names, rows).
+# One function per mode of ``config.MODES``; each returns its rows, whose keys
+# are the CSV columns in order.
 RUNNERS = {
     "bounds": _bounds,
     "sweep": _sweep,
@@ -130,7 +121,8 @@ RUNNERS = {
 def run(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     """Execute one mode; returns (column names, rows in grid order)."""
     cfg.validate()
-    return RUNNERS[cfg.mode](cfg)
+    rows = RUNNERS[cfg.mode](cfg)
+    return list(rows[0]), rows
 
 
 def _format(value) -> str:
@@ -140,7 +132,7 @@ def _format(value) -> str:
 
 
 def render_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
-    header = "# config=" + json.dumps(cfg.to_dict(), sort_keys=True)
+    header = "# config=" + json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     lines = [header, ",".join(columns)]
     for row in rows:
         lines.append(",".join(_format(row[c]) for c in columns))
@@ -148,8 +140,8 @@ def render_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
 
 
 def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
-    return json.dumps({"config": cfg.to_dict(), "columns": columns, "rows": rows},
-                      sort_keys=True, indent=2) + "\n"
+    return json.dumps({"config": dataclasses.asdict(cfg), "columns": columns,
+                       "rows": rows}, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_flag(flag: str, spec: str, kinds, required: int = 1, sep: str = ":") -> list:

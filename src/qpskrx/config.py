@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "enumerate")
 
@@ -141,9 +141,6 @@ class RunConfig:
             check(self.t_hold_us + self.t_swing_us <= self.t_bin_us, "t_swing_us",
                   f"hold + swing must be <= t_bin = {self.t_bin_us}")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def field_names(cls) -> set[str]:

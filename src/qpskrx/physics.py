@@ -42,8 +42,8 @@ def off_probs(gamma_sq: float, ch: ChannelModel, nu_per_bin: float = 0.0) -> np.
     Exact cosines make the mirror pair delta = 1, 3 bitwise equal, so MAP ties
     stay exact; scalar ``math.exp`` (not ``np.exp``) keeps every table bitwise.
     """
-    if not gamma_sq >= 0:  # nan too
-        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
+    if not 0 <= gamma_sq < math.inf:  # nan too; inf times a zero exponent is nan
+        raise ValueError(f"gamma_sq must be finite and >= 0, got {gamma_sq}")
     if not nu_per_bin >= 0:
         raise ValueError(f"nu_per_bin must be >= 0, got {nu_per_bin}")
     return np.array([math.exp(-(nu_per_bin

@@ -402,8 +402,8 @@ def assert_key_sorts_as_lexsort(lp, prev):
     np.testing.assert_array_equal(key[order][1:] == key[order][:-1], ties)
 
 
-class TestOrderKey:
-    """The merge key against ``np.lexsort((prev, lp3, lp2, lp1, lp0))``."""
+class TestValueKey:
+    """The value key against ``np.lexsort((prev, lp3, lp2, lp1, lp0))``."""
 
     def test_ties_and_minus_inf(self):
         rng = np.random.default_rng(7)
@@ -418,7 +418,7 @@ class TestOrderKey:
         assert_key_sorts_as_lexsort(lp, np.array([3, 1], dtype=np.int8))
         assert_key_sorts_as_lexsort(lp[::-1] - [0, 0, 0, 1], np.array([1, 1], dtype=np.int8))
 
-    def test_rerank_past_2_to_60(self):
+    def test_many_distinct_values_per_column(self):
         # many distinct values: 2^16+ per column, their product past 2^60
         rng = np.random.default_rng(11)
         n = 70_000

@@ -139,6 +139,17 @@ def perfbench_stdout(metrics, untraced=3, traced=0, failed=0):
             + [f"{m} {v} s" for m, v in metrics.items()] + [json.dumps(result)])
 
 
+class TestAlternate:
+    @pytest.mark.parametrize("i, first", [(0, "parent"), (1, "change"), (2, "parent"),
+                                          (3, "change")])
+    def test_even_rounds_run_the_parent_first(self, i, first):
+        calls = []
+        record = bench_pairs.alternate(i, lambda side: calls.append(side) or side.upper())
+        assert calls == [first, "change" if first == "parent" else "parent"]
+        assert record == {"first": first, "parent": "PARENT", "change": "CHANGE"}
+        assert list(record) == ["first", "parent", "change"]
+
+
 class TestParseOutput:
     def test_end_to_end_entry(self):
         lines = perfbench_stdout({"wall_s": 0.2, "setup_s": 0.3, "peak_rss_mb": 44.0})

@@ -32,6 +32,14 @@ class TestSqlHeterodyne:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-7
 
+    @pytest.mark.parametrize("alpha_sq", [-1e-3, float("nan")])
+    def test_negative_and_nan_rejected(self, alpha_sq):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            sql_heterodyne(alpha_sq)
+
+    def test_infinite_signal_is_the_zero_limit(self):
+        assert sql_heterodyne(math.inf) == 0.0
+
 
 class TestSqlLossy:
     def test_unit_efficiency(self):
@@ -66,6 +74,11 @@ class TestHelstrom:
     def test_range(self):
         for a2 in np.linspace(0, 12, 50):
             assert 0.0 <= helstrom_qpsk(a2) <= 0.75
+
+    @pytest.mark.parametrize("alpha_sq", [-1e-3, float("nan"), math.inf])
+    def test_negative_and_non_finite_rejected(self, alpha_sq):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            helstrom_qpsk(alpha_sq)
 
     def test_circulant_eigenvalues_match_dense_solver(self):
         for a2 in (0.0, 0.3, 1.0, 2.7, 6.0, 11.0):

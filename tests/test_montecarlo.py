@@ -417,6 +417,24 @@ class TestTracerContract:
         assert metrics["kernels.run_chunk.calls"] == 8
         assert metrics["bayes.truth_tables.calls"] > 0
 
+    def test_traced_enumerate(self):
+        # the bayes.enumerate span wraps cli's module-global enumerate_error_probability
+        from qpskrx import cli
+        from qpskrx.config import load_config
+
+        spans = load_spans()
+        cfg = load_config(None, {"alpha_sq_start": 1.0, "alpha_sq_stop": 5.0,
+                                 "alpha_sq_points": 3, "m": 6}, mode="enumerate")
+        untraced = cli.render_csv(cfg, *cli.run(cfg))
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            traced = cli.render_csv(cfg, *cli.run(cfg))
+        assert traced == untraced
+        metrics = spans.layer_metrics(tracer.spans, workers=1)
+        assert metrics["bayes.enumerate.calls"] == 3  # one per grid point
+        assert metrics["bayes.enumerate.histories"] == 3 * 2 ** 6
+        assert metrics["montecarlo.draws.calls"] == 0
+
     def test_monte_carlo_calls_go_through_module_attribute(self, monkeypatch):
         calls = []
         kernel = _kernels.run_chunk

@@ -142,6 +142,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="nu_per_bin"):
             off_probs(0.5, IDEAL, float("nan"))
 
+    def test_infinite_signal_rejected(self):
+        # 0 * inf in the delta = 0 exponent would make p_off[0] nan
+        with pytest.raises(ValueError, match="gamma_sq"):
+            off_probs(math.inf, ChannelModel(1.0, 1.0))
+
     def test_numpy_stage_count_stored_as_int(self):
         model = InferenceModel(3.0, np.int64(10), 0.65, 0.996, 9.1e-3)
         assert type(model.stages) is int

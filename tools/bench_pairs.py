@@ -133,6 +133,16 @@ def parse_output(lines: list[str], metrics: tuple[str, ...], batches: str) -> di
             "points_attempted": result["attempted"]}
 
 
+def alternate(i: int, run) -> dict:
+    """``run(side)`` for both sides, the parent first in even rounds ``i`` and the
+    change first in odd ones: ``{"first": side, "parent": ..., "change": ...}``."""
+    order = SIDES if i % 2 == 0 else SIDES[::-1]
+    record = {"first": order[0], "parent": None, "change": None}
+    for side in order:
+        record[side] = run(side)
+    return record
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
                   trace: int = 0) -> dict:
     """One run of ``perfbench/run.py`` in ``tree``: a pair entry (``--trace 0``)
@@ -290,24 +300,22 @@ def run_defaults(trees: dict, out_dir: Path) -> dict:
         text=True).stdout)
     runs = {}
     for i, mode in enumerate(modes):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        runs[mode] = {"first": order[0], "parent": None, "change": None}
-        for side in order:
-            runs[mode][side] = run_default(trees[side], mode, out_dir / f"{side}-{mode}.csv")
+        runs[mode] = alternate(i, lambda side: run_default(trees[side], mode,
+                                                           out_dir / f"{side}-{mode}.csv"))
         print(f"defaults {mode}: {runs[mode]['parent']['wall_s']:.2f} s -> "
               f"{runs[mode]['change']['wall_s']:.2f} s", flush=True)
     return summarize_defaults(runs)
 
 
 def run_exact(trees: dict) -> dict:
+    def probe(side: str) -> dict:
+        return json.loads(subprocess.run(
+            [sys.executable, __file__, "--exact-probe", str(trees[side])],
+            check=True, capture_output=True, text=True).stdout)
+
     records = []
     for r in range(EXACT_ROUNDS):
-        order = SIDES if r % 2 == 0 else SIDES[::-1]
-        record = {"first": order[0], "parent": None, "change": None}
-        for side in order:
-            out = subprocess.run([sys.executable, __file__, "--exact-probe", str(trees[side])],
-                                 check=True, capture_output=True, text=True).stdout
-            record[side] = json.loads(out)
+        record = alternate(r, probe)
         records.append(record)
         print(f"exact round {r + 1}: five points {record['parent']['five_point_s']:.4f} s -> "
               f"{record['change']['five_point_s']:.4f} s", flush=True)
@@ -362,10 +370,8 @@ def main(argv: list[str] | None = None) -> int:
             pairs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0], "parent": None, "change": None}
-                for side in order:
-                    pair[side] = run_perfbench(trees[side], workload, seed, args.seconds)
+                pair = {"seed": seed, **alternate(i, lambda side: run_perfbench(
+                    trees[side], workload, seed, args.seconds))}
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: wall_s {pair['parent']['wall_s']:.4f} -> "
                       f"{pair['change']['wall_s']:.4f}", flush=True)
