@@ -99,10 +99,11 @@ def _stages_sweep(cfg: RunConfig) -> list[dict]:
     points = [(matched_inference(cfg, cfg.alpha_sq, m=m, include_discard=discard), None)
               for m in ms for discard in (False, True)]
     rows = _monte_carlo(cfg, [{} for _ in points], points)
-    # each M's (no discard, discard) pair of rows becomes one row
-    return [{"m": m, **{f"{key}_{suffix}": row[key]
-                        for suffix, row in (("no_discard", plain), ("discard", lumped))
-                        for key in ("error_prob", "stderr")}}
+    # each M's (no discard, discard) pair of rows becomes one row; literal keys are
+    # shared by every row, where built ones would be new strings in each
+    return [{"m": m,
+             "error_prob_no_discard": plain["error_prob"], "stderr_no_discard": plain["stderr"],
+             "error_prob_discard": lumped["error_prob"], "stderr_discard": lumped["stderr"]}
             for m, plain, lumped in zip(ms, rows[0::2], rows[1::2])]
 
 
