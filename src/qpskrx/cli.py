@@ -46,8 +46,9 @@ def _monte_carlo(cfg: RunConfig, labels: list[dict], points: list) -> list[dict]
     """Each label row extended by its point's ``error_prob`` and ``stderr``, from one
     grid call for all Monte Carlo points of a run (common random numbers)."""
     results = estimate_errors(points, cfg.trials, RngSpec(cfg.seed), cfg.workers)
-    return [{**label, "error_prob": res.error_prob, "stderr": res.stderr}
-            for label, res in zip(labels, results)]
+    for label, res in zip(labels, results):  # in place: a copy per row raised peak RSS
+        label.update(error_prob=res.error_prob, stderr=res.stderr)
+    return labels
 
 
 def _bounds(cfg: RunConfig) -> list[dict]:
