@@ -12,7 +12,10 @@ is checked against.  It is a dynamic program with one layer per bin: outcome
 histories that leave the receiver in the same state (the outcome counts the
 log-posterior depends on, and the previous target) are merged on one int64
 key, so a layer holds a few thousand states at M=16 where a plain walk
-visits 2^M histories.  The test suite keeps the 2^M walk and a merge by one
+visits 2^M histories.  A state is indexed by ``s = 4 * prev + cur`` into
+per-point tables of its log-likelihood steps, truth outcome probabilities
+and key steps; a layer's children are grouped by one argsort of their keys.
+The test suite keeps the 2^M walk and a merge by one
 ``np.lexsort`` over raw outcome counts as its oracles.
 
 Every path (this dynamic program, the Monte Carlo kernel and the test
@@ -205,6 +208,7 @@ KEY_BITS = 61
 # W[delta]: the t's in the off log-likelihood o - W[delta] t (log_likelihood_table)
 _W = (0, 1, 2, 1)
 _ONES = np.ones(4)
+_ROWS = np.arange(4)[:, None]
 
 
 def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
@@ -242,7 +246,16 @@ def enumerate_detail(model: InferenceModel,
     merged on an int64 key into states whose per-symbol linear weights are
     summed in child order.  A child's key is its parent's plus one
     ``_count_steps`` row: the outcome counts ``lp`` is a function of and the
-    previous target.  ``lp`` sums are exact, so equal counts give bitwise-equal
+    previous target.
+
+    A state's index ``s = 4 * prev + cur`` picks its rows of four tables
+    built once per point: the ``lp`` step ``[e, s, h]``, the truth probability
+    of outcome e ``[m, e, s]`` (bin 0 reads ``[m, e, cur]``) and the key step
+    ``[e, s]``, so each of ``lp``, the weights (four rows, one per symbol m)
+    and the key takes one ``take`` and one op per layer; the e = 0 children
+    come first.  The merge argsorts the keys once: a state is a run of equal
+    sorted keys, its weights one ``np.bincount`` over (symbol, state) for all
+    four rows, and its ``lp`` that of any of its children.  ``lp`` sums are exact, so equal counts give bitwise-equal
     ``lp``, and ties go to the lowest index as in Monte Carlo and in the 2^M
     walk; only the weights' order of summation differs from that walk.  A row
     with a -inf in ``lp`` (the table has a zero likelihood) takes a
@@ -253,47 +266,57 @@ def enumerate_detail(model: InferenceModel,
     """
     M = model.stages
     first, trans, loglik = point_tables(model, truth)
-    step = _kernels.step_rows(loglik)   # row 2 * cur + e: added to lp when target cur sees e
-    p_off = trans.reshape(4, 16).T      # row 4 * prev + cur: truth no-click prob. by symbol
+    cur_of = np.tile(np.arange(4), 4)  # s % 4 = cur, for tables that do not read prev
+    step = _kernels.step_rows(loglik).reshape(4, 2, 4).swapaxes(0, 1)[:, cur_of]  # [e, s, h]
+    p_bins = [np.stack((p, 1.0 - p), axis=1)  # [m, e, s]: truth prob. of outcome e
+              for p in (first, trans.reshape(4, 16))]  # bin 0 reads s = cur
     count_steps, fits = _count_steps(M)
+    # [e, s]: parent key (previous target in the low 2 bits) to child key
+    cstep = count_steps.reshape(4, 2).T[:, cur_of] - np.repeat(np.arange(4), 4)
     dying = not fits or bool(np.isneginf(loglik).any())
 
     lp = np.zeros((1, 4))
-    w = np.ones((1, 4))             # linear weight of the state given symbol m
-    ck = np.zeros(1, dtype=np.int64)  # merge key, previous target cleared
-    prev = cur = np.zeros(1, dtype=np.int8)
+    w = np.ones((4, 1))               # row m: linear weight of the state given symbol m
+    ck = np.zeros(1, dtype=np.int64)  # merge key, prev in the low 2 bits
+    s = cur = np.zeros(1, dtype=np.intp)  # receiver state 4 * prev + cur
     peak = 1
     for i in range(M):
-        p_t = first.T.take(cur, axis=0) if i == 0 else p_off.take(4 * prev + cur, axis=0)
-        lp = np.concatenate([lp + step.take(2 * cur + e, axis=0) for e in (0, 1)])
-        w = np.concatenate((w * p_t, w * (1.0 - p_t)))
-        ck = np.concatenate([ck + count_steps.take(2 * cur + e) for e in (0, 1)])
-        del p_t  # keeps the merge's peak memory down
+        # children: every state's e = 0 child, then every e = 1 child
+        lp = (lp + step.take(s, axis=1)).reshape(-1, 4)
+        w = (w[:, None] * p_bins[i > 0].take(s, axis=2)).reshape(4, -1)
+        ck = (ck + cstep.take(s, axis=1)).ravel()
         if dying:  # rows with a -inf in lp, or all rows when the fields do not fit
             dead = (lp @ _ONES == _NEG_INF) | (not fits)  # lp holds no +inf or nan
             ck[dead] = (1 << KEY_BITS) + _value_key(lp[dead], ck[dead] & 3)
-        states, group = np.unique(ck, return_inverse=True)
-        if len(states) > MAX_ENUM_STATES:
-            raise ValueError(f"enumeration: layer {i + 1} of {M} holds {len(states)} merged "
+        order = ck.argsort()
+        ck = ck.take(order)
+        new = np.empty(len(ck), dtype=bool)  # first child of a state in key order
+        new[0] = True
+        np.not_equal(ck[1:], ck[:-1], out=new[1:])
+        group = np.empty_like(order)
+        group[order] = new.cumsum()  # 1 + the child's state
+        at = new.nonzero()[0]
+        n = len(at)
+        if n > MAX_ENUM_STATES:
+            raise ValueError(f"enumeration: layer {i + 1} of {M} holds {n} merged "
                              f"states, over the budget of {MAX_ENUM_STATES}")
-        w = np.stack([np.bincount(group, weights=w[:, k], minlength=len(states))
-                      for k in range(4)], axis=1)
+        # each state's weights summed in child order, all four rows in one pass
+        w = np.bincount((group + (n * _ROWS - 1)).ravel(), weights=w.ravel(),
+                        minlength=4 * n).reshape(4, n)
         # any child of a state will do: its merge key, and lp, which starts at
         # +0.0 and only adds logs of (0, 1] or -inf, so it has no -0.0 and
         # value-equal rows are bitwise equal
-        rep = np.empty(len(states), dtype=np.intp)
-        rep[group] = np.arange(len(group))
-        lp, ck = lp[rep], ck[rep]
-        prev = ck & 3
-        ck -= prev
-        cur = lp.argmax(axis=1).astype(np.int8)
-        peak = max(peak, len(states))
+        lp, ck = lp.take(order.take(at), axis=0), ck.take(at)
+        cur = lp.argmax(axis=1)
+        s = (ck & 3) << 2
+        s += cur
+        peak = max(peak, n)
 
-    per_symbol = 1.0 - np.array([w[cur == k, k].sum() for k in range(4)])
+    per_symbol = 1.0 - np.array([w[k, cur == k].sum() for k in range(4)])
     return EnumerationDetail(
         error_prob=float(per_symbol.mean()),
         per_symbol_error=per_symbol,
-        branch_totals=w.sum(axis=0),
+        branch_totals=w.T.copy().sum(axis=0),  # a C-ordered (N, 4) copy, summed row by row
         peak_states=peak,
     )
 

@@ -23,9 +23,11 @@ def sql_heterodyne(alpha_sq: float) -> float:
 
 def sql_lossy(alpha_sq: float, eta_total: float) -> float:
     """SQL with the signal attenuated by the total detection efficiency."""
+    if not alpha_sq >= 0:  # nan too, checked before a product can hide it
+        raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     if not 0.0 <= eta_total <= 1.0:
         raise ValueError(f"eta_total must be in [0, 1], got {eta_total}")
-    return sql_heterodyne(eta_total * alpha_sq)
+    return sql_heterodyne(eta_total * alpha_sq) if eta_total > 0.0 else 0.75  # 0 * inf
 
 
 def gram_eigenvalues(alpha_sq: float) -> np.ndarray:

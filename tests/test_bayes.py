@@ -14,6 +14,8 @@ from qpskrx.bayes import (InferenceModel, _grid_exponent, _value_key,
                           enumerate_detail, enumerate_error_probability, point_tables,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
+from qpskrx.cli import matched_inference
+from qpskrx.config import load_config
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec
 from qpskrx.physics import ChannelModel, off_probs
@@ -348,6 +350,25 @@ class TestMergedStates:
         # the experimental condition's largest layers: 1.8e5 states at 3.0
         model = InferenceModel(alpha_sq, 20, 0.657 * 0.9505, 0.996, 9.1e-3)
         assert_bitwise_equal(enumerate_detail(model), lexsort_enumeration(model))
+
+    @pytest.mark.parametrize("alpha_sq", np.linspace(0.25, 12.0, 5))
+    def test_bitwise_equal_to_lexsort_merge_at_enumerate_m16(self, alpha_sq):
+        # the five points of the enumerate-m16 benchmark workload
+        cfg = load_config(None, {"m": 16, "alpha_sq_start": 0.25, "alpha_sq_stop": 12.0,
+                                 "alpha_sq_points": 5, "alpha_sq_spacing": "linear"},
+                          mode="enumerate")
+        model = matched_inference(cfg, float(alpha_sq))
+        assert_bitwise_equal(enumerate_detail(model), lexsort_enumeration(model))
+
+    def test_bitwise_equal_to_lexsort_merge_with_delay_at_m20(self):
+        # a truth table that reads the previous target, past the 1..16 loop
+        eta, xi, nu = ORACLE_MODELS["experimental"]
+        model = InferenceModel(3.0, 20, eta, xi, nu)
+        truth = oracle_truth(3.0, 20, model.channel(), nu, 0.0)
+        uniform = oracle_truth(3.0, 20, model.channel(), nu, None)
+        assert not np.array_equal(truth.trans, uniform.trans)
+        assert_bitwise_equal(enumerate_detail(model, truth),
+                             lexsort_enumeration(model, truth))
 
     @pytest.mark.parametrize("alpha_sq, peak, error_prob", [
         (3.0, 4651, 0.005408237758829981), (9.4, 5423, 1.7204094759915023e-08)])

@@ -120,6 +120,40 @@ class TestSummarizeExact:
         assert bench_pairs.probe_stages(refuse, 30) == {
             "refused": "enumeration is capped at 20 stages; got M=30"}
 
+    def test_traced_peak_median_and_ratio(self):
+        def probe(scale, mb):
+            return {**{key: {"best_s": scale, "peak_states": 7} for key in bench_pairs.EXACT_KEYS},
+                    "M50": {"best_s": scale, "peak_states": 7, "traced_peak_mb": mb},
+                    "five_point_s": scale}
+
+        rounds = [{"first": "parent", "parent": probe(1.0, 40.0), "change": probe(0.5, 44.0)},
+                  {"first": "change", "parent": probe(2.0, 40.0), "change": probe(1.5, 44.0)},
+                  {"first": "parent", "parent": probe(1.0, 40.0), "change": probe(0.7, 46.0)}]
+        out = bench_pairs.summarize_exact(rounds)
+        assert out["M50"]["parent"] == {"best_s": 1.0, "peak_states": 7, "traced_peak_mb": 40.0}
+        assert out["M50"]["change"]["traced_peak_mb"] == 44.0
+        assert out["M50"]["traced_peak_ratio"] == pytest.approx(1.1)
+        assert "traced_peak_mb" not in out["M30"]["parent"]
+        assert "traced_peak_ratio" not in out["M30"]
+
+    def test_stages_probe_traces_one_more_call(self):
+        class Detail:
+            peak_states = 7
+
+        calls = []
+
+        def enumerate_detail(model):
+            calls.append(bytearray(2_000_000))  # kept, so the traced peak holds it
+            return Detail()
+
+        out = bench_pairs.probe_stages(enumerate_detail, 30, traced=True)
+        assert len(calls) == bench_pairs.EXACT_BEST_OF + 1
+        assert out["traced_peak_mb"] >= 2.0
+        assert "traced_peak_mb" not in bench_pairs.probe_stages(enumerate_detail, 30)
+
+    def test_traced_stages_are_timed_stages(self):
+        assert set(bench_pairs.TRACED_STAGES) == {30, 50} <= set(bench_pairs.EXACT_STAGES)
+
     def test_exact_layer_reaches_fifty_stages(self):
         assert {30, 50} <= set(bench_pairs.EXACT_STAGES)
 

@@ -48,6 +48,17 @@ class TestSqlLossy:
     def test_zero_efficiency(self):
         assert sql_lossy(5.0, 0.0) == pytest.approx(0.75, abs=1e-15)
 
+    def test_zero_efficiency_infinite_signal(self):
+        # the limit of zero efficiency, not sql_heterodyne of the product 0 * inf
+        assert sql_lossy(math.inf, 0.0) == 0.75
+
+    @pytest.mark.parametrize("eta_total", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha_sq", [math.nan, -1.0])
+    def test_bad_signal_named_as_given(self, alpha_sq, eta_total):
+        # checked before the product, which would read -0.5, or pass as -0.0
+        with pytest.raises(ValueError, match=f"alpha_sq must be >= 0, got {alpha_sq}$"):
+            sql_lossy(alpha_sq, eta_total)
+
     def test_composition(self):
         assert sql_lossy(2.0, 0.65) == pytest.approx(sql_heterodyne(1.3), abs=1e-15)
 

@@ -21,7 +21,10 @@ interpreters, 10 rounds alternating the two sides: per side and round, the
 best of 5 walls and the peak states at M = 10, 16, 20, 30 and 50
 (experimental condition, |alpha|^2 = 3) and of the ideal model at M = 50 and
 100 (|alpha|^2 = 3, where every click leaves a -inf in the log-posterior),
-and the median of 15 repetitions of the five ``enumerate-m16`` points.  A
+and the median of 15 repetitions of the five ``enumerate-m16`` points.  At
+M = 30 and 50 the probe then runs one more DP under ``tracemalloc`` and
+keeps its peak traced memory in MB, so that a change that trades memory
+for numpy calls shows the trade.  A
 side whose ``enumerate_detail`` raises ``ValueError`` at some M (a revision
 that caps M at 20) records that M as refused, with the message, and gets no
 ratio there.
@@ -58,6 +61,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -69,6 +73,7 @@ LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
                  "trace.wall_s")
 EXACT_STAGES = (10, 16, 20, 30, 50)
 IDEAL_STAGES = (50, 100)
+TRACED_STAGES = (30, 50)  # one more DP per side and round under tracemalloc
 # exact-layer entries: the experimental condition by M, then the ideal model
 EXACT_KEYS = (*(f"M{m}" for m in EXACT_STAGES), *(f"ideal_M{m}" for m in IDEAL_STAGES))
 EXACT_ALPHA_SQ = 3.0
@@ -185,9 +190,10 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
-def probe_stages(enumerate_detail, model) -> dict:
+def probe_stages(enumerate_detail, model, traced: bool = False) -> dict:
     """Best of ``EXACT_BEST_OF`` walls of ``enumerate_detail(model)`` and its peak
-    states, or the message of the ``ValueError`` with which it refuses the model."""
+    states, or the message of the ``ValueError`` with which it refuses the model.
+    With ``traced``, also the peak traced memory of one more call, in MB."""
     walls = []
     for _ in range(EXACT_BEST_OF):
         t0 = time.perf_counter()
@@ -196,7 +202,15 @@ def probe_stages(enumerate_detail, model) -> dict:
         except ValueError as exc:
             return {"refused": str(exc)}
         walls.append(time.perf_counter() - t0)
-    return {"best_s": min(walls), "peak_states": detail.peak_states}
+    out = {"best_s": min(walls), "peak_states": detail.peak_states}
+    if traced:
+        tracemalloc.start()
+        try:
+            enumerate_detail(model)
+            out["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    return out
 
 
 def exact_probe(tree: str) -> dict:
@@ -215,7 +229,8 @@ def exact_probe(tree: str) -> dict:
         return time.perf_counter() - t0
 
     out = {f"M{m}": probe_stages(enumerate_detail,
-                                 matched_inference(cfg, EXACT_ALPHA_SQ, m=m))
+                                 matched_inference(cfg, EXACT_ALPHA_SQ, m=m),
+                                 traced=m in TRACED_STAGES)
            for m in EXACT_STAGES}
     out.update({f"ideal_M{m}": probe_stages(enumerate_detail, InferenceModel(EXACT_ALPHA_SQ, m))
                 for m in IDEAL_STAGES})
@@ -230,17 +245,27 @@ def summarize_exact(rounds: list[dict]) -> dict:
     change/parent.
 
     A side that refused a stage count keeps the refusal; the ratio is then None.
+    An entry with ``traced_peak_mb`` on both sides gets its change/parent too.
     """
+    def median(side: str, key: str, metric: str) -> dict:
+        if metric not in rounds[0][side][key]:
+            return {}
+        return {metric: statistics.median(r[side][key][metric] for r in rounds)}
+
     out = {}
     for key in EXACT_KEYS:
         first = rounds[0]
         out[key] = {side: first[side][key] if "refused" in first[side][key] else
-                    {"best_s": statistics.median(r[side][key]["best_s"] for r in rounds),
-                     "peak_states": first[side][key]["peak_states"]}
+                    {**median(side, key, "best_s"),
+                     "peak_states": first[side][key]["peak_states"],
+                     **median(side, key, "traced_peak_mb")}
                     for side in SIDES}
         out[key]["ratio_median"] = None if any("refused" in out[key][s] for s in SIDES) else (
             statistics.median(r["change"][key]["best_s"] / r["parent"][key]["best_s"]
                               for r in rounds))
+        if all("traced_peak_mb" in out[key][s] for s in SIDES):
+            out[key]["traced_peak_ratio"] = (out[key]["change"]["traced_peak_mb"]
+                                             / out[key]["parent"]["traced_peak_mb"])
     ratios = [r["change"]["five_point_s"] / r["parent"]["five_point_s"] for r in rounds]
     out["enumerate_m16_five_points"] = {
         **{side: quartiles([r[side]["five_point_s"] for r in rounds]) for side in SIDES},
@@ -322,7 +347,7 @@ def run_exact(trees: dict) -> dict:
     return {"method": f"fresh interpreter per side and round, sides alternating; "
                       f"best of {EXACT_BEST_OF} at M = {EXACT_STAGES}, |alpha|^2 = "
                       f"{EXACT_ALPHA_SQ}, cli.matched_inference at the enumerate-m16 "
-                      f"config, and of the ideal model at M = {IDEAL_STAGES}; five points: median of {FIVE_POINT_REPS} after one warm-up",
+                      f"config, and of the ideal model at M = {IDEAL_STAGES}; five points: median of {FIVE_POINT_REPS} after one warm-up; traced_peak_mb: tracemalloc peak of one more DP at M = {TRACED_STAGES}",
             "summary": summarize_exact(records), "rounds": records}
 
 
