@@ -255,9 +255,11 @@ def enumerate_detail(model: InferenceModel,
     and the key takes one ``take`` and one op per layer; the e = 0 children
     come first.  The merge argsorts the keys once: a state is a run of equal
     sorted keys, its weights one ``np.bincount`` over (symbol, state) for all
-    four rows, and its ``lp`` that of any of its children.  ``lp`` sums are exact, so equal counts give bitwise-equal
-    ``lp``, and ties go to the lowest index as in Monte Carlo and in the 2^M
-    walk; only the weights' order of summation differs from that walk.  A row
+    four rows, and its ``lp`` that of any of its children.
+
+    ``lp`` sums are exact, so equal counts give bitwise-equal ``lp``, and ties
+    go to the lowest index as in Monte Carlo and in the 2^M walk; only the
+    weights' order of summation differs from that walk.  A row
     with a -inf in ``lp`` (the table has a zero likelihood) takes a
     ``_value_key`` instead, one ``np.lexsort`` of those rows alone, so dead
     hypotheses whose histories differ still merge; so does every row when the

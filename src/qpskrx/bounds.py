@@ -27,7 +27,7 @@ def sql_lossy(alpha_sq: float, eta_total: float) -> float:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     if not 0.0 <= eta_total <= 1.0:
         raise ValueError(f"eta_total must be in [0, 1], got {eta_total}")
-    return sql_heterodyne(eta_total * alpha_sq) if eta_total > 0.0 else 0.75  # 0 * inf
+    return sql_heterodyne(eta_total * alpha_sq) if eta_total > 0.0 else 0.75  # 0 * inf is nan
 
 
 def gram_eigenvalues(alpha_sq: float) -> np.ndarray:
