@@ -39,13 +39,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .physics import ChannelModel, off_probs
+from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 _NEG_INF = float("-inf")
 
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else _NEG_INF
+
+
+def check_stages(stages) -> int:
+    """``stages`` as an int; ``ValueError`` unless it is an integer >= 1."""
+    if not isinstance(stages, numbers.Integral):
+        raise ValueError(f"stages must be an integer, got {stages!r}")
+    if stages < 1:
+        raise ValueError(f"stages must be >= 1, got {stages}")
+    return int(stages)  # numpy ints lack bit_length
 
 
 @dataclass(frozen=True)
@@ -66,11 +75,7 @@ class InferenceModel:
     def __post_init__(self):
         if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0:
             raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq}")
-        if not isinstance(self.stages, numbers.Integral):
-            raise ValueError(f"stages must be an integer, got {self.stages!r}")
-        object.__setattr__(self, "stages", int(self.stages))  # numpy ints lack bit_length
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
+        object.__setattr__(self, "stages", check_stages(self.stages))
         ChannelModel(self.eta_total, self.xi)  # range validation
         if not self.nu_per_state >= 0:  # nan too
             raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
@@ -86,21 +91,21 @@ class InferenceModel:
     def channel(self) -> ChannelModel:
         return ChannelModel(self.eta_total, self.xi)
 
-    def off_probs(self) -> np.ndarray:
-        """No-click probability by delta = (m - target) mod 4."""
-        return off_probs(self.gamma_sq, self.channel(), self.nu_per_bin)
-
     def log_likelihood_table(self) -> np.ndarray:
         """(2, 4) array of log p(e | delta) on the dyadic grid of ``_grid_exponent``;
         row 0 is "off", row 1 is "on".
 
-        The off row is ``[o, o - t, o - 2t, o - t]``, with o = log p_off(0) and
-        t = log p_off(0) - log p_off(1) each rounded to the grid: affine in
-        cos(delta pi/2), as the exact logs are.  Every on entry is rounded on
-        its own.  A zero likelihood stays -inf and a rounded zero is +0.0.
+        The off row is ``[o, o - t, o - 2t, o - t]``, with o = -mu(0) and
+        t = mu(1) - mu(0) each rounded to the grid, mu the ``mean_count`` by
+        delta: affine in cos(delta pi/2), as -mu is.  Every on entry,
+        log(1 - exp(-mu)), is rounded on its own.  A zero likelihood
+        (exp(-mu) is 0) stays -inf and a rounded zero is +0.0.
         """
-        p_off = self.off_probs()
-        logs = [[_log(p) for p in p_off], [_log(1.0 - p) for p in p_off]]
+        mu = mean_count(self.gamma_sq, self.channel(), np.array(QUARTER_TURN_COS),
+                        self.nu_per_bin).tolist()
+        p_off = [math.exp(-x) for x in mu]
+        logs = [[-x if p > 0.0 else _NEG_INF for x, p in zip(mu, p_off)],
+                [_log(1.0 - p) for p in p_off]]
         k = _grid_exponent(logs, self.stages)
         o = _dyadic(logs[0][0], k)
         t = _dyadic(logs[0][0] - logs[0][1], k)
@@ -141,6 +146,7 @@ class TruthTables:
     trans: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "stages", check_stages(self.stages))
         if self.first.shape != (4,) or self.trans.shape != (4, 4):
             raise ValueError("truth tables must have shapes (4,) and (4, 4)")
         if not all(np.all((t >= 0.0) & (t <= 1.0)) for t in (self.first, self.trans)):
@@ -150,6 +156,7 @@ class TruthTables:
 def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                          nu_per_state: float) -> TruthTables:
     """Truth model with identical per-bin statistics (no delay, lumped loss)."""
+    stages = check_stages(stages)
     p = off_probs(alpha_sq / stages, ch, nu_per_state / stages)
     return TruthTables(stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 

@@ -5,11 +5,11 @@ stale for ``t_hold``, ramps linearly to the new phase during ``t_swing``, and
 only then sits at the target.  A discard window ``[0, discard_dt)`` at the
 bin start is treated as linear loss, so a segment ``[start, end)`` keeps the
 share ``max(end - max(start, discard_dt), 0) / t_bin`` of the bin's
-intensity: its time outside the window, over ``t_bin``.  A segment at a
-fixed phase takes ``physics.off_probs`` at its intensity; the swing has a
-closed-form continuum-limit no-click probability (tested against a discrete
-L-mode product).  The delay-free comparison model is the same product with
-instantaneous feedback: every segment sits at the new target.
+intensity: its time outside the window, over ``t_bin``.  A segment adds
+``physics.mean_count`` at its intensity and its mean cosine to the bin's mean
+photon count.  The ramp's mean cosine is the continuum limit of a product over
+L modes at equally spaced phases (tested against it).  The delay-free
+comparison model puts every segment at the new target.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
-from .bayes import TruthTables
-from .physics import ChannelModel, off_probs
+from .bayes import TruthTables, check_stages
+from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 
 @dataclass(frozen=True)
@@ -50,23 +52,17 @@ class DelayParams:
                      for start, end in zip(edges, edges[1:]))
 
 
-def off_prob_swing_analytic(m: int, prev_target: int, new_target: int,
-                            swing_sq: float, ch: ChannelModel) -> float:
-    """Continuum-limit no-click probability of the linear phase ramp.
-
-    ``swing_sq`` is the segment's intensity, as ``off_probs`` takes it.  Phases
-    are measured in the frame where the previous target is nulled; the span is
-    the signed minimal rotation (quarter turns) from the previous target.
-    """
-    span = (new_target - prev_target + 1) % 4 - 1
-    if span == 0:
-        raise ValueError("degenerate swing (target unchanged): use off_probs")
-    mm = (m - prev_target) % 4
-    w = ch.eta_total * swing_sq
-    exponent = (-2.0 * w
-                + (4.0 * w / (span * math.pi)) * ch.xi
-                * (math.sin(mm * math.pi / 2) - math.sin((mm - span) * math.pi / 2)))
-    return math.exp(exponent)
+# [dprev, step] cosines of a segment's phase from symbol m, dprev = (m - prev) % 4
+# and step = (target - prev) % 4: stale (at the previous target), settled (at the
+# new one) and the ramp's mean.  The ramp turns span = (step + 1) % 4 - 1 quarter
+# turns (a half turn: +2); its mean cosine, 2 (sin a - sin b) / (span pi) at a =
+# dprev and b = dprev - span, is one of 0 and +-2/pi, with the exact quarter-turn
+# sines sin(k pi/2) = cos((k - 1) pi/2).  At step 0 nothing ramps.
+STALE_COS = np.array(QUARTER_TURN_COS)[:, None].repeat(4, axis=1)
+SETTLED_COS = np.array(QUARTER_TURN_COS)[_kernels.ROLL.T]
+RAMP_COS = np.array([[2.0 * (QUARTER_TURN_COS[(d - 1) % 4] - QUARTER_TURN_COS[(d - span - 1) % 4])
+                      / (span * math.pi) if span else QUARTER_TURN_COS[d]
+                      for span in (0, 1, 2, -1)] for d in range(4)])
 
 
 def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
@@ -74,22 +70,16 @@ def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                        discard_dt: float, include_delay: bool) -> TruthTables:
     """Outcome-generating model with per-bin discarding and optional delay.
 
-    The first bin has no feedback transient and no discard window.  A later
-    bin multiplies its hold, swing and settle segments and the dark-count
-    factor; ``include_delay=False`` makes the feedback instantaneous.
+    The first bin has no feedback transient and no discard window.  A later bin
+    adds the ``mean_count`` of its hold, swing and settle segments and its dark
+    counts; ``include_delay=False`` makes the feedback instantaneous.
     """
+    stages = check_stages(stages)
     gamma_sq = alpha_sq / stages
     nu_bin = nu_per_state / stages
-    hold_sq, swing_sq, settle_sq = (gamma_sq * s for s in params.shares(discard_dt))
-    hold = off_probs(hold_sq, ch)
-    swing = off_probs(swing_sq, ch)[_kernels.ROLL.T]
-    settle = off_probs(settle_sq, ch)[_kernels.ROLL.T]
-    if include_delay:
-        hold = hold[:, None]                # stale phase: indexed by dprev alone
-        for dprev in range(4):
-            for step in range(1, 4):        # the target moves: phase ramp
-                swing[dprev, step] = off_prob_swing_analytic(dprev, 0, step, swing_sq, ch)
-    else:
-        hold = hold[_kernels.ROLL.T]
-    trans = hold * swing * settle * math.exp(-nu_bin)
-    return TruthTables(stages, off_probs(gamma_sq, ch, nu_bin), trans)
+    first = off_probs(gamma_sq, ch, nu_bin)
+    cosines = (STALE_COS, RAMP_COS, SETTLED_COS) if include_delay else (SETTLED_COS,) * 3
+    hold, swing, settle = (mean_count(gamma_sq * share, ch, cos)
+                           for share, cos in zip(params.shares(discard_dt), cosines))
+    trans = np.array([math.exp(-mu) for mu in (hold + swing + settle + nu_bin).flat])
+    return TruthTables(stages, first, trans.reshape(4, 4))

@@ -27,9 +27,9 @@ from qpskrx import montecarlo
 from qpskrx.bayes import (InferenceModel, enumerate_detail,
                           enumerate_error_probability, truth_from_inference)
 from qpskrx.bounds import gram_eigenvalues, helstrom_qpsk, sql_heterodyne
-from qpskrx.delay import DelayParams, delay_truth_tables, off_prob_swing_analytic
+from qpskrx.delay import RAMP_COS, DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec, estimate_error
-from qpskrx.physics import ChannelModel
+from qpskrx.physics import ChannelModel, mean_count
 
 ETA_SE = 0.65
 XI = 0.996
@@ -248,7 +248,8 @@ def test_c10_swing_limit_convergence():
         prev = int(rng.integers(0, 4))
         new = (prev + int(rng.integers(1, 4))) % 4
         g = rng.uniform(0.0, 0.5)
-        exact = off_prob_swing_analytic(m, prev, new, g * params.t_swing / params.t_bin, ch)
+        exact = math.exp(-mean_count(g * params.t_swing / params.t_bin, ch,
+                                     RAMP_COS[(m - prev) % 4, (new - prev) % 4]))
         e_hi = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**4) - exact)
         e_lo = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**2) - exact)
         worst = max(worst, e_hi)

@@ -10,7 +10,7 @@ from oracles import (brute_force_error, decimal_enumeration, kernel_outcomes,
                      reference_trial, truth_off_prob, walk_enumeration)
 from qpskrx import bayes
 from qpskrx._kernels import step_rows
-from qpskrx.bayes import (InferenceModel, _grid_exponent, _value_key,
+from qpskrx.bayes import (InferenceModel, _dyadic, _grid_exponent, _value_key,
                           enumerate_detail, enumerate_error_probability, point_tables,
                           truth_from_inference, uniform_truth_tables)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
@@ -18,11 +18,21 @@ from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec
-from qpskrx.physics import ChannelModel, off_probs
+from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 
 def ideal(alpha_sq, stages):
     return InferenceModel(alpha_sq, stages)
+
+
+def model_off_probs(m):
+    """The model's no-click probabilities by delta."""
+    return off_probs(m.gamma_sq, m.channel(), m.nu_per_bin)
+
+
+def mean_counts(m):
+    """The model's mean photon counts by delta."""
+    return [mean_count(m.gamma_sq, m.channel(), cos, m.nu_per_bin) for cos in QUARTER_TURN_COS]
 
 
 class TestInitialState:
@@ -37,16 +47,16 @@ class TestInitialState:
 
 class TestBinLikelihood:
     def test_matched_hypothesis_never_clicks_ideally(self):
-        assert ideal(1.0, 3).off_probs()[0] == 1.0
+        assert model_off_probs(ideal(1.0, 3))[0] == 1.0
 
     def test_opposite_phase(self):
-        assert InferenceModel(0.5, 1).off_probs()[2] == pytest.approx(
+        assert model_off_probs(InferenceModel(0.5, 1))[2] == pytest.approx(
             math.exp(-2), rel=1e-12)
 
     def test_complement(self):
         # the logs that the dyadic table rounds; the table itself is checked
         # against them in TestDyadicTable
-        p = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3).off_probs()
+        p = model_off_probs(InferenceModel(2.0, 4, 0.7, 0.99, 1e-3))
         np.testing.assert_allclose(np.exp([log(1.0 - x) for x in p]),
                                    1.0 - np.exp([log(x) for x in p]), rtol=0, atol=1e-15)
 
@@ -65,10 +75,14 @@ DYADIC_MODELS = [
 
 @pytest.fixture(params=DYADIC_MODELS, ids=lambda p: "-".join(map(str, p)))
 def dyadic(request):
-    """A model, its table, the exact logs the table rounds and its grid exponent."""
+    """A model, its table, the exact logs the table rounds and its grid exponent.
+
+    The off logs are -mu, -inf where exp(-mu) is 0; the on logs log(1 - exp(-mu)).
+    """
     model = InferenceModel(*request.param)
-    p = model.off_probs()
-    logs = [[log(x) for x in p], [log(1.0 - x) for x in p]]
+    mu = mean_counts(model)
+    p = [math.exp(-x) for x in mu]
+    logs = [[-x if q > 0.0 else -math.inf for x, q in zip(mu, p)], [log(1.0 - q) for q in p]]
     return model, model.log_likelihood_table(), logs, _grid_exponent(logs, model.stages)
 
 
@@ -89,6 +103,14 @@ class TestDyadicTable:
         if np.isfinite(off).all():
             assert off[0] + off[2] == 2.0 * off[1]
         assert ll[0, 1] == ll[0, 3] and ll[1, 1] == ll[1, 3]
+
+    def test_off_row_rounds_the_mean_counts(self, dyadic):
+        # o = -mu(0) and t = mu(1) - mu(0), each rounded to the grid once
+        model, ll, _, k = dyadic
+        mu = mean_counts(model)
+        if np.isfinite(ll[0, :2]).all():
+            assert ll[0, 0] == _dyadic(-mu[0], k)
+            assert ll[0, 0] - ll[0, 1] == _dyadic(mu[1] - mu[0], k)
 
     def test_entries_near_the_logs(self, dyadic):
         # o and the on row round once (half a step); o - t and o - 2t carry
@@ -463,7 +485,7 @@ class TestTruthTables:
     def test_matched_truth_equals_inference_off_probs(self):
         model = InferenceModel(1.5, 4, 0.65, 0.996, 9.1e-3)
         t = truth_from_inference(model)
-        np.testing.assert_allclose(t.first, model.off_probs(), rtol=1e-15)
+        np.testing.assert_allclose(t.first, model_off_probs(model), rtol=1e-15)
 
 
 class TestPointTables:
@@ -513,7 +535,7 @@ class TestMirrorTies:
     model = InferenceModel(2.5, 7, 0.65, 0.996, 9.1e-3)
 
     def test_off_probs(self):
-        p = self.model.off_probs()
+        p = model_off_probs(self.model)
         assert p[1] == p[3]
 
     def test_log_likelihood_table(self):
@@ -531,6 +553,24 @@ class TestMirrorTies:
         for a in range(4):
             for b in range(4):
                 assert t.trans[a, b] == t.trans[-a % 4, -b % 4]
+
+    @pytest.mark.parametrize("dt", np.linspace(0.0, 1.1, 12).tolist())
+    def test_delay_truth_tables(self, dt):
+        # a ramp by -1 quarter turn mirrors one by +1, and the hold and settle
+        # segments sit at exact quarter turns, so steps 0, 1 and 3 tie bitwise
+        t = delay_truth_tables(4.0, 10, ChannelModel(0.65, 0.996), 9.1e-3,
+                               DelayParams(20.0, 0.37, 0.63), dt, True)
+        for a in range(4):
+            for b in (0, 1, 3):
+                assert t.trans[a, b] == t.trans[-a % 4, -b % 4]
+
+    def test_delay_half_turn_is_not_mirrored(self):
+        # a half turn ramps +2 quarter turns whatever the symbol, so column 2 of
+        # trans is the one exception while the ramp is inside the bin
+        t = delay_truth_tables(4.0, 10, ChannelModel(0.65, 0.996), 9.1e-3,
+                               DelayParams(20.0, 0.37, 0.63), 0.5, True)
+        assert t.trans[1, 2] == pytest.approx(0.6067, abs=1e-4)
+        assert t.trans[3, 2] == pytest.approx(0.5968, abs=1e-4)
 
     def test_delay_truth_tables_first_row(self):
         t = delay_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3,

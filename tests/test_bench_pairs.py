@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import signal
 import subprocess
@@ -256,6 +257,70 @@ class TestTier1Counts:
         assert run["returncode"] == 1 and run["wall_s"] > 0
         assert {k: run[k] for k in ("passed", "failed", "skipped", "errors")} == {
             "passed": 1, "failed": 1, "skipped": 1, "errors": 0}
+
+
+def table_probe(golden_sha="g", matched_sha="m", delay_sha="d", truth=(0.5, 0.25),
+                breaks=0):
+    return {"golden": {"sha256": golden_sha, "points": 3, "matched_sha256": matched_sha,
+                       "matched_points": 2},
+            "delay": {"sha256": delay_sha, "points": 1, "matched_sha256": "e",
+                      "matched_points": 0, "mirror_breaks": breaks},
+            "delay_truth": list(truth)}
+
+
+class TestTables:
+    def test_ulps(self):
+        assert bench_pairs.ulps(1.0, 1.0) == 0
+        assert bench_pairs.ulps(1.0, math.nextafter(1.0, 2.0)) == 1
+        assert bench_pairs.ulps(math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)) == 2
+        assert bench_pairs.ulps(0.0, 5e-324) == 1
+
+    def test_mirror_breaks_skip_the_half_turn_column(self):
+        trans = [float(((a * a) % 4) + 10 * ((b * b) % 4)) for a in range(4) for b in range(4)]
+        assert not bench_pairs.mirror_breaks(trans)  # even in a and in b
+        half_turn = list(trans)
+        half_turn[4 * 1 + 2] += 1.0
+        assert not bench_pairs.mirror_breaks(half_turn)
+        quarter_turn = list(trans)
+        quarter_turn[4 * 1 + 3] += 1.0
+        assert bench_pairs.mirror_breaks(quarter_turn)
+
+    def test_delay_grid(self):
+        grid = bench_pairs.delay_grid()
+        assert len(grid) == 2 * len(bench_pairs.TABLE_ALPHA_SQ) * len(bench_pairs.TABLE_STAGES)
+        assert {mode for mode, _ in grid} == {"delay-sweep"}
+        assert len({json.dumps(config, sort_keys=True) for _, config in grid}) == len(grid)
+
+    def test_summary_counts_moved_entries(self):
+        nudged = math.nextafter(math.nextafter(0.25, 1.0), 1.0)
+        out = bench_pairs.summarize_tables({
+            "parent": table_probe(truth=(0.5, 0.25), breaks=2),
+            "change": table_probe(golden_sha="h", delay_sha="d", truth=(0.5, nudged))})
+        assert out["golden_sha256_equal"] is False
+        assert out["golden_matched_sha256_equal"] is True
+        assert out["delay_sha256_equal"] is True
+        assert out["delay_entries"] == 2 and out["delay_entries_moved"] == 1
+        assert out["delay_max_ulps"] == 2
+        assert out["parent"]["delay"]["mirror_breaks"] == 2
+        assert "delay_truth" not in out["parent"]
+
+    def test_summary_of_grids_of_unequal_size(self):
+        out = bench_pairs.summarize_tables({"parent": table_probe(truth=(0.5,)),
+                                            "change": table_probe()})
+        assert out["delay_entries_moved"] is None and out["delay_max_ulps"] is None
+
+    def test_probe_of_this_tree(self):
+        tree = BENCH_PAIRS.parent.parent
+        probe = json.loads(subprocess.run(
+            [sys.executable, str(BENCH_PAIRS), "--table-probe", str(tree)],
+            check=True, capture_output=True, text=True).stdout)
+        points = 13 * len(bench_pairs.delay_grid())
+        assert probe["delay"]["points"] == points
+        assert len(probe["delay_truth"]) == 20 * points
+        assert probe["delay"]["mirror_breaks"] == 0
+        assert 0 < probe["golden"]["matched_points"] < probe["golden"]["points"]
+        same = bench_pairs.summarize_tables({"parent": probe, "change": probe})
+        assert same["delay_entries_moved"] == 0 and same["delay_sha256_equal"]
 
 
 def default_run(sha, wall=1.0, returncode=0):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
-from qpskrx.bayes import TruthTables
-from qpskrx.delay import DelayParams, delay_truth_tables, off_prob_swing_analytic
-from qpskrx.physics import ChannelModel, off_probs
+from qpskrx.bayes import TruthTables, uniform_truth_tables
+from qpskrx.delay import (RAMP_COS, SETTLED_COS, STALE_COS, DelayParams,
+                          delay_truth_tables)
+from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 DEFAULTS = DelayParams(20.0, 0.37, 0.63)
 IDEAL = ChannelModel(1.0, 1.0)
@@ -21,6 +22,12 @@ def bin_off(m, prev, new, gamma_sq, p, ch, nu=0.0, dt=0.0, include_delay=True):
 def swing_sq(gamma_sq, p):
     """Intensity of the undiscarded swing segment."""
     return gamma_sq * p.t_swing / p.t_bin
+
+
+def swing_off(m, prev, new, sq, ch):
+    """No-click probability of the swing segment alone at intensity ``sq``: the
+    fixed-phase formula at the ramp's mean cosine."""
+    return math.exp(-mean_count(sq, ch, RAMP_COS[(m - prev) % 4, (new - prev) % 4]))
 
 
 def random_case(rng):
@@ -102,6 +109,21 @@ class TestValidation:
     def test_truth_tables_accept_the_closed_interval(self):
         TruthTables(10, np.array([0.0, 1.0, 0.5, 1.0]), np.eye(4))
 
+    @pytest.mark.parametrize("stages, message", [(0, ">= 1, got 0"), (-3, ">= 1, got -3"),
+                                                 (2.5, "an integer, got 2.5")])
+    def test_truth_builders_reject_bad_stage_counts(self, stages, message):
+        ch = ChannelModel(0.65, 0.996)
+        builders = [lambda: uniform_truth_tables(3.3, stages, ch, 9.1e-3),
+                    lambda: delay_truth_tables(3.3, stages, ch, 9.1e-3, DEFAULTS, 1.1, True),
+                    lambda: TruthTables(stages, np.full(4, 0.5), np.full((4, 4), 0.5))]
+        for build in builders:
+            with pytest.raises(ValueError, match=f"stages must be {message}"):
+                build()
+
+    def test_truth_tables_take_numpy_stage_counts(self):
+        t = TruthTables(np.int64(10), np.full(4, 0.5), np.full((4, 4), 0.5))
+        assert type(t.stages) is int and t.stages == 10
+
 
 class TestHoldSegment:
     def test_matched_phase(self):
@@ -113,7 +135,7 @@ class TestHoldSegment:
         # settle sits at the new target (exactly 1), so hold * swing is left
         hold, swing, _ = DEFAULTS.shares(0.0)
         p = bin_off(2, 0, 2, 1.0, DEFAULTS, IDEAL)
-        p /= off_prob_swing_analytic(2, 0, 2, 1.0 * swing, IDEAL)
+        p /= swing_off(2, 0, 2, 1.0 * swing, IDEAL)
         assert p == pytest.approx(math.exp(-2 * 0.0185 * 2), rel=1e-12)
         assert off_probs(hold * 1.0, IDEAL)[2] == pytest.approx(
             math.exp(-2 * 0.0185 * 2), rel=1e-12)
@@ -125,21 +147,23 @@ class TestHoldSegment:
 
 class TestSwingSegment:
     def test_vacuum_signal(self):
-        assert off_prob_swing_analytic(1, 0, 2, swing_sq(0.0, DEFAULTS), IDEAL) == 1.0
+        assert swing_off(1, 0, 2, swing_sq(0.0, DEFAULTS), IDEAL) == 1.0
         assert off_prob_swing_discrete(1, 0, 2, 0.0, DEFAULTS, IDEAL, 50) == pytest.approx(
             1.0, abs=1e-15)
 
     def test_zero_visibility_is_phase_independent(self):
         ch = ChannelModel(0.8, 0.0)
-        vals = {off_prob_swing_analytic(m, 0, 1, swing_sq(0.7, DEFAULTS), ch)
+        vals = {swing_off(m, 0, 1, swing_sq(0.7, DEFAULTS), ch)
                 for m in range(4)}
         ref = math.exp(-2 * 0.8 * (0.63 / 20) * 0.7)
         for v in vals:
             assert v == pytest.approx(ref, rel=1e-12)
 
-    def test_degenerate_span_rejected(self):
-        with pytest.raises(ValueError, match="degenerate swing"):
-            off_prob_swing_analytic(1, 2, 2, swing_sq(0.5, DEFAULTS), IDEAL)
+    def test_unchanged_target_does_not_ramp(self):
+        # step 0: the ramp's cosine is the settled one, the phase from the target
+        assert RAMP_COS[:, 0].tolist() == SETTLED_COS[:, 0].tolist() == list(QUARTER_TURN_COS)
+        assert swing_off(1, 2, 2, swing_sq(0.5, DEFAULTS), IDEAL) == off_probs(
+            swing_sq(0.5, DEFAULTS), IDEAL)[3]
 
     def test_two_mode_product_by_hand(self):
         # L=2, m = prev_target: endpoints theta in {0, m2*pi/2}
@@ -155,11 +179,41 @@ class TestSwingSegment:
         rng = np.random.default_rng(7)
         for _ in range(25):
             p, ch, m, prev, new, g = random_case(rng)
-            target = off_prob_swing_analytic(m, prev, new, swing_sq(g, p), ch)
+            target = swing_off(m, prev, new, swing_sq(g, p), ch)
             errs = [abs(off_prob_swing_discrete(m, prev, new, g, p, ch, L) - target)
                     for L in (10, 100, 10**4)]
             assert errs[0] >= errs[1] >= errs[2]
             assert errs[2] <= 1e-6
+
+
+class TestCosineTables:
+    def test_ramp_cos_takes_the_three_mean_cosines(self):
+        moving = RAMP_COS[:, 1:].ravel().tolist()
+        assert set(moving) == {0.0, 2.0 / math.pi, -2.0 / math.pi}
+        assert not any(math.copysign(1.0, c) < 0 for c in moving if c == 0.0)
+
+    def test_ramp_cos_is_the_mean_over_the_ramp(self):
+        # the phase from symbol m runs linearly from dprev to dprev - span quarter
+        # turns, span = 1, 2, -1 at step 1, 2, 3 (a half turn ramps +2)
+        s = np.linspace(0.0, 1.0, 100_001)
+        for dprev in range(4):
+            for step, span in zip((1, 2, 3), (1, 2, -1)):
+                cos = np.cos((dprev - span * s) * math.pi / 2)
+                mean = (cos[1:] + cos[:-1]).mean() / 2  # trapezoid rule
+                assert RAMP_COS[dprev, step] == pytest.approx(mean, abs=1e-10)
+
+    def test_stale_and_settled_cosines(self):
+        for dprev in range(4):
+            for step in range(4):
+                assert STALE_COS[dprev, step] == QUARTER_TURN_COS[dprev]
+                assert SETTLED_COS[dprev, step] == QUARTER_TURN_COS[(dprev - step) % 4]
+
+    def test_tables_mirror_but_for_the_half_turn(self):
+        for a in range(4):
+            for b in range(4):
+                for table in (STALE_COS, SETTLED_COS):
+                    assert table[a, b] == table[-a % 4, -b % 4]
+                assert (RAMP_COS[a, b] == RAMP_COS[-a % 4, -b % 4]) == (b != 2 or a % 2 == 0)
 
 
 class TestFullBin:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from oracles import qpsk_amplitudes, run_point
 from qpskrx.bayes import InferenceModel, enumerate_detail
-from qpskrx.physics import ChannelModel, off_probs
+from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 IDEAL = ChannelModel(1.0, 1.0)
 
@@ -21,7 +21,8 @@ def kernel_clicks(u, p_off):
 
 class TestSymbolAmplitude:
     def test_zero_magnitude(self):
-        assert InferenceModel(0.0, 5).off_probs().tolist() == [1.0] * 4
+        m = InferenceModel(0.0, 5)
+        assert off_probs(m.gamma_sq, m.channel(), m.nu_per_bin).tolist() == [1.0] * 4
 
     def test_unit_magnitude_first_symbol(self):
         g = qpsk_amplitudes(1.0)[0]
@@ -62,6 +63,26 @@ class TestOffProbability:
         p = off_probs(0.25, IDEAL, nu_per_bin=9.1e-4)[0]
         assert p == pytest.approx(math.exp(-9.1e-4), rel=1e-12)
         assert p == pytest.approx(0.99909, abs=5e-6)
+
+
+class TestMeanCount:
+    @given(gamma_sq=st.floats(0, 1e6), eta=st.floats(0, 1), xi=st.floats(0, 1),
+           nu=st.floats(0, 10.0))
+    def test_off_probs_is_exp_of_minus_the_count(self, gamma_sq, eta, xi, nu):
+        ch = ChannelModel(eta, xi)
+        expected = [math.exp(-mean_count(gamma_sq, ch, cos, nu)) for cos in QUARTER_TURN_COS]
+        assert off_probs(gamma_sq, ch, nu).tolist() == expected  # bitwise
+
+    def test_array_of_cosines_matches_scalars(self):
+        ch = ChannelModel(0.65, 0.996)
+        cos = np.array([1.0, 2.0 / math.pi, 0.0, -2.0 / math.pi, -1.0])
+        counts = mean_count(0.33, ch, cos, 9.1e-4)
+        assert counts.tolist() == [mean_count(0.33, ch, c, 9.1e-4) for c in cos.tolist()]
+
+    def test_hand_value(self):
+        # nu + 2 eta (1 - xi cos) gamma^2 at the opposite phase
+        assert mean_count(0.5, ChannelModel(0.8, 0.9), -1.0, 0.01) == pytest.approx(
+            0.01 + 2 * 0.8 * 1.9 * 0.5, rel=1e-15)
 
 
 class TestOffProbabilityVisibility:

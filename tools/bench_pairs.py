@@ -40,7 +40,19 @@ seconds, by this process's clock, the exit code, the CSV sha256 and whether
 the two sides wrote the same bytes.
 
 The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
-side, and their total.  The record, headed by the change's commit subject,
+side, and their total.
+
+The ``tables`` section hashes the tables the CLI feeds its estimators, from
+each side's source in a fresh interpreter: ``bayes.point_tables`` of every
+point that ``cli.run`` builds (estimators stubbed out) over the golden configs
+of the side's ``tests/test_cli.py`` (``GOLDEN_CSV``), and over the delay grid,
+``delay-sweep`` at its default 13 discard windows for every |alpha|^2 in
+``TABLE_ALPHA_SQ``, M in ``TABLE_STAGES`` and ``truth_delay`` on and off.  Per
+side: the sha256 and point count of each set, and of its points with the
+matched truth model (``uniform_truth_tables``), and the delay grid's tables
+whose ``trans`` breaks the mirror symmetry ``trans[a, b] == trans[-a, -b]``
+off the half-turn column.  Between the sides: how many of the delay grid's
+truth entries (``first`` and ``trans``) moved, and by how many ulps at most.  The record, headed by the change's commit subject,
 goes to ``BENCH_<change sha>.json`` in the current directory.
 
 A SIGTERM stops the writer as an exit does: the running child is killed and
@@ -57,11 +69,13 @@ import platform
 import re
 import signal
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -80,6 +94,9 @@ EXACT_ALPHA_SQ = 3.0
 EXACT_BEST_OF = 5
 EXACT_ROUNDS = 10
 FIVE_POINT_REPS = 15
+# the delay grid of the tables section: delay-sweep at these |alpha|^2 and M
+TABLE_ALPHA_SQ = (1.0, 2.0, 3.3, 4.0, 6.0, 9.4)
+TABLE_STAGES = (4, 6, 8, 10, 13, 16, 20, 30)
 # the tier-1 verify command of ROADMAP.md, run with PYTHONPATH=src prepended
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 TIER1_COUNT = re.compile(r"(\d+) (passed|failed|skipped|errors?)\b")
@@ -274,6 +291,100 @@ def summarize_exact(rounds: list[dict]) -> dict:
     return out
 
 
+def delay_grid() -> list[tuple[str, dict]]:
+    """The delay grid's (mode, config overrides): 2 * 6 * 8 runs of 13 points."""
+    return [("delay-sweep", {"alpha_sq": a, "m": m, "truth_delay": on})
+            for on in (True, False) for a in TABLE_ALPHA_SQ for m in TABLE_STAGES]
+
+
+def mirror_breaks(trans: list[float]) -> bool:
+    """Whether a row-major 4 x 4 ``trans`` has ``trans[a, b] != trans[-a, -b]``
+    in a column other than the half turn, b = 2."""
+    return any(trans[4 * a + b] != trans[4 * (-a % 4) + (-b % 4)]
+               for a in range(4) for b in (0, 1, 3))
+
+
+def table_probe(tree: str) -> dict:
+    """Hash the tables that ``cli.run`` builds from ``tree``'s source, in this
+    interpreter (see module doc); for the delay grid also each point's truth
+    entries, ``first`` then ``trans`` row-major."""
+    sys.path[:0] = [f"{tree}/src", f"{tree}/tests"]
+    from qpskrx import cli
+    from qpskrx.bayes import point_tables
+    from qpskrx.config import load_config
+    from test_cli import GOLDEN_CSV
+
+    points = []
+
+    def estimate_errors(grid, *args):
+        points.extend(grid)
+        return [types.SimpleNamespace(error_prob=0.0, stderr=0.0)] * len(grid)
+
+    def enumerate_error_probability(model):
+        points.append((model, None))
+        return 0.0
+
+    cli.estimate_errors = estimate_errors
+    cli.enumerate_error_probability = enumerate_error_probability
+
+    def tables(runs) -> dict:
+        points.clear()
+        for mode, config in runs:
+            cli.run(load_config(overrides=config, mode=mode))
+        digest, matched = hashlib.sha256(), hashlib.sha256()
+        for model, truth in points:
+            for table in point_tables(model, truth):
+                digest.update(table.tobytes())
+                if truth is None:
+                    matched.update(table.tobytes())
+        return {"sha256": digest.hexdigest(), "points": len(points),
+                "matched_sha256": matched.hexdigest(),
+                "matched_points": sum(truth is None for _, truth in points)}
+
+    out = {"golden": tables((mode, config) for mode, config, _ in GOLDEN_CSV),
+           "delay": tables(delay_grid())}
+    truth = [(t.first.tolist(), t.trans.ravel().tolist()) for _, t in points]
+    out["delay"]["mirror_breaks"] = sum(mirror_breaks(trans) for _, trans in truth)
+    out["delay_truth"] = [x for first, trans in truth for x in first + trans]
+    return out
+
+
+def ulps(a: float, b: float) -> int:
+    """Units in the last place between two non-negative floats."""
+    bits = struct.unpack("<2q", struct.pack("<2d", a, b))
+    return abs(bits[0] - bits[1])
+
+
+def summarize_tables(probes: dict) -> dict:
+    """Per side the two sets' digests, point counts and mirror breaks; whether
+    each set, and the golden configs' matched points, hash equal; the delay
+    grid's truth entries that moved between the sides and their largest ulp
+    distance (None if the grids differ in size)."""
+    entries = [probes[side]["delay_truth"] for side in SIDES]
+    moved = [ulps(a, b) for a, b in zip(*entries) if a != b]
+    same_size = len(entries[0]) == len(entries[1])
+    return {**{side: {key: probes[side][key] for key in ("golden", "delay")}
+               for side in SIDES},
+            **{f"{key}_{part}sha256_equal": probes["parent"][key][f"{part}sha256"]
+               == probes["change"][key][f"{part}sha256"]
+               for key, part in (("golden", ""), ("golden", "matched_"), ("delay", ""))},
+            "delay_entries": len(entries[1]),
+            "delay_entries_moved": len(moved) if same_size else None,
+            "delay_max_ulps": max(moved, default=0) if same_size else None}
+
+
+def run_tables(trees: dict) -> dict:
+    probes = {side: json.loads(subprocess.run(
+        [sys.executable, __file__, "--table-probe", str(trees[side])],
+        check=True, capture_output=True, text=True).stdout) for side in SIDES}
+    return {"method": "bayes.point_tables of every point cli.run builds, estimators "
+                      "stubbed, over tests/test_cli.GOLDEN_CSV and the delay grid: "
+                      f"delay-sweep at |alpha|^2 in {TABLE_ALPHA_SQ}, M in "
+                      f"{TABLE_STAGES}, truth_delay on and off; moved entries and "
+                      "ulps over the delay grid's truth tables (first and trans)",
+            **summarize_tables(probes)}
+
+
 def tier1_counts(stdout: str) -> dict:
     """Passed, failed, skipped and error counts from pytest's last output line,
     e.g. ``2 failed, 418 passed, 1 skipped, 1 error in 80.70s (0:01:20)``."""
@@ -362,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["--exact-probe"]:
         print(json.dumps(exact_probe(argv[1])))
         return 0
+    if argv[:1] == ["--table-probe"]:
+        print(json.dumps(table_probe(argv[1])))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
@@ -385,6 +499,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
         record["size"] = {side: source_lines(trees[side]) for side in SIDES}
+        record["tables"] = run_tables(trees)
+        print(f"tables: {record['tables']['delay_entries_moved']} delay entries moved, "
+              f"at most {record['tables']['delay_max_ulps']} ulps", flush=True)
         record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                            "first": SIDES[0],
                            **{side: run_tier1(trees[side]) for side in SIDES}}
