@@ -9,14 +9,15 @@ estimators read one point's tables, in one layout, from ``point_tables``.
 
 ``enumerate_error_probability`` is the exact answer the Monte Carlo engine
 is checked against.  It is a dynamic program with one layer per bin: outcome
-histories that leave the receiver in the same state (the outcome counts the
-log-posterior depends on, and the previous target) are merged on one int64
-key, so a layer holds a few thousand states at M=16 where a plain walk
-visits 2^M histories.  A state is indexed by ``s = 4 * prev + cur`` into
+histories that leave the receiver in the same state (the differences of the
+outcome counts the log-posterior depends on, which fix it up to a constant
+vector, and the previous target) are merged on one int64 key, so a layer
+holds a few thousand states at M=16 where a plain walk visits 2^M
+histories.  A state is indexed by ``s = 4 * prev + cur`` into
 per-point tables of its log-likelihood steps, truth outcome probabilities
 and key steps; a layer's children are grouped by one argsort of their keys.
 The test suite keeps the 2^M walk and a merge by one
-``np.lexsort`` over raw outcome counts as its oracles.
+``np.lexsort`` over differences of raw outcome counts as its oracles.
 
 Every path (this dynamic program, the Monte Carlo kernel and the test
 oracles) keeps the un-normalized log-posterior ``lp`` and targets its first
@@ -57,6 +58,15 @@ def check_stages(stages) -> int:
     return int(stages)  # numpy ints lack bit_length
 
 
+def check_mean_counts(alpha_sq: float, nu_per_state: float) -> None:
+    """``ValueError`` unless the signal's mean photon number ``alpha_sq`` is finite
+    and >= 0 and the dark counts ``nu_per_state`` are >= 0 (not nan)."""
+    if not 0 <= alpha_sq < math.inf:  # nan too
+        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
+    if not nu_per_state >= 0:
+        raise ValueError(f"nu_per_state must be >= 0, got {nu_per_state}")
+
+
 @dataclass(frozen=True)
 class InferenceModel:
     """Likelihood model used in the posterior update.
@@ -73,12 +83,9 @@ class InferenceModel:
     nu_per_state: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha_sq) or self.alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq}")
+        check_mean_counts(self.alpha_sq, self.nu_per_state)
         object.__setattr__(self, "stages", check_stages(self.stages))
         ChannelModel(self.eta_total, self.xi)  # range validation
-        if not self.nu_per_state >= 0:  # nan too
-            raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
 
     @property
     def gamma_sq(self) -> float:
@@ -157,6 +164,7 @@ def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
                          nu_per_state: float) -> TruthTables:
     """Truth model with identical per-bin statistics (no delay, lumped loss)."""
     stages = check_stages(stages)
+    check_mean_counts(alpha_sq, nu_per_state)
     p = off_probs(alpha_sq / stages, ch, nu_per_state / stages)
     return TruthTables(stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 
@@ -179,7 +187,7 @@ def point_tables(model: InferenceModel,
 
 
 # Merged states a layer of the exact DP may hold (the experimental condition
-# peaks at 170,308 states at M=50, |alpha|^2 = 3).
+# at |alpha|^2 = 3 peaks at 41,696 states at M=50 and 184,674 at M=100).
 MAX_ENUM_STATES = 1 << 18
 
 
@@ -218,26 +226,48 @@ _ONES = np.ones(4)
 _ROWS = np.arange(4)[:, None]
 
 
+def _count_fields(stages: int) -> tuple[tuple[int, ...], int]:
+    """Shifts of the count key's signed fields D_1, D_2, E_0, E_1, E_2 (most
+    significant first; prev takes the low 2 bits) and the bits the key needs.
+
+    |D_h| <= 2 M and |E_c| <= M, so a field of (4 M).bit_length() bits for D_h
+    and (2 M).bit_length() bits for E_c holds the magnitude below half its
+    width.  By induction from prev (0..3 below bit 2), the fields below one
+    at shift s then sum to a value in (-2^(s-1), 2^(s-1)): a telescoping bound,
+    so the packed int64 is injective and orders as the fields lexicographically,
+    and it lies in (-2^(bits-1), 2^(bits-1)).
+    """
+    wd, we = (4 * stages).bit_length(), (2 * stages).bit_length()
+    shifts = (2 + 3 * we + wd, 2 + 3 * we, 2 + 2 * we, 2 + we, 2)
+    return shifts, 2 + 3 * we + 2 * wd
+
+
 def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
     """Row ``2 * cur + e``: what outcome e at target cur adds to the count key, and
-    whether the key's fields fit in ``KEY_BITS``.
+    whether the key's fields fit in ``KEY_BITS`` (M <= 1023).
 
-    The key packs, most significant first, X_0, X_1, X_2 (2 M + 1 values each),
-    the click counts n_0, n_1, n_2 (M + 1 values each) and the previous target
-    in the low 2 bits.  X_h = sum_c n_{c,off} W[(h - c) % 4] counts the t's that
-    no-clicks at target c took from hypothesis h, so after i bins
-    ``lp[h] = N o - X_h t + sum_c n_{c,on} on[(h - c) % 4]`` with N = (X_0 + X_2) / 2
-    no-clicks, X_3 = X_0 - X_1 + X_2 and n_3 = i - N - n_0 - n_1 - n_2.  When the
-    fields do not fit, the rows only carry the previous target.
+    X_h = sum_c n_{c,off} W[(h - c) % 4] counts the t's that no-clicks at target
+    c took from hypothesis h, and n_c counts the clicks at target c, so
+    ``lp[h] = N o - X_h t + sum_c n_c on[(h - c) % 4]`` with N = (X_0 + X_2) / 2
+    no-clicks.  The key holds differences (``_count_fields``): D_h = X_h - X_0
+    for h = 1, 2 (X_3 - X_0 = D_2 - D_1) and E_c = n_c - n_3 for c = 0, 1, 2,
+    then the previous target.  Adding a to every X_h adds a (o - t) to every
+    ``lp[h]``, and adding b to every n_c adds b times the on row's sum, so
+    histories with equal keys have ``lp`` rows that differ by a constant
+    vector, exactly, as every sum on the dyadic grid is exact: their argmaxes
+    and ties agree bitwise now and after any common outcomes.  Each difference
+    is linear in the outcomes, so a child's key is its parent's plus one step.
+    When the fields do not fit, the rows only carry the previous target.
     """
-    nx, nn = (2 * stages).bit_length(), stages.bit_length()
-    fits = 2 + 3 * (nx + nn) <= KEY_BITS
+    shifts, bits = _count_fields(stages)
+    fits = bits <= KEY_BITS
     steps = np.repeat(np.arange(4, dtype=np.int64), 2)  # prev = cur
     if fits:
+        fields = np.zeros((8, 5), dtype=np.int64)  # row 2 * cur + e: D_1, D_2, E_0..E_2
         for c in range(4):
-            steps[2 * c] += sum(_W[(h - c) % 4] << 2 + 3 * nn + (2 - h) * nx
-                                for h in range(3))
-            steps[2 * c + 1] += 1 << 2 + (2 - c) * nn if c < 3 else 0
+            fields[2 * c, :2] = [_W[(h - c) % 4] - _W[-c % 4] for h in (1, 2)]
+            fields[2 * c + 1, 2:] = np.eye(3, dtype=np.int64)[c] if c < 3 else -1
+        steps += fields @ (np.int64(1) << np.array(shifts, dtype=np.int64))
     return steps, fits
 
 
@@ -252,8 +282,8 @@ def enumerate_detail(model: InferenceModel,
     (the current target is the first-maximum argmax of ``lp``).  Children are
     merged on an int64 key into states whose per-symbol linear weights are
     summed in child order.  A child's key is its parent's plus one
-    ``_count_steps`` row: the outcome counts ``lp`` is a function of and the
-    previous target.
+    ``_count_steps`` row: the differences of the outcome counts that fix
+    ``lp`` up to a constant vector, and the previous target.
 
     A state's index ``s = 4 * prev + cur`` picks its rows of four tables
     built once per point: the ``lp`` step ``[e, s, h]``, the truth probability
@@ -264,9 +294,12 @@ def enumerate_detail(model: InferenceModel,
     sorted keys, its weights one ``np.bincount`` over (symbol, state) for all
     four rows, and its ``lp`` that of any of its children.
 
-    ``lp`` sums are exact, so equal counts give bitwise-equal ``lp``, and ties
-    go to the lowest index as in Monte Carlo and in the 2^M walk; only the
-    weights' order of summation differs from that walk.  A row
+    ``lp`` sums are exact, so the children of a state hold ``lp`` rows that
+    differ by an exact constant vector: the receiver's targets from then on,
+    and its ties, which go to the lowest index as in Monte Carlo and in the
+    2^M walk, do not depend on which child represents the state, and the
+    weights never read ``lp``.  Only the weights' order of summation differs
+    from that walk.  A row
     with a -inf in ``lp`` (the table has a zero likelihood) takes a
     ``_value_key`` instead, one ``np.lexsort`` of those rows alone, so dead
     hypotheses whose histories differ still merge; so does every row when the
@@ -312,8 +345,12 @@ def enumerate_detail(model: InferenceModel,
         # each state's weights summed in child order, all four rows in one pass
         w = np.bincount((group + (n * _ROWS - 1)).ravel(), weights=w.ravel(),
                         minlength=4 * n).reshape(4, n)
-        # any child of a state will do: its merge key, and lp, which starts at
-        # +0.0 and only adds logs of (0, 1] or -inf, so it has no -0.0 and
+        # any child of a state will do: its merge key, and lp, whose rows
+        # differ between the state's children by an exact constant vector, so
+        # argmax and ties agree bitwise.  Where the value key ranks rows (a
+        # table with a -inf), a finite row has no clicks or no no-clicks, so
+        # equal count keys mean equal counts and equal lp.  lp starts at +0.0
+        # and only adds logs of (0, 1] or -inf, so it has no -0.0 and
         # value-equal rows are bitwise equal
         lp, ck = lp.take(order.take(at), axis=0), ck.take(at)
         cur = lp.argmax(axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import TruthTables, check_stages
+from .bayes import TruthTables, check_mean_counts, check_stages
 from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 
@@ -75,6 +75,7 @@ def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
     counts; ``include_delay=False`` makes the feedback instantaneous.
     """
     stages = check_stages(stages)
+    check_mean_counts(alpha_sq, nu_per_state)
     gamma_sq = alpha_sq / stages
     nu_bin = nu_per_state / stages
     first = off_probs(gamma_sq, ch, nu_bin)

@@ -9,7 +9,7 @@
   60-digit log-posterior built without the package's log-likelihood table,
   the oracle of the tie rule; ``lexsort_enumeration``: the same
   merged-state dynamic program with the merge done by ``np.lexsort`` over
-  coordinates of raw per-target outcome counts, its bitwise oracle; ``brute_force_error``: the ideal receiver from complex
+  differences of raw per-target outcome counts, its bitwise oracle; ``brute_force_error``: the ideal receiver from complex
   amplitudes, sharing no table with the package.
 - ``off_probability_visibility``, ``off_prob_swing_discrete`` and
   ``qpsk_gram``: the click probability at any phase, the L-mode product of
@@ -208,8 +208,10 @@ def lexsort_enumeration(model, truth=None, counts=True):
     """``enumerate_detail`` with states merged by one ``np.lexsort``.
 
     Each child carries its raw outcome counts n[c, e], per target c and
-    outcome e.  A child whose ``lp`` is finite sorts on X_0..X_3, where
-    X_h = sum_c n[c, 0] W[(h - c) % 4], then n[0, 1]..n[3, 1], then prev; a
+    outcome e.  A child whose ``lp`` is finite sorts on X_1 - X_0, X_2 - X_0,
+    X_3 - X_0, where X_h = sum_c n[c, 0] W[(h - c) % 4], then n[c, 1] - n[3, 1]
+    for c = 0, 1, 2, then prev: coordinates that fix ``lp`` up to a constant
+    vector, and a state's ``lp`` is that of its first child in this order; a
     child with a -inf in ``lp`` (every child if ``counts`` is false) sorts
     after them on (lp0, lp1, lp2, lp3, prev).  A new state starts wherever a
     sorted row differs from the one before it, and the weights of each run
@@ -237,7 +239,8 @@ def lexsort_enumeration(model, truth=None, counts=True):
         n = np.concatenate((n + outcome[2 * cur], n + outcome[2 * cur + 1]))
         prev = np.concatenate((cur, cur))
         dead = (np.isneginf(lp).any(axis=1) | (not counts))[:, None]
-        coords = np.column_stack((n[:, 0::2] @ proj, n[:, 1::2]))
+        x, clicks = n[:, 0::2] @ proj, n[:, 1::2]
+        coords = np.column_stack((x[:, 1:] - x[:, :1], clicks[:, :3] - clicks[:, 3:]))
         rows = np.column_stack((dead, np.where(dead, 0, coords), np.where(dead, lp, 0.0),
                                 prev))
         order = np.lexsort(rows.T[::-1])

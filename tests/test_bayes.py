@@ -17,7 +17,7 @@ from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.montecarlo import RngSpec
+from qpskrx.montecarlo import RngSpec, estimate_errors
 from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 
@@ -230,6 +230,23 @@ class TestEnumeration:
         assert detail.peak_states <= bayes.MAX_ENUM_STATES
         assert detail.error_prob == pytest.approx(detail.per_symbol_error.mean(), abs=1e-15)
 
+    @staticmethod
+    def experimental(stages):
+        """The default config's experimental condition at |alpha|^2 = 3."""
+        return matched_inference(load_config(None, {}, mode="enumerate"), 3.0, m=stages)
+
+    def test_relative_merge_at_m50(self):
+        # merged on absolute outcome counts it peaked at 170,308 states
+        assert enumerate_detail(self.experimental(50)).peak_states <= 45_000
+
+    def test_m100_within_budget_and_monte_carlo(self):
+        # merged on absolute outcome counts, layer 60 held 267,613 states
+        model = self.experimental(100)
+        detail = enumerate_detail(model)
+        assert detail.peak_states <= bayes.MAX_ENUM_STATES
+        mc = estimate_errors([(model, None)], 40_000, RngSpec(23))[0]
+        assert abs(mc.error_prob - detail.error_prob) < 5 * mc.stderr
+
     def test_state_budget(self, monkeypatch):
         model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
         peak = enumerate_detail(model).peak_states
@@ -415,18 +432,66 @@ class TestMergedStates:
                                        InferenceModel(1.0, 12, 0.8, 0.99, 5e-3)],
                              ids=["experimental-m16", "lossy-m12"])
     def test_value_key_when_count_fields_do_not_fit(self, monkeypatch, model):
-        # X_0..X_2 take (2M).bit_length() bits each, n_0..n_2 M.bit_length()
+        # D_1, D_2 take (4M).bit_length() bits each, E_0..E_2 (2M).bit_length()
         # and prev 2; one bit short, every row merges on its lp values
         counts, values = lexsort_enumeration(model), lexsort_enumeration(model, counts=False)
         assert counts.branch_totals.tobytes() != values.branch_totals.tobytes()
-        bits = 5 + 6 * model.stages.bit_length()
+        m = model.stages
+        bits = 2 + 3 * (2 * m).bit_length() + 2 * (4 * m).bit_length()
         monkeypatch.setattr(bayes, "KEY_BITS", bits)
         assert_bitwise_equal(enumerate_detail(model), counts)
         monkeypatch.setattr(bayes, "KEY_BITS", bits - 1)
         assert_bitwise_equal(enumerate_detail(model), values)
 
-    def test_count_fields_fit_below_m512(self):
-        assert bayes._count_steps(511)[1] and not bayes._count_steps(512)[1]
+    def test_count_fields_fit_below_m1024(self):
+        assert bayes._count_steps(1023)[1] and not bayes._count_steps(1024)[1]
+
+
+def field_rows(stages):
+    """Rows (D_1, D_2, E_0, E_1, E_2, prev) of the count key at M = ``stages``."""
+    d, e = 2 * stages, stages
+    return st.tuples(*[st.integers(-d, d)] * 2, *[st.integers(-e, e)] * 3, st.integers(0, 3))
+
+
+def field_corners(stages):
+    """Every field at its least, zero or greatest value, prev 0 or 3."""
+    d, e = 2 * stages, stages
+    return list(itertools.product((-d, 0, d), (-d, 0, d), *[(-e, 0, e)] * 3, (0, 3)))
+
+
+class TestCountKeyLayout:
+    """The packed count key against ``np.lexsort`` of its signed fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stages=st.sampled_from([1, 1023]) | st.integers(1, 1023), data=st.data())
+    def test_packs_injectively_in_lexicographic_order(self, stages, data):
+        rows = data.draw(st.lists(field_rows(stages), min_size=1, max_size=40))
+        fields = np.array(rows + rows[::3] + field_corners(stages), dtype=np.int64)
+        shifts, bits = bayes._count_fields(stages)
+        key = fields[:, :5] @ (np.int64(1) << np.array(shifts, dtype=np.int64)) + fields[:, 5]
+        assert np.abs(key).max() < 1 << bits - 1 and bits <= bayes.KEY_BITS
+        order = np.lexsort(fields.T[::-1])
+        np.testing.assert_array_equal(np.argsort(key, kind="stable"), order)
+        ties = np.all(fields[order][1:] == fields[order][:-1], axis=1)
+        np.testing.assert_array_equal(key[order][1:] == key[order][:-1], ties)
+        np.testing.assert_array_equal(key & 3, fields[:, 5])
+
+    def test_steps_carry_the_fields(self):
+        # after any outcomes, the key is the packed fields of the raw counts
+        stages = 1023
+        steps, fits = bayes._count_steps(stages)
+        shifts, _ = bayes._count_fields(stages)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            outcomes = rng.integers(0, 8, size=stages)  # row 2 * cur + e
+            key, prev = 0, 0
+            for row in outcomes.tolist():
+                key += int(steps[row]) - prev
+                prev = row // 2
+            n = np.bincount(outcomes, minlength=8).reshape(4, 2)  # n[c, e]
+            x = [sum(int(n[c, 0]) * bayes._W[(h - c) % 4] for c in range(4)) for h in range(3)]
+            fields = (x[1] - x[0], x[2] - x[0], *(int(n[c, 1] - n[3, 1]) for c in range(3)))
+            assert fits and key == sum(f << s for f, s in zip(fields, shifts)) + prev
 
 
 def assert_bitwise_equal(detail, oracle):

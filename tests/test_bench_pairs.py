@@ -110,6 +110,24 @@ class TestSummarizeExact:
         assert out["ideal_M100"]["parent"] == {"refused": "capped; got M=100"}
         assert out["ideal_M100"]["ratio_median"] is None
 
+    def test_experimental_condition_at_m100_refused_by_one_side(self):
+        # a side whose layer at M=100 is over the state budget keeps its message
+        message = "enumeration: layer 60 of 100 holds 267613 merged states"
+
+        def probe(scale, refuse=False):
+            out = {key: {"best_s": scale, "peak_states": 7} for key in bench_pairs.EXACT_KEYS}
+            if refuse:
+                out["M100"] = {"refused": message}
+            return {**out, "five_point_s": scale}
+
+        rounds = [{"first": "parent", "parent": probe(1.0, True), "change": probe(0.5)},
+                  {"first": "change", "parent": probe(2.0, True), "change": probe(1.0)}]
+        out = bench_pairs.summarize_exact(rounds)
+        assert out["M100"]["parent"] == {"refused": message}
+        assert out["M100"]["change"] == {"best_s": 0.75, "peak_states": 7}
+        assert out["M100"]["ratio_median"] is None
+        assert out["M50"]["ratio_median"] == 0.5
+
     def test_stages_probe_records_a_refusal(self):
         class Detail:
             peak_states = 7

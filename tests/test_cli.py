@@ -361,12 +361,12 @@ GOLDEN_CSV = [
     # values moved by 2.2e-16 (sql at 1 and 2, sql_lossy at 4)
     ("bounds", {"alpha_sq_start": 0.0, "alpha_sq_stop": 4.0, "alpha_sq_points": 5},
      "c21bda8e3df3d4ccfbe2f311002b89d2a65e95589facfe10bbaeb284c99c05a0"),
-    # the exact DP merges on outcome-count keys, which orders its states, and
-    # so the sums of their weights, differently: 2.25 moved by -1.1e-16 and
-    # 4.0 by -5.6e-17
+    # the exact DP merges on differences of outcome counts, which joins states
+    # whose log-posteriors differ by a constant vector and so sums their
+    # weights in another order: 2.25 moved by +8.3e-17 and 4.0 by +5.6e-17
     ("enumerate", {"m": 6, "alpha_sq_start": 0.5, "alpha_sq_stop": 4.0,
                    "alpha_sq_points": 3},
-     "bc7c9b058f1106e528f1737587e7db4a500ab9e4a8b1a83156278fd3c09ae983"),
+     "5638c7930e06bb27ffc695925f9e22e84ca9599890c7c104879a8680870054fa"),
     ("sweep", {"m": 4, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 4000, "seed": 3},
      "f5e27001cee3ff5d7f6127530a72872913cbd046506abda8856753b07160c80d"),

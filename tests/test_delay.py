@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
-from qpskrx.bayes import TruthTables, uniform_truth_tables
+from qpskrx.bayes import InferenceModel, TruthTables, uniform_truth_tables
 from qpskrx.delay import (RAMP_COS, SETTLED_COS, STALE_COS, DelayParams,
                           delay_truth_tables)
 from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
@@ -118,6 +118,22 @@ class TestValidation:
                     lambda: TruthTables(stages, np.full(4, 0.5), np.full((4, 4), 0.5))]
         for build in builders:
             with pytest.raises(ValueError, match=f"stages must be {message}"):
+                build()
+
+    @pytest.mark.parametrize("alpha_sq, nu, message", [
+        (-1.0, 9.1e-3, "alpha_sq must be finite and >= 0, got -1.0"),
+        (math.inf, 9.1e-3, "alpha_sq must be finite and >= 0, got inf"),
+        (math.nan, 9.1e-3, "alpha_sq must be finite and >= 0, got nan"),
+        (3.3, -1.0, "nu_per_state must be >= 0, got -1.0"),
+        (3.3, math.nan, "nu_per_state must be >= 0, got nan")])
+    def test_truth_builders_name_bad_mean_counts(self, alpha_sq, nu, message):
+        # each builder names the value the caller gave, not its per-bin quotient
+        ch = ChannelModel(0.65, 0.996)
+        builders = [lambda: uniform_truth_tables(alpha_sq, 10, ch, nu),
+                    lambda: delay_truth_tables(alpha_sq, 10, ch, nu, DEFAULTS, 1.1, True),
+                    lambda: InferenceModel(alpha_sq, 10, 0.65, 0.996, nu)]
+        for build in builders:
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
 
     def test_truth_tables_take_numpy_stage_counts(self):

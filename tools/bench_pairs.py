@@ -18,7 +18,7 @@ time, ...) and their change/parent ratios.
 
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
 interpreters, 10 rounds alternating the two sides: per side and round, the
-best of 5 walls and the peak states at M = 10, 16, 20, 30 and 50
+best of 5 walls and the peak states at M = 10, 16, 20, 30, 50 and 100
 (experimental condition, |alpha|^2 = 3) and of the ideal model at M = 50 and
 100 (|alpha|^2 = 3, where every click leaves a -inf in the log-posterior),
 and the median of 15 repetitions of the five ``enumerate-m16`` points.  At
@@ -26,8 +26,9 @@ M = 30 and 50 the probe then runs one more DP under ``tracemalloc`` and
 keeps its peak traced memory in MB, so that a change that trades memory
 for numpy calls shows the trade.  A
 side whose ``enumerate_detail`` raises ``ValueError`` at some M (a revision
-that caps M at 20) records that M as refused, with the message, and gets no
-ratio there.
+that caps M, or whose layer there holds more than ``MAX_ENUM_STATES``
+states) records that M as refused, with the message, and gets no ratio
+there.
 
 The ``tier1`` section runs the tier-1 test command ``TIER1`` once per side
 in its export, parent first: the wall seconds, by this process's clock, and
@@ -85,7 +86,7 @@ LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
                  "kernels.run_chunk.trial_stages", "montecarlo.draws.calls",
                  "montecarlo.draws.busy_s", "bayes.enumerate.busy_s", "process.cpu_s",
                  "trace.wall_s")
-EXACT_STAGES = (10, 16, 20, 30, 50)
+EXACT_STAGES = (10, 16, 20, 30, 50, 100)
 IDEAL_STAGES = (50, 100)
 TRACED_STAGES = (30, 50)  # one more DP per side and round under tracemalloc
 # exact-layer entries: the experimental condition by M, then the ideal model
