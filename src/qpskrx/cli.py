@@ -31,12 +31,10 @@ def alpha_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def matched_inference(cfg: RunConfig, alpha_sq: float, m: int | None = None,
-                      eta_spd: float | None = None,
                       include_discard: bool = True) -> InferenceModel:
     """Inference model under the experimental condition (discard loss lumped)."""
     m = cfg.m if m is None else m
-    eta_spd = cfg.eta_spd if eta_spd is None else eta_spd
-    eta_eff = cfg.eta_t * eta_spd
+    eta_eff = cfg.eta_se
     if include_discard:
         eta_eff *= cfg.discard_multiplier(m)
     return InferenceModel(alpha_sq, m, eta_eff, cfg.xi, cfg.nu_per_state)
@@ -79,8 +77,8 @@ def _sweep(cfg: RunConfig) -> list[dict]:
 def _efficiency_sweep(cfg: RunConfig) -> list[dict]:
     labels = [{"eta_spd": eta_spd, "alpha_sq": float(a)}
               for eta_spd in cfg.eta_spd_list for a in alpha_grid(cfg)]
-    points = [(matched_inference(cfg, row["alpha_sq"], eta_spd=row["eta_spd"]), None)
-              for row in labels]
+    points = [(matched_inference(dataclasses.replace(cfg, eta_spd=row["eta_spd"]),
+                                 row["alpha_sq"]), None) for row in labels]
     return _monte_carlo(cfg, labels, points)
 
 
@@ -146,6 +144,14 @@ def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
                        "rows": rows}, sort_keys=True, indent=2) + "\n"
 
 
+# Each number flag sets the RunConfig field of the same type.
+NUMBER_FLAGS = {"--alpha-sq": ("alpha_sq", float), "--m": ("m", int), "--trials": ("trials", int),
+                "--seed": ("seed", int), "--eta-t": ("eta_t", float),
+                "--eta-spd": ("eta_spd", float), "--xi": ("xi", float),
+                "--nu": ("nu_per_state", float), "--dt-us": ("dt_us", float),
+                "--workers": ("workers", int)}
+
+
 def _parse_flag(flag: str, spec: str, kinds, required: int = 1, sep: str = ":") -> list:
     """Split a flag value at ``sep`` and convert each part; errors name the flag.
 
@@ -173,22 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", metavar="FILE", help="JSON config file")
+        for flag, (field, kind) in NUMBER_FLAGS.items():
+            p.add_argument(flag, type=kind, dest=field)
         p.add_argument("--alpha-sq-grid", metavar="A:B:N[:log]")
-        p.add_argument("--alpha-sq", type=float, dest="alpha_sq")
-        p.add_argument("--m", type=int, dest="m")
         p.add_argument("--m-grid", metavar="A:B", dest="m_grid")
-        p.add_argument("--trials", type=int, dest="trials")
-        p.add_argument("--seed", type=int, dest="seed")
-        p.add_argument("--eta-t", type=float, dest="eta_t")
-        p.add_argument("--eta-spd", type=float, dest="eta_spd")
         p.add_argument("--eta-spd-list", dest="eta_spd_list",
                        help="comma-separated detector efficiencies")
-        p.add_argument("--xi", type=float, dest="xi")
-        p.add_argument("--nu", type=float, dest="nu_per_state")
-        p.add_argument("--dt-us", type=float, dest="dt_us")
         p.add_argument("--dt-grid", metavar="A:B:N", dest="dt_grid")
         p.add_argument("--truth-delay", choices=("on", "off"), dest="truth_delay")
-        p.add_argument("--workers", type=int, dest="workers")
         p.add_argument("--out", metavar="FILE.csv")
         p.add_argument("--json", action="store_true",
                        help="also write a JSON mirror next to --out")
@@ -199,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides: dict = {}
-        for key in ("alpha_sq", "m", "trials", "seed", "eta_t", "eta_spd", "xi",
-                    "nu_per_state", "dt_us", "workers"):
-            overrides[key] = getattr(args, key)
+        overrides = {field: getattr(args, field) for field, _ in NUMBER_FLAGS.values()}
         if args.json and not args.out:
             raise ConfigError("--json: needs --out, next to which the JSON mirror is written")
         json_path = args.out and os.path.splitext(args.out)[0] + ".json"
@@ -238,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -142,10 +142,6 @@ class RunConfig:
                   f"hold + swing must be <= t_bin = {self.t_bin_us}")
         return self
 
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
 
 def load_config(path: str | None = None, overrides: dict | None = None,
                 mode: str | None = None) -> RunConfig:
@@ -154,24 +150,19 @@ def load_config(path: str | None = None, overrides: dict | None = None,
     if path is not None:
         with open(path) as fh:
             try:
-                data = json.load(fh)
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
+        if not isinstance(values, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
-        unknown = sorted(set(data) - RunConfig.field_names())
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values.update(data)
-    for key, val in (overrides or {}).items():
-        if key not in RunConfig.field_names():
-            raise ConfigError(f"unknown config key: {key}")
-        if val is not None:
-            values[key] = val
+    overrides = overrides or {}
+    unknown = sorted((set(values) | set(overrides)) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values.update((key, val) for key, val in overrides.items() if val is not None)
     if mode is not None:
         if "mode" in values and values["mode"] != mode:
             raise ConfigError(
                 f"mode: config file says {values['mode']!r} but the subcommand is {mode!r}")
         values["mode"] = mode
-    cfg = RunConfig(**values)
-    return cfg.validate()
+    return RunConfig(**values).validate()

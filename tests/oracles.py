@@ -143,7 +143,8 @@ def walk_enumeration(model, truth=None):
     index as in ``enumerate_detail``; each history's weight is exp of its
     summed log-probabilities, and the weights are summed with ``math.fsum``.
     """
-    return _walk(model, truth, model.log_likelihood_table().tolist(), argmax4)
+    return _walk(model, truth, model.log_likelihood_table(),
+                 lambda lp: lp.argmax(axis=1), 0.0)
 
 
 DECIMAL_DIGITS = 60
@@ -165,39 +166,46 @@ def decimal_enumeration(model, truth=None):
         gamma_sq, nu = D(model.alpha_sq) / stages, D(model.nu_per_state) / stages
         off = [-(nu + 2 * D(model.eta_total) * gamma_sq * (1 - D(model.xi) * cos))
                for cos in (1, 0, -1, 0)]
-        ll = [off, [(1 - x.exp()).ln() for x in off]]
+        ll = np.array([off, [(1 - x.exp()).ln() for x in off]], dtype=object)
 
         def argmax(lp):
-            best = max(lp) - DECIMAL_TIE
-            return next(h for h in range(4) if lp[h] >= best)
+            best = [max(row) - DECIMAL_TIE for row in lp]
+            return np.array([next(h for h in range(4) if row[h] >= b)
+                             for row, b in zip(lp, best)])
 
         return _walk(model, truth, ll, argmax, D(0))
 
 
-def _walk(model, truth, ll, argmax, zero=0.0):
-    """Per-symbol error and branch totals over all 2^M histories, the receiver
-    adding ``ll[e][(h - target) % 4]`` to ``lp`` and retargeting to ``argmax(lp)``."""
+def _walk(model, truth, ll, argmax, zero):
+    """Per-symbol error and branch totals over all 2^M histories, unmerged.
+
+    Each bin doubles the (history, hypothesis) array ``lp``, which starts at
+    ``zero``: the receiver adds ``ll[e, (h - target) % 4]`` and retargets to
+    ``argmax(lp)``, one target per row.  A history's log-probability per
+    symbol sums ``math.log`` of the truth outcome probabilities in bin order.
+    """
     if truth is None:
         truth = truth_from_inference(model)
     first, trans = truth.first.tolist(), truth.trans.tolist()
-    correct = [[] for _ in range(4)]
-    total = [[] for _ in range(4)]
-
-    def walk(i, lp, prev, cur, lb):
-        if i == model.stages:
-            for m in range(4):
-                total[m].append(math.exp(lb[m]))
-            correct[cur].append(total[cur][-1])
-            return
-        p_off = [truth_off_prob(first, trans, i, m, prev, cur) for m in range(4)]
-        for e in (0, 1):
-            lb2 = [lb[m] + log(1.0 - p if e else p) for m, p in enumerate(p_off)]
-            lp2 = [lp[h] + ll[e][(h - cur) % 4] for h in range(4)]
-            walk(i + 1, lp2, cur, argmax(lp2), lb2)
-
-    walk(0, [zero] * 4, 0, 0, [0.0] * 4)
-    return (np.array([1.0 - math.fsum(c) for c in correct]),
-            np.array([math.fsum(t) for t in total]))
+    # log_p[i][e, prev, cur, m]: bin 0 (which reads no prev) and every later bin
+    log_p = [np.array([[[[log(1.0 - p if e else p)
+                          for p in (truth_off_prob(first, trans, i, m, prev, cur)
+                                    for m in range(4))]
+                         for cur in range(4)] for prev in range(4)] for e in (0, 1)])
+             for i in (0, 1)]
+    hyp = np.arange(4)
+    lp = np.full((1, 4), zero, dtype=ll.dtype)
+    lb = np.zeros((1, 4))
+    prev = cur = np.zeros(1, dtype=np.intp)
+    for i in range(model.stages):
+        step, delta = log_p[min(i, 1)], (hyp - cur[:, None]) % 4
+        lp = np.concatenate([lp + ll[e][delta] for e in (0, 1)])
+        lb = np.concatenate([lb + step[e, prev, cur] for e in (0, 1)])
+        prev, cur = np.concatenate((cur, cur)), argmax(lp)
+    weight = [list(map(math.exp, column)) for column in lb.T.tolist()]
+    correct = [math.fsum(w for w, c in zip(weight[m], cur.tolist()) if c == m)
+               for m in range(4)]
+    return np.array([1.0 - c for c in correct]), np.array([math.fsum(w) for w in weight])
 
 
 # W[delta]: the t's in the off entry o - W[delta] t of log_likelihood_table
@@ -287,6 +295,36 @@ def brute_force_error(alpha_sq, stages):
             if target != m_true:
                 error += like[m_true] / 4
     return error
+
+
+def _decimal_cos_sin(x):
+    """cos x and sin x by their Taylor series, in the current decimal context."""
+    cos, sin, term, n = 0, 0, decimal.Decimal(1), 0
+    while True:
+        last = cos, sin
+        cos += term if n % 4 == 0 else -term if n % 4 == 2 else 0
+        sin += term if n % 4 == 1 else -term if n % 4 == 3 else 0
+        if (cos, sin) == last and n > 1:
+            return cos, sin
+        n += 1
+        term = term * x / n
+
+
+def helstrom_decimal(alpha_sq, digits=90):
+    """Helstrom bound 1 - (sum of sqrt(lambda))^2 / 16 in ``digits``-digit decimal.
+
+    lambda_j = sum_k c_k i^(jk) from the Gram row c_k = exp(a (i^k - 1)),
+    a = ``alpha_sq``, with cos a and sin a from their Taylor series.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        a = D(alpha_sq)
+        cos, sin = _decimal_cos_sin(a)
+        d = (-a).exp()
+        # c_0 = 1, c_1 = d (cos a + i sin a), c_2 = d^2, c_3 = conj(c_1); i^(jk) by j
+        lam = [1 + d * d + 2 * d * cos, 1 - d * d - 2 * d * sin,
+               1 + d * d - 2 * d * cos, 1 - d * d + 2 * d * sin]
+        return float(1 - sum(x.sqrt() for x in lam) ** 2 / 16)
 
 
 def qpsk_gram(alpha_sq):

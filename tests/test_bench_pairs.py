@@ -234,6 +234,31 @@ class TestLayerRatios:
         assert ratios["bayes.enumerate.busy_s"] is None  # layer idle on both sides
 
 
+    def test_medians_over_traced_pairs(self):
+        def layer_pair(i, parent, change):
+            return {"seed": 21 + i, "first": "parent" if i % 2 == 0 else "change",
+                    "parent": {m: parent for m in bench_pairs.LAYER_METRICS},
+                    "change": {m: change for m in bench_pairs.LAYER_METRICS}}
+
+        pairs = [layer_pair(0, 2.0, 1.0), layer_pair(1, 4.0, 1.0), layer_pair(2, 1.0, 3.0)]
+        for pair in pairs[1:]:  # the layer idles in the parent after the first pair
+            pair["parent"]["bayes.enumerate.busy_s"] = 0.0
+        out = bench_pairs.summarize_layers(pairs)
+        assert out["pairs"] is pairs
+        assert out["parent"]["kernels.run_chunk.calls"] == 2.0
+        assert out["change"]["kernels.run_chunk.calls"] == 1.0
+        # the median of the ratios 0.5, 0.25 and 3, not 1.0 / 2.0 of the medians
+        assert out["change_over_parent"]["kernels.run_chunk.calls"] == 0.5
+        assert out["change_over_parent"]["bayes.enumerate.busy_s"] == 0.5
+
+    def test_ratio_none_where_every_parent_idles(self):
+        sides = {m: 0.0 for m in bench_pairs.LAYER_METRICS}
+        pairs = [{"seed": 21 + i, "first": "parent", "parent": sides, "change": sides}
+                 for i in range(2)]
+        out = bench_pairs.summarize_layers(pairs)
+        assert set(out["change_over_parent"].values()) == {None}
+
+
 class TestSourceLines:
     def test_counts_each_package_file_and_the_total(self, tmp_path):
         package = tmp_path / "src" / "qpskrx"

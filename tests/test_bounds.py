@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import qpsk_gram
+from oracles import helstrom_decimal, qpsk_gram
 from qpskrx.bounds import gram_eigenvalues, helstrom_qpsk, sql_heterodyne, sql_lossy
 
 
@@ -59,6 +59,12 @@ class TestSqlLossy:
         with pytest.raises(ValueError, match=f"alpha_sq must be >= 0, got {alpha_sq}$"):
             sql_lossy(alpha_sq, eta_total)
 
+    @pytest.mark.parametrize("eta_total", [-0.1, 1.1, math.nan])
+    def test_efficiency_outside_the_unit_interval_rejected(self, eta_total):
+        message = f"^eta_total must be in \\[0, 1\\], got {eta_total}$"
+        with pytest.raises(ValueError, match=message):
+            sql_lossy(3.0, eta_total)
+
     def test_composition(self):
         assert sql_lossy(2.0, 0.65) == pytest.approx(sql_heterodyne(1.3), abs=1e-15)
 
@@ -69,9 +75,27 @@ class TestSqlLossy:
 
 class TestHelstrom:
     def test_zero_signal(self):
-        # eigenvalue roundoff of O(eps) enters through a square root, so the
-        # achievable accuracy here is O(sqrt(eps))
-        assert helstrom_qpsk(0.0) == pytest.approx(0.75, abs=1e-7)
+        # the three zero eigenvalues are exact, so no roundoff enters through
+        # a square root
+        assert helstrom_qpsk(0.0) == 0.75
+
+    def test_matches_decimal_reference(self):
+        # the closed-form eigenvalues and pair differences cancel nowhere: the
+        # old 1 - (sum of square roots)^2 / 16 was 2.8e-8 off at 9.4 and 0.0
+        # from about 18 on; both branches meet at 1
+        grid = [*np.geomspace(1e-12, 40.0, 200), math.nextafter(1.0, 0.0), 1.0, 9.4, 12.0]
+        for a2 in grid:
+            expected = helstrom_decimal(a2)
+            assert abs(helstrom_qpsk(a2) - expected) <= 1e-14 * expected, a2
+
+    @pytest.mark.parametrize("alpha_sq", [5e-324, 1e-300, 1e-160])
+    def test_tiny_signal(self, alpha_sq):
+        # two eigenvalues underflow to zero together; their pair adds nothing
+        assert helstrom_qpsk(alpha_sq) == 0.75
+
+    def test_huge_signal_is_finite(self):
+        assert helstrom_qpsk(1e300) == 0.0
+        assert 0.0 < helstrom_qpsk(60.0) < 1e-50
 
     def test_below_sql_pointwise(self):
         for a2 in np.linspace(0.05, 12, 60):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qpskrx
-from qpskrx.cli import RUNNERS, main, run
+from qpskrx.cli import NUMBER_FLAGS, RUNNERS, main, run
 from qpskrx.config import MODES, SEED_LIMIT, ConfigError, RunConfig, load_config
 
 
@@ -36,6 +36,30 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"xi": 0.99, "bogus_key": 1}))
         with pytest.raises(ConfigError, match="bogus_key"):
+            load_config(str(path))
+
+    def test_unknown_override_keys_rejected_with_the_file_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"xi": 0.99, "bogus_key": 1}))
+        with pytest.raises(ConfigError, match="^unknown config keys: bogus_flag$"):
+            load_config(overrides={"bogus_flag": None})
+        with pytest.raises(ConfigError, match="^unknown config keys: bogus_flag, bogus_key$"):
+            load_config(str(path), {"bogus_flag": 2})
+
+    def test_invalid_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"xi": 0.99,}')
+        message = f"^config file {re.escape(str(path))}: invalid JSON"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert main(["bounds", "--config", str(path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "0.5", '"sweep"', "null"])
+    def test_top_level_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="top level must be an object$"):
             load_config(str(path))
 
     def test_out_of_range_named(self, tmp_path):
@@ -260,6 +284,30 @@ class TestCliMain:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error: {args[1]}: ")
 
+    def test_every_number_flag_fills_its_field(self, capsys):
+        values = {"--alpha-sq": "2.5", "--m": "3", "--trials": "8", "--seed": "2",
+                  "--eta-t": "0.5", "--eta-spd": "0.25", "--xi": "0.75", "--nu": "0.125",
+                  "--dt-us": "0.5", "--workers": "2"}
+        assert set(values) == set(NUMBER_FLAGS)
+        assert main(["bounds", *(x for item in values.items() for x in item)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        config = json.loads(header.removeprefix("# config="))
+        expected = {field: kind(values[flag]) for flag, (field, kind) in NUMBER_FLAGS.items()}
+        assert {field: config[field] for field in expected} == expected
+
+    def test_truth_delay_flag(self, capsys):
+        args = ["delay-sweep", "--m", "4", "--alpha-sq", "3.3", "--dt-grid", "0:2:3",
+                "--trials", "2000"]
+        outputs = {}
+        for flag in ("on", "off"):
+            assert main([*args, "--truth-delay", flag]) == 0
+            header, *body = capsys.readouterr().out.splitlines()
+            config = json.loads(header.removeprefix("# config="))
+            assert config["truth_delay"] is (flag == "on")
+            outputs[flag] = body
+        assert outputs["on"][0] == outputs["off"][0] == "dt_us,error_prob,stderr"
+        assert outputs["on"][1:] != outputs["off"][1:]
+
     def test_grid_spacing_checked_by_field(self, capsys):
         assert main(["bounds", "--alpha-sq-grid", "1:2:3:cubic"]) == 1
         assert capsys.readouterr().err.startswith("error: alpha_sq_spacing: ")
@@ -358,9 +406,11 @@ class TestCliMain:
 # sweep, efficiency-sweep and delay-sweep-truth-on held.
 GOLDEN_CSV = [
     # sql takes math.erf since scipy left the runtime dependencies: three
-    # values moved by 2.2e-16 (sql at 1 and 2, sql_lossy at 4)
+    # values moved by 2.2e-16 (sql at 1 and 2, sql_lossy at 4); helstrom takes
+    # closed-form eigenvalues and pair differences: all five values moved, by
+    # at most 6.1e-9 relative, and 0.0 now reads exactly 0.75
     ("bounds", {"alpha_sq_start": 0.0, "alpha_sq_stop": 4.0, "alpha_sq_points": 5},
-     "c21bda8e3df3d4ccfbe2f311002b89d2a65e95589facfe10bbaeb284c99c05a0"),
+     "84d028cf8da661ae21dd2b0736f2e2e34084463a9af4ffd5d77be9281fb8bb25"),
     # the exact DP merges on differences of outcome counts, which joins states
     # whose log-posteriors differ by a constant vector and so sums their
     # weights in another order: 2.25 moved by +8.3e-17 and 4.0 by +5.6e-17

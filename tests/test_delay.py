@@ -106,6 +106,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
             TruthTables(10, first, trans)
 
+    @pytest.mark.parametrize("times", [(20.0, -0.1, 0.63), (20.0, 0.37, -0.1)])
+    def test_delay_params_reject_a_negative_hold_or_swing(self, times):
+        with pytest.raises(ValueError, match="^t_hold and t_swing must be >= 0$"):
+            DelayParams(*times)
+
+    def test_delay_params_reject_hold_plus_swing_past_the_bin(self):
+        with pytest.raises(ValueError, match=r"^hold \+ swing \(21.0\) exceeds t_bin \(20.0\)$"):
+            DelayParams(20.0, 20.0, 1.0)
+
+    @pytest.mark.parametrize("first, trans", [
+        (np.full(3, 0.5), np.full((4, 4), 0.5)),
+        (np.full((4, 1), 0.5), np.full((4, 4), 0.5)),
+        (np.full(4, 0.5), np.full(16, 0.5)),
+        (np.full(4, 0.5), np.full((4, 4, 1), 0.5))])
+    def test_truth_tables_reject_wrong_shapes(self, first, trans):
+        with pytest.raises(ValueError, match=r"shapes \(4,\) and \(4, 4\)"):
+            TruthTables(10, first, trans)
+
     def test_truth_tables_accept_the_closed_interval(self):
         TruthTables(10, np.array([0.0, 1.0, 0.5, 1.0]), np.eye(4))
 

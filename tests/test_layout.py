@@ -1,15 +1,20 @@
-"""Only the pipeline lives in ``src/``: every top-level name there is used.
+"""Only the pipeline lives in ``src/``, and only the surface its callers use.
 
 A top-level function, class or constant of ``src/qpskrx`` must be named in
 ``src/`` or ``perfbench/`` (its test file aside) somewhere besides its own
-definition.  The package's re-exports in ``__init__.py`` do not count as
-uses: a name that only ``__init__`` imports and lists in ``__all__`` is still
-flagged.  A helper that only the tests call belongs in ``tests/oracles.py``.
+definition.  A helper that only the tests call belongs in
+``tests/oracles.py``.  The package namespace re-exports nothing: callers
+import the submodules.  Each CLI number flag is listed once, in
+``cli.NUMBER_FLAGS``, with the config field it sets.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from qpskrx.cli import NUMBER_FLAGS
+from qpskrx.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qpskrx"
@@ -56,9 +61,20 @@ def test_every_top_level_name_is_used():
     package = parse(PACKAGE.glob("*.py"))
     perfbench = parse(p for p in (ROOT / "perfbench").glob("*.py")
                       if not p.name.startswith("test_"))
-    readers = {module: tree for module, tree in package.items()
-               if not module.endswith("/__init__.py")}
-    assert unused_names(package, {**readers, **perfbench}) == []
+    assert unused_names(package, {**package, **perfbench}) == []
+
+
+def test_package_namespace_binds_only_the_version():
+    docstring, *body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert isinstance(docstring, ast.Expr)
+    assert [ast.unparse(target) for node in body
+            for target in getattr(node, "targets", [node])] == ["__version__"]
+
+
+def test_number_flags_set_fields_of_their_type():
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    assert {field: annotations.get(field) for field, _ in NUMBER_FLAGS.values()} == {
+        field: kind.__name__ for field, kind in NUMBER_FLAGS.values()}
 
 
 def test_scan_flags_an_unused_helper():

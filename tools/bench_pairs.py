@@ -11,10 +11,12 @@ Run from the repository root.  Both revisions are exported with
 run from each export, unchanged, with seeds K..K+N-1; parent and change
 alternate which runs first.  The end-to-end metrics are each run's reported
 values; a pair also keeps the run's batch count, CSV sha256 and points.
-Then each side runs the workload once with ``--trace 1`` at seed K; the
-``layers`` entry keeps the medians over its traced batches of the metrics in
-``LAYER_METRICS`` (kernel calls and busy time, draw busy time, process CPU
-time, ...) and their change/parent ratios.
+Then ``LAYER_PAIRS`` alternating pairs run the workload with ``--trace 1``
+at seeds K..K+LAYER_PAIRS-1.  Each traced run reports the medians over its
+traced batches of the metrics in ``LAYER_METRICS`` (kernel calls and busy
+time, draw busy time, process CPU time, ...).  The ``layers`` entry keeps
+every traced pair, and per side the median of each metric over the pairs,
+and the median over the pairs of each metric's change/parent ratio.
 
 The ``exact_layer`` section times ``bayes.enumerate_detail`` alone in fresh
 interpreters, 10 rounds alternating the two sides: per side and round, the
@@ -88,6 +90,7 @@ LAYER_METRICS = ("kernels.run_chunk.calls", "kernels.run_chunk.busy_s",
                  "trace.wall_s")
 EXACT_STAGES = (10, 16, 20, 30, 50, 100)
 IDEAL_STAGES = (50, 100)
+LAYER_PAIRS = 5  # traced pairs per workload: one pair is a single sample of VM drift
 TRACED_STAGES = (30, 50)  # one more DP per side and round under tracemalloc
 # exact-layer entries: the experimental condition by M, then the ideal model
 EXACT_KEYS = (*(f"M{m}" for m in EXACT_STAGES), *(f"ideal_M{m}" for m in IDEAL_STAGES))
@@ -183,6 +186,20 @@ def layer_ratios(layers: dict) -> dict:
     """Change over parent for each per-layer metric (None where the parent reads 0)."""
     return {m: (layers["change"][m] / layers["parent"][m] if layers["parent"][m] else None)
             for m in LAYER_METRICS}
+
+
+def summarize_layers(pairs: list[dict]) -> dict:
+    """Per side the median of each per-layer metric over the traced pairs, and
+    per metric the median of the pairs' change/parent ratios (None where every
+    pair's parent reads 0), with the pairs."""
+    ratios = [layer_ratios(pair) for pair in pairs]
+    change_over_parent = {}
+    for m in LAYER_METRICS:
+        valid = [r[m] for r in ratios if r[m] is not None]
+        change_over_parent[m] = statistics.median(valid) if valid else None
+    return {**{side: {m: statistics.median(p[side][m] for p in pairs) for m in LAYER_METRICS}
+               for side in SIDES},
+            "change_over_parent": change_over_parent, "pairs": pairs}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -495,7 +512,9 @@ def main(argv: list[str] | None = None) -> int:
                         f"commit; parent and change alternate which runs first, seeds "
                         f"{args.first_seed}-{args.first_seed + args.pairs - 1}; "
                         f"end-to-end metrics are each run's reported value; layers: "
-                        f"one --trace 1 run per side at seed {args.first_seed}",
+                        f"{LAYER_PAIRS} alternating --trace 1 pairs at seeds "
+                        f"{args.first_seed}-{args.first_seed + LAYER_PAIRS - 1}, per side "
+                        f"the median of each metric and the median of the pairs' ratios",
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: export(shas[side], Path(tmp) / side) for side in SIDES}
@@ -518,10 +537,10 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: wall_s {pair['parent']['wall_s']:.4f} -> "
                       f"{pair['change']['wall_s']:.4f}", flush=True)
-            layers = {"seed": args.first_seed,
-                      **{side: run_perfbench(trees[side], workload, args.first_seed,
-                                             args.seconds, trace=1) for side in SIDES}}
-            layers["change_over_parent"] = layer_ratios(layers)
+            layers = summarize_layers([
+                {"seed": args.first_seed + i, **alternate(i, lambda side: run_perfbench(
+                    trees[side], workload, args.first_seed + i, args.seconds, trace=1))}
+                for i in range(LAYER_PAIRS)])
             print(f"{workload} traced: kernel calls "
                   f"{layers['parent']['kernels.run_chunk.calls']:g} -> "
                   f"{layers['change']['kernels.run_chunk.calls']:g}", flush=True)
