@@ -4,8 +4,8 @@
   ``RngSpec.draws``; ``vector_recursion``: the same recursion vectorized
   over trials.  Both are bitwise oracles of ``_kernels.run_chunk``, which
   ``run_point`` calls on one point and ``stack_tables`` feeds a stack of.
-- ``walk_enumeration``: all 2^M outcome histories, the oracle of
-  ``enumerate_detail``; ``decimal_enumeration``: the same walk with a
+- ``walk_enumeration``: all 2^M outcome histories, unmerged and expanded
+  one bin at a time, the oracle of ``enumerate_detail``; ``decimal_enumeration``: the same walk with a
   60-digit log-posterior built without the package's log-likelihood table,
   the oracle of the tie rule; ``lexsort_enumeration``: the same
   merged-state dynamic program with the merge done by ``np.lexsort`` over
@@ -13,7 +13,8 @@
   amplitudes, sharing no table with the package.
 - ``off_probability_visibility``, ``off_prob_swing_discrete`` and
   ``qpsk_gram``: the click probability at any phase, the L-mode product of
-  the delay model's swing segment and the dense Gram matrix.
+  the delay model's swing segment and the dense Gram matrix;
+  ``helstrom_decimal``: the Helstrom bound to 90 digits.
 
 The receiver oracles follow the package's rule: the target is the first
 maximum of the un-normalized log-posterior, so ties, and a history that
@@ -298,16 +299,14 @@ def brute_force_error(alpha_sq, stages):
 
 
 def _decimal_cos_sin(x):
-    """cos x and sin x by their Taylor series, in the current decimal context."""
-    cos, sin, term, n = 0, 0, decimal.Decimal(1), 0
-    while True:
-        last = cos, sin
-        cos += term if n % 4 == 0 else -term if n % 4 == 2 else 0
-        sin += term if n % 4 == 1 else -term if n % 4 == 3 else 0
-        if (cos, sin) == last and n > 1:
-            return cos, sin
+    """cos x and sin x from the Taylor series of exp(ix) in the current decimal
+    context: term n, (ix)^n / n!, is real for even n and imaginary for odd n."""
+    parts, term, n = [0, 0], decimal.Decimal(1), 0
+    while n <= x or parts[n % 2] + term != parts[n % 2]:
+        parts[n % 2] += term if n % 4 < 2 else -term
         n += 1
         term = term * x / n
+    return tuple(parts)
 
 
 def helstrom_decimal(alpha_sq, digits=90):
