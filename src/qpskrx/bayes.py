@@ -45,10 +45,6 @@ from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 _NEG_INF = float("-inf")
 
 
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else _NEG_INF
-
-
 def check_stages(stages) -> int:
     """``stages`` as an int; ``ValueError`` unless it is an integer >= 1."""
     if not isinstance(stages, numbers.Integral):
@@ -58,22 +54,15 @@ def check_stages(stages) -> int:
     return int(stages)  # numpy ints lack bit_length
 
 
-def check_mean_counts(alpha_sq: float, nu_per_state: float) -> None:
-    """``ValueError`` unless the signal's mean photon number ``alpha_sq`` is finite
-    and >= 0 and the dark counts ``nu_per_state`` are >= 0 (not nan)."""
-    if not 0 <= alpha_sq < math.inf:  # nan too
-        raise ValueError(f"alpha_sq must be finite and >= 0, got {alpha_sq}")
-    if not nu_per_state >= 0:
-        raise ValueError(f"nu_per_state must be >= 0, got {nu_per_state}")
-
-
 @dataclass(frozen=True)
 class InferenceModel:
-    """Likelihood model used in the posterior update.
+    """One grid point's channel: the receiver's likelihoods and both truth
+    builders (``truth_from_inference``, ``delay.delay_truth_tables``) read it.
 
-    ``eta_total`` is the effective efficiency seen by the inference model,
-    including any lumped discard-loss multiplier.  Dark counts are stored per
-    state and split evenly over the M bins.
+    ``eta_total`` is the effective efficiency, including any lumped
+    discard-loss multiplier.  The signal's mean photon number and the dark
+    counts are stored per state and split evenly over the M bins
+    (``gamma_sq``, ``nu_per_bin``): the one place the point is divided by M.
     """
 
     alpha_sq: float
@@ -83,7 +72,10 @@ class InferenceModel:
     nu_per_state: float = 0.0
 
     def __post_init__(self):
-        check_mean_counts(self.alpha_sq, self.nu_per_state)
+        if not 0 <= self.alpha_sq < math.inf:  # nan too
+            raise ValueError(f"alpha_sq must be finite and >= 0, got {self.alpha_sq}")
+        if not self.nu_per_state >= 0:
+            raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
         object.__setattr__(self, "stages", check_stages(self.stages))
         ChannelModel(self.eta_total, self.xi)  # range validation
 
@@ -112,7 +104,7 @@ class InferenceModel:
                         self.nu_per_bin).tolist()
         p_off = [math.exp(-x) for x in mu]
         logs = [[-x if p > 0.0 else _NEG_INF for x, p in zip(mu, p_off)],
-                [_log(1.0 - p) for p in p_off]]
+                [math.log(1.0 - p) if p < 1.0 else _NEG_INF for p in p_off]]
         k = _grid_exponent(logs, self.stages)
         o = _dyadic(logs[0][0], k)
         t = _dyadic(logs[0][0] - logs[0][1], k)
@@ -160,19 +152,11 @@ class TruthTables:
             raise ValueError("truth tables must hold probabilities in [0, 1], not nan")
 
 
-def uniform_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
-                         nu_per_state: float) -> TruthTables:
-    """Truth model with identical per-bin statistics (no delay, lumped loss)."""
-    stages = check_stages(stages)
-    check_mean_counts(alpha_sq, nu_per_state)
-    p = off_probs(alpha_sq / stages, ch, nu_per_state / stages)
-    return TruthTables(stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
-
-
 def truth_from_inference(model: InferenceModel) -> TruthTables:
-    """Matched truth model: outcomes generated from the inference likelihoods."""
-    return uniform_truth_tables(model.alpha_sq, model.stages, model.channel(),
-                                model.nu_per_state)
+    """Matched truth model: outcomes generated from the inference likelihoods,
+    with identical per-bin statistics (no delay, lumped loss)."""
+    p = off_probs(model.gamma_sq, model.channel(), model.nu_per_bin)
+    return TruthTables(model.stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 
 
 def point_tables(model: InferenceModel,

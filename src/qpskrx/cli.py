@@ -19,7 +19,6 @@ from .bayes import InferenceModel, enumerate_error_probability
 from .bounds import helstrom_qpsk, sql_heterodyne, sql_lossy
 from .config import MODES, ConfigError, RunConfig, load_config
 from .delay import DelayParams, delay_truth_tables
-from .physics import ChannelModel
 # ``estimate_error`` stays importable from here: perfbench/spans.py traces it by this name.
 from .montecarlo import RngSpec, estimate_error, estimate_errors  # noqa: F401
 
@@ -32,7 +31,8 @@ def alpha_grid(cfg: RunConfig) -> np.ndarray:
 
 def matched_inference(cfg: RunConfig, alpha_sq: float, m: int | None = None,
                       include_discard: bool = True) -> InferenceModel:
-    """Inference model under the experimental condition (discard loss lumped)."""
+    """The point's channel under the experimental condition, with the discard loss
+    lumped into the efficiency unless ``include_discard`` is false."""
     m = cfg.m if m is None else m
     eta_eff = cfg.eta_se
     if include_discard:
@@ -85,10 +85,9 @@ def _efficiency_sweep(cfg: RunConfig) -> list[dict]:
 def _delay_sweep(cfg: RunConfig) -> list[dict]:
     params = DelayParams(cfg.t_bin_us, cfg.t_hold_us, cfg.t_swing_us)
     dts = [float(dt) for dt in np.linspace(cfg.dt_start_us, cfg.dt_stop_us, cfg.dt_points)]
+    truth_point = matched_inference(cfg, cfg.alpha_sq, include_discard=False)
     points = [(matched_inference(dataclasses.replace(cfg, dt_us=dt), cfg.alpha_sq),
-               delay_truth_tables(cfg.alpha_sq, cfg.m, ChannelModel(cfg.eta_se, cfg.xi),
-                                  cfg.nu_per_state, params, dt,
-                                  include_delay=cfg.truth_delay))
+               delay_truth_tables(truth_point, params, dt, include_delay=cfg.truth_delay))
               for dt in dts]
     return _monte_carlo(cfg, [{"dt_us": dt} for dt in dts], points)
 
@@ -137,11 +136,6 @@ def render_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     for row in rows:
         lines.append(",".join(_format(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
-
-
-def render_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
-    return json.dumps({"config": dataclasses.asdict(cfg), "columns": columns,
-                       "rows": rows}, sort_keys=True, indent=2) + "\n"
 
 
 # Each number flag sets the RunConfig field of the same type.
@@ -229,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
             if args.json:
                 with open(json_path, "w") as fh:
-                    fh.write(render_json(cfg, columns, rows))
+                    fh.write(json.dumps({"config": dataclasses.asdict(cfg), "columns": columns,
+                                         "rows": rows}, sort_keys=True, indent=2) + "\n")
         else:
             sys.stdout.write(text)
         return 0

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import TruthTables, check_mean_counts, check_stages
-from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
+from .bayes import InferenceModel, TruthTables
+from .physics import QUARTER_TURN_COS, mean_count, off_probs
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,19 @@ RAMP_COS = np.array([[2.0 * (QUARTER_TURN_COS[(d - 1) % 4] - QUARTER_TURN_COS[(d
                       for span in (0, 1, 2, -1)] for d in range(4)])
 
 
-def delay_truth_tables(alpha_sq: float, stages: int, ch: ChannelModel,
-                       nu_per_state: float, params: DelayParams,
-                       discard_dt: float, include_delay: bool) -> TruthTables:
-    """Outcome-generating model with per-bin discarding and optional delay.
+def delay_truth_tables(point: InferenceModel, params: DelayParams, discard_dt: float,
+                       include_delay: bool) -> TruthTables:
+    """Outcome-generating model of the grid point's channel ``point`` with per-bin
+    discarding and optional delay.
 
     The first bin has no feedback transient and no discard window.  A later bin
     adds the ``mean_count`` of its hold, swing and settle segments and its dark
     counts; ``include_delay=False`` makes the feedback instantaneous.
     """
-    stages = check_stages(stages)
-    check_mean_counts(alpha_sq, nu_per_state)
-    gamma_sq = alpha_sq / stages
-    nu_bin = nu_per_state / stages
-    first = off_probs(gamma_sq, ch, nu_bin)
+    ch = point.channel()
+    first = off_probs(point.gamma_sq, ch, point.nu_per_bin)
     cosines = (STALE_COS, RAMP_COS, SETTLED_COS) if include_delay else (SETTLED_COS,) * 3
-    hold, swing, settle = (mean_count(gamma_sq * share, ch, cos)
+    hold, swing, settle = (mean_count(point.gamma_sq * share, ch, cos)
                            for share, cos in zip(params.shares(discard_dt), cosines))
-    trans = np.array([math.exp(-mu) for mu in (hold + swing + settle + nu_bin).flat])
-    return TruthTables(stages, first, trans.reshape(4, 4))
+    trans = np.array([math.exp(-mu) for mu in (hold + swing + settle + point.nu_per_bin).flat])
+    return TruthTables(point.stages, first, trans.reshape(4, 4))

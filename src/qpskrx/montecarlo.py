@@ -64,11 +64,6 @@ class SimulationResult:
     per_symbol_error: tuple[float, float, float, float]
 
 
-def _symbol_trial_counts(trials: int) -> list[int]:
-    base, rem = divmod(trials, 4)
-    return [base + (1 if s < rem else 0) for s in range(4)]
-
-
 def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
                     trials: int, rng: RngSpec, n_workers: int = 1) -> list[SimulationResult]:
     """Monte Carlo estimates for a grid of ``(inference, truth)`` points.
@@ -91,7 +86,8 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     groups: dict[int, list[int]] = {}  # members longest first, as the kernel takes them
     for i in np.argsort(-stages, kind="stable").tolist():
         groups.setdefault(4 * ((stages[i] + 3) // 4), []).append(i)
-    counts = _symbol_trial_counts(trials)
+    base, rem = divmod(trials, 4)
+    counts = [base + (1 if s < rem else 0) for s in range(4)]
 
     tasks = []
     for members in groups.values():
@@ -122,20 +118,13 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     for tallies in results:
         for stack, symbol, n_correct in tallies:
             correct[stack, symbol] += n_correct
-    return [_result(c, counts, trials) for c in correct.tolist()]
-
-
-def _result(correct: list[int], counts: list[int], trials: int) -> SimulationResult:
-    per_symbol = tuple(1.0 - correct[s] / counts[s] for s in range(4))
-    p_err = sum(per_symbol) / 4  # equal priors
-
-    stderr = math.sqrt(p_err * (1.0 - p_err) / trials)
-    return SimulationResult(
-        error_prob=p_err,
-        stderr=stderr,
-        trials=trials,
-        per_symbol_error=per_symbol,
-    )
+    estimates = []
+    for c in correct.tolist():
+        per_symbol = tuple(1.0 - c[s] / counts[s] for s in range(4))
+        p_err = sum(per_symbol) / 4  # equal priors
+        estimates.append(SimulationResult(p_err, math.sqrt(p_err * (1.0 - p_err) / trials),
+                                          trials, per_symbol))
+    return estimates
 
 
 def estimate_error(inference: InferenceModel, trials: int, rng: RngSpec,

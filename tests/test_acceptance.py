@@ -169,22 +169,19 @@ def test_c07_break_even_efficiency():
 
 
 def test_c08_delay_coincidence():
-    ch = ChannelModel(ETA_SE, XI)
-
     table_ok = True
     for dt in (1.0, 1.1, 2.0):
         for a2 in (3.3, 9.4):
-            t1 = delay_truth_tables(a2, 10, ch, NU, DELAY_DEFAULTS, dt,
-                                    include_delay=True)
-            t0 = delay_truth_tables(a2, 10, ch, NU, DELAY_DEFAULTS, dt,
-                                    include_delay=False)
+            point = InferenceModel(a2, 10, ETA_SE, XI, NU)
+            t1 = delay_truth_tables(point, DELAY_DEFAULTS, dt, include_delay=True)
+            t0 = delay_truth_tables(point, DELAY_DEFAULTS, dt, include_delay=False)
             table_ok &= (np.abs(t1.first - t0.first).max() <= 1e-12
                          and np.abs(t1.trans - t0.trans).max() <= 1e-12)
 
     def run(a2, dt):
         mult = 1.0 - 9 * dt / T_TOTAL_US
         inference = InferenceModel(a2, 10, ETA_SE * mult, XI, NU)
-        truth = delay_truth_tables(a2, 10, ch, NU, DELAY_DEFAULTS, dt,
+        truth = delay_truth_tables(InferenceModel(a2, 10, ETA_SE, XI, NU), DELAY_DEFAULTS, dt,
                                    include_delay=True)
         return estimate_error(inference, 10**6, RngSpec(int(a2 * 100)),
                               truth=truth, n_workers=4)

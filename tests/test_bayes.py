@@ -12,13 +12,13 @@ from qpskrx import bayes
 from qpskrx._kernels import step_rows
 from qpskrx.bayes import (InferenceModel, _dyadic, _grid_exponent, _value_key,
                           enumerate_detail, enumerate_error_probability, point_tables,
-                          truth_from_inference, uniform_truth_tables)
+                          truth_from_inference)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec, estimate_errors
-from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
+from qpskrx.physics import QUARTER_TURN_COS, mean_count, off_probs
 
 
 def ideal(alpha_sq, stages):
@@ -301,12 +301,11 @@ TIE_MODELS = {
 TIE_ALPHA_SQ = (0.25, 1.0, 3.0, 5.0, 9.4)
 
 
-def oracle_truth(alpha_sq, stages, ch, nu, dt):
-    """Uniform truth tables for ``dt=None``, else the delay model at ``dt``."""
+def oracle_truth(model, dt):
+    """Matched truth tables of ``model`` for ``dt=None``, else the delay model at ``dt``."""
     if dt is None:
-        return uniform_truth_tables(alpha_sq, stages, ch, nu)
-    return delay_truth_tables(alpha_sq, stages, ch, nu,
-                              DelayParams(200.0 / stages, 0.37, 0.63), dt, True)
+        return truth_from_inference(model)
+    return delay_truth_tables(model, DelayParams(200.0 / model.stages, 0.37, 0.63), dt, True)
 
 
 def assert_matches_walk(model, truth=None):
@@ -329,16 +328,15 @@ class TestMergedStates:
         for alpha_sq in ORACLE_ALPHA_SQ:
             for stages in range(1, 15):
                 model = InferenceModel(alpha_sq, stages, eta, xi, nu)
-                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                truth = oracle_truth(model, dt)
                 assert_matches_walk(model, truth)
 
     @pytest.mark.parametrize("alpha_sq", ORACLE_ALPHA_SQ)
     def test_zero_likelihood_mismatch(self, alpha_sq):
         # ideal inference assigns zero likelihood to clicks that the noisy
         # truth produces: -inf log-posteriors must merge and argmax as walked
-        truth_ch = ChannelModel(1.0, 0.9)
         for stages in range(1, 15):
-            truth = uniform_truth_tables(alpha_sq, stages, truth_ch, 0.3)
+            truth = truth_from_inference(InferenceModel(alpha_sq, stages, 1.0, 0.9, 0.3))
             assert_matches_walk(InferenceModel(alpha_sq, stages), truth)
 
     def test_per_symbol_ties_at_experimental_condition(self):
@@ -360,7 +358,7 @@ class TestMergedStates:
         for alpha_sq in TIE_ALPHA_SQ:
             for stages in range(1, 11):
                 model = InferenceModel(alpha_sq, stages, eta, xi, nu)
-                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                truth = oracle_truth(model, dt)
                 per_symbol, totals = decimal_enumeration(model, truth)
                 detail = enumerate_detail(model, truth)
                 np.testing.assert_allclose(detail.per_symbol_error, per_symbol,
@@ -380,7 +378,7 @@ class TestMergedStates:
         for alpha_sq in ORACLE_ALPHA_SQ:
             for stages in range(1, 17):
                 model = InferenceModel(alpha_sq, stages, eta, xi, nu)
-                truth = oracle_truth(alpha_sq, stages, model.channel(), nu, dt)
+                truth = oracle_truth(model, dt)
                 assert_bitwise_equal(enumerate_detail(model, truth),
                                      lexsort_enumeration(model, truth))
 
@@ -403,8 +401,8 @@ class TestMergedStates:
         # a truth table that reads the previous target, past the 1..16 loop
         eta, xi, nu = ORACLE_MODELS["experimental"]
         model = InferenceModel(3.0, 20, eta, xi, nu)
-        truth = oracle_truth(3.0, 20, model.channel(), nu, 0.0)
-        uniform = oracle_truth(3.0, 20, model.channel(), nu, None)
+        truth = oracle_truth(model, 0.0)
+        uniform = oracle_truth(model, None)
         assert not np.array_equal(truth.trans, uniform.trans)
         assert_bitwise_equal(enumerate_detail(model, truth),
                              lexsort_enumeration(model, truth))
@@ -541,7 +539,7 @@ class TestValueKey:
 
 class TestTruthTables:
     def test_uniform_tables_are_transition_independent(self):
-        t = uniform_truth_tables(2.0, 5, ChannelModel(0.7, 0.99), 1e-3)
+        t = truth_from_inference(InferenceModel(2.0, 5, 0.7, 0.99, 1e-3))
         for dprev in range(4):
             for step in range(4):
                 dnew = (dprev - step) % 4
@@ -557,13 +555,12 @@ class TestPointTables:
     """The one table layout both estimators read, entry by entry against the oracles."""
 
     model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
-    ch = ChannelModel(0.65, 0.996)
     # delay model, hold 0.37 us and swing 0.63 us in a 20 us bin
-    truth = oracle_truth(3.0, 10, ch, 9.1e-3, 0.5)
+    truth = oracle_truth(model, 0.5)
 
     @pytest.mark.parametrize("dt", [0.0, 0.5, 1.1])
     def test_truth_entries(self, dt):
-        truth = oracle_truth(3.0, 10, self.ch, 9.1e-3, dt)
+        truth = oracle_truth(self.model, dt)
         first, trans, _ = point_tables(self.model, truth)
         assert first.shape == (4, 4) and trans.shape == (4, 4, 4)
         # the previous target matters until the discard window covers the 1 us ramp
@@ -613,7 +610,7 @@ class TestMirrorTies:
         assert p[0] == p[1] == p[2]
 
     def test_uniform_truth_tables(self):
-        t = uniform_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3)
+        t = truth_from_inference(InferenceModel(2.5, 7, 0.65, 0.996, 9.1e-3))
         assert t.first[1] == t.first[3]
         for a in range(4):
             for b in range(4):
@@ -623,7 +620,7 @@ class TestMirrorTies:
     def test_delay_truth_tables(self, dt):
         # a ramp by -1 quarter turn mirrors one by +1, and the hold and settle
         # segments sit at exact quarter turns, so steps 0, 1 and 3 tie bitwise
-        t = delay_truth_tables(4.0, 10, ChannelModel(0.65, 0.996), 9.1e-3,
+        t = delay_truth_tables(InferenceModel(4.0, 10, 0.65, 0.996, 9.1e-3),
                                DelayParams(20.0, 0.37, 0.63), dt, True)
         for a in range(4):
             for b in (0, 1, 3):
@@ -632,13 +629,13 @@ class TestMirrorTies:
     def test_delay_half_turn_is_not_mirrored(self):
         # a half turn ramps +2 quarter turns whatever the symbol, so column 2 of
         # trans is the one exception while the ramp is inside the bin
-        t = delay_truth_tables(4.0, 10, ChannelModel(0.65, 0.996), 9.1e-3,
+        t = delay_truth_tables(InferenceModel(4.0, 10, 0.65, 0.996, 9.1e-3),
                                DelayParams(20.0, 0.37, 0.63), 0.5, True)
         assert t.trans[1, 2] == pytest.approx(0.6067, abs=1e-4)
         assert t.trans[3, 2] == pytest.approx(0.5968, abs=1e-4)
 
     def test_delay_truth_tables_first_row(self):
-        t = delay_truth_tables(2.5, 7, ChannelModel(0.65, 0.996), 9.1e-3,
+        t = delay_truth_tables(InferenceModel(2.5, 7, 0.65, 0.996, 9.1e-3),
                                DelayParams(20.0, 0.37, 0.63), 1.1, True)
         assert t.first[1] == t.first[3]
 
@@ -657,7 +654,7 @@ class TestZeroLikelihoodRule:
 
     def test_reference_trial_matches_kernel(self):
         # 344 of these 800 trials reach an all -inf log-posterior
-        truth = uniform_truth_tables(4.0, 10, ChannelModel(1.0, 0.9), 0.3)
+        truth = truth_from_inference(InferenceModel(4.0, 10, 1.0, 0.9, 0.3))
         assert_kernel_matches_reference(ideal(4.0, 10), truth, 200, RngSpec(0))
 
     @settings(max_examples=25, deadline=None)
@@ -666,6 +663,6 @@ class TestZeroLikelihoodRule:
            seed=st.integers(0, 2**32))
     def test_estimators_agree(self, alpha_sq, stages, xi, nu, seed):
         inference = ideal(alpha_sq, stages)
-        truth = uniform_truth_tables(alpha_sq, stages, ChannelModel(1.0, xi), nu)
+        truth = truth_from_inference(InferenceModel(alpha_sq, stages, 1.0, xi, nu))
         assert_matches_walk(inference, truth)
         assert_kernel_matches_reference(inference, truth, 50, RngSpec(seed))

@@ -197,6 +197,33 @@ class TestRun:
         _, rows = run(cfg)
         assert [r["eta_spd"] for r in rows] == [0.73, 1.0]
 
+    def test_monte_carlo_modes_agree_where_their_points_coincide(self):
+        # the four Monte Carlo modes build their points through one pipeline and
+        # share one set of common random numbers, so equal points give bitwise
+        # equal estimates, whichever mode runs them
+        def rows(mode, **overrides):
+            cfg = load_config(overrides={"m": 10, "trials": 40_000, "seed": 7,
+                                         "alpha_sq": 4.0, "alpha_sq_start": 4.0,
+                                         "alpha_sq_stop": 4.0, "alpha_sq_points": 1,
+                                         **overrides}, mode=mode)
+            return run(cfg)[1]
+
+        def estimate(row, suffix=""):
+            return row["error_prob" + suffix], row["stderr" + suffix]
+
+        sweep = {dt: estimate(rows("sweep", dt_us=dt)[0]) for dt in (0.0, 1.1)}
+        assert sweep[0.0] != sweep[1.1]  # the discard loss shows
+        for truth_delay in (True, False):
+            (delay,) = rows("delay-sweep", t_hold_us=0.0, t_swing_us=0.0, dt_start_us=0.0,
+                            dt_stop_us=0.0, dt_points=1, truth_delay=truth_delay)
+            assert estimate(delay) == sweep[0.0]
+        efficiency = rows("efficiency-sweep", eta_spd_list=[0.9, 0.73])
+        assert efficiency[1]["eta_spd"] == RunConfig().eta_spd
+        assert estimate(efficiency[1]) == sweep[1.1]
+        (stages,) = rows("stages-sweep", m_start=10, m_stop=10)
+        assert estimate(stages, "_discard") == sweep[1.1]
+        assert estimate(stages, "_no_discard") == sweep[0.0]
+
     @pytest.mark.parametrize("mode", list(RUNNERS))
     def test_rows_hold_only_numbers(self, mode):
         # render_csv formats ints and floats only: a bool would print as True

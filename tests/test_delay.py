@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
-from qpskrx.bayes import InferenceModel, TruthTables, uniform_truth_tables
+from qpskrx.bayes import InferenceModel, TruthTables, truth_from_inference
 from qpskrx.delay import (RAMP_COS, SETTLED_COS, STALE_COS, DelayParams,
                           delay_truth_tables)
 from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
@@ -15,7 +15,8 @@ IDEAL = ChannelModel(1.0, 1.0)
 
 def bin_off(m, prev, new, gamma_sq, p, ch, nu=0.0, dt=0.0, include_delay=True):
     """No-click probability of symbol ``m`` in a later bin, read off the table."""
-    t = delay_truth_tables(gamma_sq, 1, ch, nu, p, dt, include_delay)
+    t = delay_truth_tables(InferenceModel(gamma_sq, 1, ch.eta_total, ch.xi, nu), p, dt,
+                           include_delay)
     return t.trans[(m - prev) % 4, (new - prev) % 4]
 
 
@@ -72,7 +73,7 @@ class TestTimeShares:
         for p in (DEFAULTS, DelayParams(20.0, 20.0, 0.0), DelayParams(20.0, 0.0, 20.0)):
             assert p.shares(p.t_bin) == (0.0, 0.0, 0.0)
             for include_delay in (True, False):
-                t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p,
+                t = delay_truth_tables(InferenceModel(3.3, 10, 0.65, 0.996, 9.1e-3), p,
                                        p.t_bin, include_delay)
                 assert t.trans.tolist() == [[math.exp(-nu_bin)] * 4] * 4
 
@@ -84,7 +85,7 @@ class TestTimeShares:
     def test_all_hold_bin_has_finite_table(self):
         p = DelayParams(20.0, 20.0, 0.0)
         assert p.shares(0.0) == (1.0, 0.0, 0.0)
-        t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 1.1, True)
+        t = delay_truth_tables(InferenceModel(3.3, 10, 0.65, 0.996, 9.1e-3), p, 1.1, True)
         assert np.all(np.isfinite(t.trans))
         assert np.all((t.trans > 0.0) & (t.trans <= 1.0))
 
@@ -130,9 +131,11 @@ class TestValidation:
     @pytest.mark.parametrize("stages, message", [(0, ">= 1, got 0"), (-3, ">= 1, got -3"),
                                                  (2.5, "an integer, got 2.5")])
     def test_truth_builders_reject_bad_stage_counts(self, stages, message):
-        ch = ChannelModel(0.65, 0.996)
-        builders = [lambda: uniform_truth_tables(3.3, stages, ch, 9.1e-3),
-                    lambda: delay_truth_tables(3.3, stages, ch, 9.1e-3, DEFAULTS, 1.1, True),
+        # each truth builder takes the point, so the error comes from building it
+        def point():
+            return InferenceModel(3.3, stages, 0.65, 0.996, 9.1e-3)
+        builders = [lambda: truth_from_inference(point()),
+                    lambda: delay_truth_tables(point(), DEFAULTS, 1.1, True),
                     lambda: TruthTables(stages, np.full(4, 0.5), np.full((4, 4), 0.5))]
         for build in builders:
             with pytest.raises(ValueError, match=f"stages must be {message}"):
@@ -145,11 +148,13 @@ class TestValidation:
         (3.3, -1.0, "nu_per_state must be >= 0, got -1.0"),
         (3.3, math.nan, "nu_per_state must be >= 0, got nan")])
     def test_truth_builders_name_bad_mean_counts(self, alpha_sq, nu, message):
-        # each builder names the value the caller gave, not its per-bin quotient
-        ch = ChannelModel(0.65, 0.996)
-        builders = [lambda: uniform_truth_tables(alpha_sq, 10, ch, nu),
-                    lambda: delay_truth_tables(alpha_sq, 10, ch, nu, DEFAULTS, 1.1, True),
-                    lambda: InferenceModel(alpha_sq, 10, 0.65, 0.996, nu)]
+        # each builder names the value the caller gave, not its per-bin quotient;
+        # the truth builders take the point, so the error comes from building it
+        def point():
+            return InferenceModel(alpha_sq, 10, 0.65, 0.996, nu)
+        builders = [lambda: truth_from_inference(point()),
+                    lambda: delay_truth_tables(point(), DEFAULTS, 1.1, True),
+                    point]
         for build in builders:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build()
@@ -162,7 +167,7 @@ class TestValidation:
 class TestHoldSegment:
     def test_matched_phase(self):
         # an all-hold bin nulls the previous target whatever the new one is
-        t = delay_truth_tables(1.0, 1, IDEAL, 0.0, DelayParams(20.0, 20.0, 0.0), 0.0, True)
+        t = delay_truth_tables(InferenceModel(1.0, 1), DelayParams(20.0, 20.0, 0.0), 0.0, True)
         assert t.trans[0].tolist() == [1.0] * 4
 
     def test_opposite_phase_value(self):
@@ -175,7 +180,7 @@ class TestHoldSegment:
             math.exp(-2 * 0.0185 * 2), rel=1e-12)
 
     def test_vacuum_signal(self):
-        t = delay_truth_tables(0.0, 1, ChannelModel(0.65, 0.996), 0.0, DEFAULTS, 0.0, True)
+        t = delay_truth_tables(InferenceModel(0.0, 1, 0.65, 0.996, 0.0), DEFAULTS, 0.0, True)
         assert t.trans.tolist() == [[1.0] * 4] * 4
 
 
@@ -288,7 +293,7 @@ class TestFullBin:
         p = DelayParams(20.0, 0.1, 0.2)
         assert p.shares(0.5)[1] == 0.0
         for include_delay in (True, False):
-            t = delay_truth_tables(3.3, 10, ChannelModel(0.65, 0.996), 9.1e-3, p, 0.5,
+            t = delay_truth_tables(InferenceModel(3.3, 10, 0.65, 0.996, 9.1e-3), p, 0.5,
                                    include_delay)
             assert np.all((t.trans > 0.0) & (t.trans <= 1.0))
 
@@ -314,20 +319,53 @@ class TestFullBin:
 class TestDelayTruthTables:
     def test_first_bin_has_no_discard_or_delay(self):
         ch = ChannelModel(0.65, 0.996)
-        t = delay_truth_tables(3.3, 10, ch, 9.1e-3, DEFAULTS, 1.1, True)
+        t = delay_truth_tables(InferenceModel(3.3, 10, 0.65, 0.996, 9.1e-3), DEFAULTS, 1.1, True)
         for d in range(4):
             expected = off_probability_visibility(d * math.pi / 2, 0.33, ch, 9.1e-4)
             assert t.first[d] == pytest.approx(expected, rel=1e-12)
 
     def test_delay_free_variant_matches_beyond_ramp(self):
-        ch = ChannelModel(0.65, 0.996)
-        t1 = delay_truth_tables(9.4, 10, ch, 9.1e-3, DEFAULTS, 1.1, include_delay=True)
-        t0 = delay_truth_tables(9.4, 10, ch, 9.1e-3, DEFAULTS, 1.1, include_delay=False)
+        point = InferenceModel(9.4, 10, 0.65, 0.996, 9.1e-3)
+        t1 = delay_truth_tables(point, DEFAULTS, 1.1, include_delay=True)
+        t0 = delay_truth_tables(point, DEFAULTS, 1.1, include_delay=False)
         np.testing.assert_allclose(t1.trans, t0.trans, atol=1e-12)
         np.testing.assert_allclose(t1.first, t0.first, atol=1e-15)
 
     def test_variants_differ_without_discarding(self):
-        ch = ChannelModel(0.65, 0.996)
-        t1 = delay_truth_tables(9.4, 10, ch, 9.1e-3, DEFAULTS, 0.0, include_delay=True)
-        t0 = delay_truth_tables(9.4, 10, ch, 9.1e-3, DEFAULTS, 0.0, include_delay=False)
+        point = InferenceModel(9.4, 10, 0.65, 0.996, 9.1e-3)
+        t1 = delay_truth_tables(point, DEFAULTS, 0.0, include_delay=True)
+        t0 = delay_truth_tables(point, DEFAULTS, 0.0, include_delay=False)
         assert np.abs(t1.trans - t0.trans).max() > 1e-3
+
+
+def random_point(rng):
+    """A grid point's channel and bin timing drawn over their whole ranges."""
+    point = InferenceModel(rng.uniform(0.0, 12.0), int(rng.integers(1, 50)),
+                           rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.1))
+    t_bin = rng.uniform(1.0, 40.0)
+    hold = rng.uniform(0.0, t_bin)
+    return point, DelayParams(t_bin, hold, rng.uniform(0.0, t_bin - hold))
+
+
+class TestMatchedReductions:
+    """Where the delay model has no transient to show, it is the matched truth bit for bit."""
+
+    def test_first_bin_is_the_matched_truth(self):
+        rng = np.random.default_rng(29)
+        for _ in range(1000):
+            point, p = random_point(rng)
+            matched = truth_from_inference(point).first
+            for dt in (0.0, rng.uniform(0.0, p.t_bin), p.t_bin):
+                for include_delay in (True, False):
+                    t = delay_truth_tables(point, p, dt, include_delay)
+                    assert t.first.tobytes() == matched.tobytes()
+
+    def test_zero_durations_without_a_window_are_the_matched_truth(self):
+        rng = np.random.default_rng(31)
+        for _ in range(1000):
+            point, p = random_point(rng)
+            matched = truth_from_inference(point)
+            for include_delay in (True, False):
+                t = delay_truth_tables(point, DelayParams(p.t_bin, 0.0, 0.0), 0.0, include_delay)
+                assert t.first.tobytes() == matched.first.tobytes()
+                assert t.trans.tobytes() == matched.trans.tobytes()

@@ -5,7 +5,8 @@ A top-level function, class or constant of ``src/qpskrx`` must be named in
 definition.  A helper that only the tests call belongs in
 ``tests/oracles.py``.  The package namespace re-exports nothing: callers
 import the submodules.  Each CLI number flag is listed once, in
-``cli.NUMBER_FLAGS``, with the config field it sets.
+``cli.NUMBER_FLAGS``, with the config field it sets.  A grid point's channel
+is one object, ``bayes.InferenceModel``: only it divides by the stage count.
 """
 
 import ast
@@ -57,6 +58,19 @@ def parse(paths) -> dict:
             for path in sorted(paths)}
 
 
+def divisions_by_stages(tree, where=None):
+    """(enclosing class or None, line) of each ``/`` or ``//`` whose divisor is a
+    name or attribute called ``stages``."""
+    for node in ast.iter_child_nodes(tree):
+        inside = node.name if isinstance(node, ast.ClassDef) else where
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, (ast.Div, ast.FloorDiv)):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if getattr(divisor, "id", getattr(divisor, "attr", None)) == "stages":
+                yield inside, node.lineno
+        yield from divisions_by_stages(node, inside)
+
+
 def test_every_top_level_name_is_used():
     package = parse(PACKAGE.glob("*.py"))
     perfbench = parse(p for p in (ROOT / "perfbench").glob("*.py")
@@ -84,3 +98,20 @@ def test_scan_flags_an_unused_helper():
                      "class Spare:\n    pass\n"
                      "__all__ = ['used']\n")
     assert unused_names({"m": tree}, {"m": tree}) == ["m:_TABLE", "m:helper", "m:Spare"]
+
+
+def test_only_the_inference_model_splits_a_point_over_its_bins():
+    # the per-bin quotients of a point's channel live in one place, which both
+    # truth builders and the likelihoods read
+    sites = [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
+             for where, line in divisions_by_stages(tree)]
+    assert sites
+    assert [site for site, where in sites if where != "InferenceModel"] == []
+
+
+def test_scan_finds_divisions_by_stages():
+    tree = ast.parse("class InferenceModel:\n"
+                     "    def quotient(self):\n        return self.alpha_sq / self.stages\n"
+                     "def split(a, stages, point):\n"
+                     "    a /= stages\n    return a // point.stages, stages / a\n")
+    assert list(divisions_by_stages(tree)) == [("InferenceModel", 3), (None, 5), (None, 6)]

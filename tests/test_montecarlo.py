@@ -10,10 +10,9 @@ from oracles import (kernel_outcomes, reference_trial, run_point, stack_tables,
                      vector_recursion)
 from qpskrx import _kernels, montecarlo
 from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
-                          truth_from_inference, uniform_truth_tables)
+                          truth_from_inference)
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import DRAW_BLOCK, RngSpec, estimate_error, estimate_errors
-from qpskrx.physics import ChannelModel
 
 EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
 
@@ -29,14 +28,12 @@ def parity_case(name, alpha_sq, stages):
         return inference, truth_from_inference(inference)
     if name == "mismatch":
         # ideal inference gives zero likelihood to clicks the noisy truth makes
-        truth = uniform_truth_tables(alpha_sq, stages, ChannelModel(1.0, 0.9), 0.3)
+        truth = truth_from_inference(InferenceModel(alpha_sq, stages, 1.0, 0.9, 0.3))
         return model(alpha_sq, stages), truth
     inference = model(alpha_sq, stages, **EXPERIMENTAL)
     if name == "experimental":
         return inference, truth_from_inference(inference)
-    truth = delay_truth_tables(alpha_sq, stages, inference.channel(),
-                               EXPERIMENTAL["nu_per_state"],
-                               DelayParams(200.0 / stages, 0.37, 0.63), 1.1, True)
+    truth = delay_truth_tables(inference, DelayParams(200.0 / stages, 0.37, 0.63), 1.1, True)
     return inference, truth
 
 

@@ -52,7 +52,7 @@ of the side's ``tests/test_cli.py`` (``GOLDEN_CSV``), and over the delay grid,
 ``delay-sweep`` at its default 13 discard windows for every |alpha|^2 in
 ``TABLE_ALPHA_SQ``, M in ``TABLE_STAGES`` and ``truth_delay`` on and off.  Per
 side: the sha256 and point count of each set, and of its points with the
-matched truth model (``uniform_truth_tables``), and the delay grid's tables
+matched truth model (``truth_from_inference``), and the delay grid's tables
 whose ``trans`` breaks the mirror symmetry ``trans[a, b] == trans[-a, -b]``
 off the half-turn column.  Between the sides: how many of the delay grid's
 truth entries (``first`` and ``trans``) moved, and by how many ulps at most.  The record, headed by the change's commit subject,
