@@ -9,8 +9,7 @@ import pytest
 from oracles import (kernel_outcomes, reference_trial, run_point, stack_tables,
                      vector_recursion)
 from qpskrx import _kernels, montecarlo
-from qpskrx.bayes import (InferenceModel, enumerate_error_probability,
-                          truth_from_inference)
+from qpskrx.bayes import InferenceModel, enumerate_error_probability, truth_from_inference
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import DRAW_BLOCK, RngSpec, estimate_error, estimate_errors
 
