@@ -2,7 +2,7 @@
 
 The kernel consumes a pre-generated ``(n_trials, top)`` array of uniform
 variates, one row per trial (column-major, so each bin's column is
-contiguous), shared by a stack of points of one pad group.  Each point roots
+contiguous), shared by a stack of points of any stage counts.  Each point roots
 its own trie of outcome prefixes: trials with the same prefix are in the
 same receiver state, so after bin i they share one node, child ``2 * parent
 + outcome`` of the bin before.  Per (point, trial) a bin only gathers its

@@ -19,7 +19,8 @@ MODES = ("bounds", "sweep", "delay-sweep", "efficiency-sweep", "stages-sweep", "
 READS_M = ("sweep", "delay-sweep", "efficiency-sweep", "enumerate")
 READS_DT_US = ("sweep", "efficiency-sweep", "enumerate")
 
-# Philox keys are (seed << 2) | symbol and must stay below 2**128.
+# Any non-negative seed keys a stream (montecarlo.RngSpec); the bound is kept so
+# that a config accepted before is accepted now, and none other.
 SEED_LIMIT = 2 ** 126
 
 

@@ -1,11 +1,12 @@
 """Deterministic, parallelizable Monte Carlo estimation of the error probability.
 
 Trials are stratified over the four truth symbols (equal priors) and driven
-by counter-based Philox substreams keyed on (seed, symbol) with the counter
-advanced to the trial index, so a given (seed, symbol, trial) always sees the
-same uniforms regardless of chunking, worker count or scheduling.  A grid of
+by one ``PCG64DXSM`` stream per (seed, symbol), laid out bin-major: the
+uniform of trial t in bin i is output i * 2**64 + t.  So a given (seed,
+symbol, trial) always sees the same uniforms regardless of chunking, worker
+count, scheduling or the stage count of the point that reads them.  A grid of
 points shares those uniforms (common random numbers), and each chunk's draws
-are generated once for all points with the same padded stage count.
+are generated once, at the grid's largest M, for all points.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .bayes import InferenceModel, TruthTables, point_tables
 # ``truth_from_inference`` stays importable from here: perfbench/spans.py traces it by this name.
 from .bayes import truth_from_inference  # noqa: F401
 
-DEFAULT_CHUNK = 1 << 16  # at most this many trials per (pad group, symbol, chunk) task
-DRAW_BLOCK = 4096  # trials per Philox call in RngSpec.draws: a cache-sized row-major block
+DEFAULT_CHUNK = 1 << 16  # at most this many trials per (symbol, chunk) task
+BIN_STRIDE = 1 << 64  # stream outputs between one bin's uniforms and the next's
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,21 @@ class RngSpec:
     def draws(self, symbol: int, start_trial: int, n_trials: int, stages: int) -> np.ndarray:
         """Uniforms for trials [start, start+n); row t is trial start+t.
 
-        Each trial consumes a fixed block of uniforms padded to a multiple of
-        4 (the Philox counter granularity), so any contiguous range can be
-        generated independently via counter advancement.  The result is
-        column-major, so each bin's column (of any leading-column slice) is
-        contiguous for the kernel; it is filled ``DRAW_BLOCK`` trials at a
-        time, each block continuing the stream of the one before.
+        Bin i of trial t reads output ``i * BIN_STRIDE + t`` of the symbol's
+        ``PCG64DXSM`` stream, seeded by ``SeedSequence(seed, spawn_key=(symbol,))``,
+        so any contiguous range of trials, and any leading run of bins, can be
+        generated on its own: the first m columns are the same for every
+        ``stages`` >= m.  The result is column-major, so each bin's column (of
+        any leading-column slice) is contiguous for the kernel; each column is
+        filled in place by one ``advance`` and one ``random`` call.
         """
-        pad = 4 * ((stages + 3) // 4)
-        bg = np.random.Philox(key=(self.seed << 2) | symbol)
-        bg.advance(start_trial * (pad // 4))
+        bg = np.random.PCG64DXSM(np.random.SeedSequence(self.seed, spawn_key=(symbol,)))
         gen = np.random.Generator(bg)
         out = np.empty((stages, n_trials)).T
-        for lo in range(0, n_trials, DRAW_BLOCK):
-            block = gen.random((min(DRAW_BLOCK, n_trials - lo), pad))
-            out[lo:lo + len(block)] = block[:, :stages]
+        bg.advance(start_trial)
+        for i in range(stages):
+            gen.random(out=out[:, i])
+            bg.advance(BIN_STRIDE - n_trials)  # to trial ``start_trial`` of the next bin
         return out
 
 
@@ -69,41 +70,38 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     """Monte Carlo estimates for a grid of ``(inference, truth)`` points.
 
     Every point sees the same uniforms for a given (symbol, trial): common
-    random numbers.  Points with the same padded stage count read the same
-    Philox block per trial, so each (pad group, symbol, chunk) task draws
-    once, at the group's largest M, and runs the group's points over them in
-    stacks of at most ``_kernels.STACK_TRIALS`` (point, trial) rows, one
-    kernel call per stack.  Deterministic for a given ``rng``: the chunk
-    schedule is fixed and the tallies are integers, so the results are
-    independent of ``n_workers``.  A missing truth is the matched one.
+    random numbers.  A trial's first M uniforms are the same for every M, so
+    each (symbol, chunk) task draws once, at the grid's largest M, and runs
+    every point over them, longest first, in stacks of at most
+    ``_kernels.STACK_TRIALS`` (point, trial) rows, one kernel call per stack.
+    Deterministic for a given ``rng``: the chunk schedule is fixed and the
+    tallies are integers, so the results are independent of ``n_workers``
+    and of the other points of the grid.  A missing truth is the matched one.
     """
     if trials < 4:
         raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
+    if not points:
+        return []
     # per point, built once: the tables ``_kernels.run_chunk`` reads, by point and symbol
     stages = np.array([inference.stages for inference, _ in points])
     tables = [point_tables(*point) for point in points]
     first, trans, loglik = (np.array([table[k] for table in tables]) for k in range(3))
-    groups: dict[int, list[int]] = {}  # members longest first, as the kernel takes them
-    for i in np.argsort(-stages, kind="stable").tolist():
-        groups.setdefault(4 * ((stages[i] + 3) // 4), []).append(i)
+    order = np.argsort(-stages, kind="stable").tolist()  # longest first, as the kernel takes them
+    top = int(stages[order[0]])  # the grid's largest M: every point reads a leading slice
     base, rem = divmod(trials, 4)
     counts = [base + (1 if s < rem else 0) for s in range(4)]
-
-    tasks = []
-    for members in groups.values():
-        for symbol, n_sym in enumerate(counts):
-            for start in range(0, n_sym, DEFAULT_CHUNK):
-                tasks.append((members, symbol, start, min(DEFAULT_CHUNK, n_sym - start)))
+    tasks = [(symbol, start, min(DEFAULT_CHUNK, n_sym - start))
+             for symbol, n_sym in enumerate(counts) for start in range(0, n_sym, DEFAULT_CHUNK)]
 
     def run_task(task):
-        members, symbol, start, n = task
-        draws = rng.draws(symbol, start, n, int(stages[members[0]]))  # at the group's top M
+        symbol, start, n = task
+        draws = rng.draws(symbol, start, n, top)
         per_call = max(1, _kernels.STACK_TRIALS // n)  # points stacked in one kernel call
         tallies = []
-        for lo in range(0, len(members), per_call):
-            stack = members[lo:lo + per_call]
-            targets = _kernels.run_chunk(draws, first[stack, symbol], trans[stack, symbol],
-                                         loglik[stack], stages[stack])
+        for lo in range(0, len(order), per_call):
+            stack = order[lo:lo + per_call]
+            targets = _kernels.run_chunk(draws[:, :stages[stack[0]]], first[stack, symbol],
+                                         trans[stack, symbol], loglik[stack], stages[stack])
             tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
             del targets  # not held through the next call
         return tallies

@@ -366,8 +366,14 @@ class TestTables:
         assert same["delay_entries_moved"] == 0 and same["delay_sha256_equal"]
 
 
-def default_run(sha, wall=1.0, returncode=0):
-    return {"wall_s": wall, "returncode": returncode, "csv_sha256": sha}
+def default_run(sha, wall=1.0, returncode=0, body=None, estimates=None):
+    return {"wall_s": wall, "returncode": returncode, "csv_sha256": sha,
+            "csv_body_sha256": body if body is not None else sha, "estimates": estimates}
+
+
+HEADER = '# config={"seed": 1}\n'
+STAGES_CSV = ("m,error_prob_no_discard,stderr_no_discard,error_prob_discard,stderr_discard\n"
+              "3,0.25,0.03,0.5,0.04\n4,0.125,0.02,0.0,0.0\n")
 
 
 class TestDefaults:
@@ -384,6 +390,34 @@ class TestDefaults:
         assert out["sweep"]["first"] == "parent"
         assert out["bounds"]["csv_sha256_equal"] is False
         assert out["enumerate"]["csv_sha256_equal"] is False  # no CSV on either side
+        assert out["enumerate"]["csv_body_sha256_equal"] is False
+        assert out["enumerate"]["max_abs_z"] is None
+
+    def test_body_equal_under_another_header(self):
+        runs = {"sweep": {"first": "parent", "parent": default_run("a", body="x"),
+                          "change": default_run("b", body="x")}}
+        out = bench_pairs.summarize_defaults(runs)["sweep"]
+        assert out["csv_sha256_equal"] is False and out["csv_body_sha256_equal"] is True
+
+    def test_largest_z_between_the_sides(self):
+        parent = [[0.25, 0.03], [0.5, 0.04], [0.125, 0.02], [0.0, 0.0]]
+        change = [[0.2, 0.04], [0.5, 0.01], [0.135, 0.02], [0.0, 0.0]]
+        runs = {"stages-sweep": {"first": "change",
+                                 "parent": default_run("a", estimates=parent),
+                                 "change": default_run("b", estimates=change)}}
+        out = bench_pairs.summarize_defaults(runs)["stages-sweep"]
+        assert out["max_abs_z"] == pytest.approx(0.05 / 0.05)
+        assert bench_pairs.max_abs_z([[0.0, 0.0]], [[1.0, 0.0]]) == math.inf
+        assert bench_pairs.max_abs_z(parent, change[:3]) is None  # other points
+        assert bench_pairs.max_abs_z(parent, None) is None  # an exact mode
+
+    def test_csv_estimates_pair_each_error_with_its_stderr(self):
+        assert bench_pairs.csv_body(HEADER + STAGES_CSV) == STAGES_CSV
+        assert bench_pairs.csv_body(STAGES_CSV) == STAGES_CSV
+        assert bench_pairs.csv_estimates(HEADER + STAGES_CSV) == [
+            [0.25, 0.03], [0.5, 0.04], [0.125, 0.02], [0.0, 0.0]]
+        assert bench_pairs.csv_estimates(
+            HEADER + "alpha_sq,alpha_sq_detected,error_prob\n1.0,0.6,0.38\n") is None
 
     def test_run_in_a_tree(self, tmp_path):
         package = tmp_path / "src" / "qpskrx"
@@ -398,7 +432,19 @@ class TestDefaults:
         assert run["returncode"] == 0 and run["wall_s"] > 0
         assert run["csv_sha256"] == hashlib.sha256(b"sweep\n").hexdigest()
         bad = bench_pairs.run_default(tmp_path, "bad", tmp_path / "bad.csv")
-        assert bad["returncode"] == 1 and bad["csv_sha256"] is None
+        assert bad["returncode"] == 1
+        assert bad["csv_sha256"] is bad["csv_body_sha256"] is bad["estimates"] is None
+
+    def test_run_hashes_the_body_and_reads_the_estimates(self, tmp_path):
+        package = tmp_path / "src" / "qpskrx"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            f"import sys\nopen(sys.argv[3], 'w').write({HEADER + STAGES_CSV!r})\n")
+        run = bench_pairs.run_default(tmp_path, "stages-sweep", tmp_path / "out.csv")
+        assert run["csv_sha256"] == hashlib.sha256((HEADER + STAGES_CSV).encode()).hexdigest()
+        assert run["csv_body_sha256"] == hashlib.sha256(STAGES_CSV.encode()).hexdigest()
+        assert run["estimates"] == bench_pairs.csv_estimates(STAGES_CSV)
 
 
 STOPPED_WRITER = """

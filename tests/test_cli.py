@@ -77,7 +77,7 @@ class TestLoadConfig:
     def test_seed_range(self):
         cfg = load_config(overrides={"seed": SEED_LIMIT - 1, "trials": 8, "m": 2,
                                      "alpha_sq_points": 1}, mode="sweep")
-        run(cfg)  # the largest seed still keys a valid Philox stream
+        run(cfg)  # the largest seed still keys a valid stream
         with pytest.raises(ConfigError, match="^seed:"):
             load_config(overrides={"seed": SEED_LIMIT})
 
@@ -444,50 +444,54 @@ GOLDEN_CSV = [
     ("enumerate", {"m": 6, "alpha_sq_start": 0.5, "alpha_sq_stop": 4.0,
                    "alpha_sq_points": 3},
      "5638c7930e06bb27ffc695925f9e22e84ca9599890c7c104879a8680870054fa"),
+    # every Monte Carlo digest below was re-recorded for the bin-major
+    # PCG64DXSM stream (montecarlo.RngSpec); each row stays within 2.1 of its
+    # Philox-stream value in combined standard errors
     ("sweep", {"m": 4, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 4000, "seed": 3},
-     "f5e27001cee3ff5d7f6127530a72872913cbd046506abda8856753b07160c80d"),
+     "6579f356c03638b7d28b591c1f519e1c59bc22b7ea206a123dddda4feccb705f"),
     ("efficiency-sweep", {"m": 4, "eta_spd_list": [0.73, 1.0], "alpha_sq_start": 1.0,
                           "alpha_sq_stop": 2.0, "alpha_sq_points": 2, "trials": 3000,
                           "seed": 4},
-     "f758efa45cf179457055dd8159ffb84e12db2c7011590db68553e0991f78cc74"),
+     "fa14261deb5829475631c435fb22d5482c7ad2a88676235badde92a0613f4212"),
     ("stages-sweep", {"m_start": 3, "m_stop": 5, "alpha_sq": 3.0, "trials": 3000,
                       "seed": 5},
-     "ac3e1e1172b3387c188c583ae5cf25715a9f8577965bc8ede609c5bad8b6c755"),
+     "1bf8628d5db19caa2d2a85847e8a7fe53ce7b1887a37a9415f88fa4daa098652"),
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": True},
-     "56fbb9bd7bd46b670db6235d3c1cd4835947f47168e80cb456c8cac6195054a4"),
+     "530d08801daca134df94c7701b2e0ba3dd37d4ceeddf6d670ddccbc5051e1221"),
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 6, "truth_delay": False},
-     "9be3ae4d570a13e416653a64e6a27aeb2fab0e64202f988a0a6baadc5c95510d"),
-    # pad groups 4, 8, 12 and 16, of unequal size, run on two workers
+     "8e223e79a9a2da5a270e8e70dd3a2d59ec3623be74a68e9a698c186590eaf1bd"),
+    # M = 3 to 13 in one stack per task, on two workers; the id is from the pad
+    # groups (4, 8, 12 and 16) that an earlier stream layout split this grid into
     ("stages-sweep", {"m_start": 3, "m_stop": 13, "alpha_sq": 3.0, "trials": 3000,
                       "seed": 7, "workers": 2},
-     "2146022c51b3f22755e1ccb222e40066a94d2f65a8eb95715940351f766ca5b3"),
+     "77fcfe3d47c014ddac5aaccb411ce4c8904a5981c8c9479f1a8106b1ddee9b61"),
     # 67,500 trials per symbol: two chunks, the last one short
     ("sweep", {"m": 6, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0,
                "alpha_sq_points": 3, "trials": 270_000, "seed": 8, "workers": 2},
-     "47192b868836a0f1c507a399fcf5a25f418f1905494ae9702a980f1735953380"),
+     "70ce3516722d3d3364394f5ad9654f09d8ded1239895797ddb88db6bd70adc38"),
     # hold and swing fill the bin exactly: no settle segment
     ("delay-sweep", {"m": 13, "alpha_sq": 3.3, "t_hold_us": 0.37,
                      "t_swing_us": 15.014615384615386, "dt_start_us": 0.0,
                      "dt_stop_us": 2.0, "dt_points": 3, "trials": 4000, "seed": 10},
-     "687ae75336ca8232ba1a862ef558c1483b3d8e11b8cd6c1148dc582349d30dff"),
+     "8dbd0c55ba0b22361f9f9c702050c182c4a6456e5d6a78af2d6e57e4c157eebd"),
     # the whole bin is hold: the stale phase is nulled throughout
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "t_hold_us": 20.0, "t_swing_us": 0.0,
                      "dt_start_us": 0.0, "dt_stop_us": 2.0, "dt_points": 3,
                      "trials": 4000, "seed": 11},
-     "2069a31c9998e8d3165e4b2802274bee3a4df6178358a9c439e6cc68b8f10903"),
+     "d5d22878db49f30d354ea7936e633711e5cddfb9638f78a5eaee3226e49b4e7d"),
     ("delay-sweep", {"m": 4, "alpha_sq": 9.4, "dt_start_us": 0.0, "dt_stop_us": 2.0,
                      "dt_points": 3, "trials": 4000, "seed": 12, "truth_delay": False},
-     "428129484f8b1d2e4364b89ba541e9bf2e6e1fdb8142a840942fb46c028e7953"),
+     "402cfea8caf50e80d0643a6b108330c724839bbe29de0b1e618aa306b6bee491"),
     # one discard window ends inside the hold, three inside the swing
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.2, "dt_stop_us": 0.8,
                      "dt_points": 4, "trials": 4000, "seed": 13, "truth_delay": True},
-     "362805b5683f37507abe85c9716a29970b15af736552380bed065b4fa924e938"),
+     "4d1b5ba04bf943f4dbd7c06cecdc9ad7587e9db662da184850e7a87f5544b81e"),
     ("delay-sweep", {"m": 10, "alpha_sq": 3.3, "dt_start_us": 0.2, "dt_stop_us": 0.8,
                      "dt_points": 4, "trials": 4000, "seed": 13, "truth_delay": False},
-     "803579cb1f231ed795253cd5be668a0500ca68389adc5d56147e96cf62e43656"),
+     "c2c1e02f82c53ca1daecfe12457fa31a1c2d55edd5ec0d962a08a6e53130a7f8"),
 ]
 
 

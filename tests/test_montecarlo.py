@@ -11,7 +11,7 @@ from oracles import (kernel_outcomes, reference_trial, run_point, stack_tables,
 from qpskrx import _kernels, montecarlo
 from qpskrx.bayes import InferenceModel, enumerate_error_probability, truth_from_inference
 from qpskrx.delay import DelayParams, delay_truth_tables
-from qpskrx.montecarlo import DRAW_BLOCK, RngSpec, estimate_error, estimate_errors
+from qpskrx.montecarlo import RngSpec, estimate_error, estimate_errors
 
 EXPERIMENTAL = dict(eta_total=0.65, xi=0.996, nu_per_state=9.1e-3)
 
@@ -52,17 +52,30 @@ class TestRngSpec:
                                   RngSpec(2).draws(0, 0, 50, 8))
 
     @pytest.mark.parametrize("stages", [1, 3, 4, 10, 13])
-    def test_column_major_philox_layout(self, stages):
-        seed, symbol, start, n = 7, 3, 1234, 2 * DRAW_BLOCK + 5  # three blocks
+    def test_bin_major_pcg64dxsm_layout(self, stages):
+        # bin i of trial t: the top 53 bits of output i * 2**64 + t of the
+        # symbol's PCG64DXSM stream, seeded by SeedSequence(seed, spawn_key=(symbol,))
+        seed, symbol, start, n = 7, 3, 1234, 3001
         got = RngSpec(seed).draws(symbol, start, n, stages)
         assert got.shape == (n, stages) and got.flags.f_contiguous
-        pad = 4 * ((stages + 3) // 4)
-        bg = np.random.Philox(key=(seed << 2) | symbol)
-        bg.advance(start * pad // 4)
-        expected = np.random.Generator(bg).random((n, pad))[:, :stages]
-        assert np.array_equal(got, expected)
+        for i in range(stages):
+            bg = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(symbol,)))
+            bg.advance(i * 2 ** 64 + start)
+            expected = (bg.random_raw(n) >> np.uint64(11)) * 2.0 ** -53
+            assert np.array_equal(got[:, i], expected)
         for m in range(1, stages + 1):
             assert got[:, :m].flags.f_contiguous
+
+    def test_leading_bins_do_not_depend_on_stage_count(self):
+        full = RngSpec(5).draws(2, 100, 700, 13)
+        for m in range(1, 14):
+            assert np.array_equal(full[:, :m], RngSpec(5).draws(2, 100, 700, m))
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 1235])
+    def test_start_off_a_multiple_of_four_matches_a_draw_from_zero(self, start):
+        full = RngSpec(11).draws(1, 0, 2000, 7)
+        np.testing.assert_array_equal(full[start:start + 300],
+                                      RngSpec(11).draws(1, start, 300, 7))
 
 
 class TestDeterminism:
@@ -224,7 +237,7 @@ class TestEstimateError:
 
 
 def grid_points():
-    """Matched and delay-truth points of mixed M: pad groups 4, 8, 12 and 16."""
+    """Matched and delay-truth points of mixed M, 1 to 13."""
     out = []
     for stages in (1, 3, 4, 5, 8, 9, 13):
         inference, truth = parity_case("delay", 2.0, stages)
@@ -267,16 +280,35 @@ class TestEstimateErrors:
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
         points = grid_points()
         estimate_errors(points, 5000, RngSpec(31))
-        # 1250 trials per symbol: chunks of 1024 and 226; each group draws at its top M
+        # 1250 trials per symbol: chunks of 1024 and 226, each drawn once, at the
+        # grid's top M, for every point: no pad groups
         assert sorted(calls) == sorted(
-            (symbol, start, n, top) for top in (4, 8, 9, 13) for symbol in range(4)
+            (symbol, start, n, 13) for symbol in range(4)
             for start, n in ((0, 1024), (1024, 226)))
-        # one kernel call per task: each group's points, longest first, fit in
-        # one stack of STACK_TRIALS rows, and every call gets the group's draws whole
-        stacks = {4: (4, 4, 3, 3, 1, 1), 8: (8, 8, 5, 5), 9: (9, 9), 13: (13, 13)}
+        # one kernel call per task: the grid's 14 points, longest first, fit in
+        # one stack of STACK_TRIALS rows, and every call gets the task's draws whole
+        stages = (13, 13, 9, 9, 8, 8, 5, 5, 4, 4, 3, 3, 1, 1)
         assert sorted(kernel_calls) == sorted(
-            ((n, top), stages) for top, stages in stacks.items() for _symbol in range(4)
-            for n in (1024, 226))
+            ((n, 13), stages) for _symbol in range(4) for n in (1024, 226))
+
+    def test_point_alone_in_a_mixed_grid_and_reordered(self, monkeypatch):
+        # common random numbers: a point's result depends on no other point,
+        # not even on the grid's largest M, at which the draws are made
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1024)
+        points, rng = grid_points(), RngSpec(43)
+        grid = estimate_errors(points, 5000, rng)
+        order = [5, 12, 0, 9, 3, 13, 7, 1, 10, 4, 11, 2, 8, 6]
+        reordered = estimate_errors([points[i] for i in order], 5000, rng)
+        assert [reordered[order.index(i)] for i in range(len(points))] == grid
+        for point, res in zip(points, grid):
+            assert estimate_errors([point], 5000, rng) == [res]
+
+    def test_empty_grid_draws_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(RngSpec, "draws", lambda self, *args: calls.append(args))
+        monkeypatch.setattr(_kernels, "run_chunk", lambda *args: calls.append(args))
+        assert estimate_errors([], 5000, RngSpec(0), n_workers=2) == []
+        assert calls == []
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 4"):
@@ -303,16 +335,16 @@ class TestEstimateErrors:
 
         def recording(*args):
             rows.append((len(args[0]), len(args[4])))
+            assert args[0].shape[1] == args[4][0]  # the draws up to the stack's top M
             return kernel(*args)
 
         monkeypatch.setattr(_kernels, "run_chunk", recording)
         monkeypatch.setattr(_kernels, "STACK_TRIALS", stack_trials)
         assert estimate_errors(points, 5000, rng) == expected
         per_call = max(1, stack_trials // 1024)
-        group_sizes = (6, 4, 2, 2)
         assert sorted(p for n, p in rows if n == 1024) == sorted(
-            min(per_call, size - lo) for size in group_sizes for _symbol in range(4)
-            for lo in range(0, size, per_call))
+            min(per_call, len(points) - lo) for _symbol in range(4)
+            for lo in range(0, len(points), per_call))
         assert all(n * p <= max(stack_trials, n) for n, p in rows)
         assert sum(p for n, p in rows if n == 226) == 4 * len(points)
 
@@ -382,7 +414,7 @@ class TestTracerContract:
         monkeypatch.setattr(_kernels, "run_chunk", recording)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
         estimate_errors(grid_points(), 1000, RngSpec(1))
-        assert len(calls) == 4 * 4 * 3  # pad groups x symbols x chunks
+        assert len(calls) == 4 * 3  # symbols x chunks: the whole grid in one stack
         for args, kwargs in calls:
             assert not kwargs and len(args) == 5
             inspect.signature(spans._kernel_attrs).bind(*args)
@@ -407,10 +439,10 @@ class TestTracerContract:
             traced = cli.render_csv(cfg, *cli.run(cfg))
         assert traced == untraced
         metrics = spans.layer_metrics(tracer.spans, workers=2)
-        # pad groups {3, 4} and {5, 6}, each point with and without discard:
-        # one draw and one stack of 4 points per group and symbol, 100 trials
-        assert metrics["montecarlo.draws.calls"] == 8
-        assert metrics["kernels.run_chunk.calls"] == 8
+        # M = 3 to 6, each point with and without discard: one draw and one
+        # stack of all 8 points per symbol, 100 trials
+        assert metrics["montecarlo.draws.calls"] == 4
+        assert metrics["kernels.run_chunk.calls"] == 4
         assert metrics["bayes.truth_tables.calls"] > 0
 
     def test_traced_enumerate(self):
@@ -457,4 +489,4 @@ class TestTracerContract:
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
         estimate_errors([(model(1.0, 4, **EXPERIMENTAL), None), (model(2.0, 3), None)],
                         1000, RngSpec(1))
-        assert sum(calls) == 1000  # one draw per (pad group, symbol, chunk)
+        assert sum(calls) == 1000  # one draw per (symbol, chunk), for both points

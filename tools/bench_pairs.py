@@ -39,8 +39,11 @@ the passed, failed, skipped and error counts of pytest's summary line.
 The ``defaults`` section runs ``python -m qpskrx.cli MODE --out FILE`` at
 the default config, once per side in its export for each mode of the
 change's ``config.MODES``, alternating which side goes first: the wall
-seconds, by this process's clock, the exit code, the CSV sha256 and whether
-the two sides wrote the same bytes.
+seconds, by this process's clock, the exit code, the CSV sha256, the sha256
+of its body (the lines after the ``# config=`` header) and its Monte Carlo
+estimates, whether the two sides wrote the same bytes and the same body,
+and, for a Monte Carlo mode, the largest |p1 - p2| / sqrt(se1^2 + se2^2)
+between the two sides' estimates of a point.
 
 The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
 side, and their total.
@@ -67,6 +70,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -428,21 +432,67 @@ def run_tier1(tree: Path) -> dict:
             **tier1_counts(done.stdout)}
 
 
+def csv_body(text: str) -> str:
+    """A CLI CSV without its ``# config=`` header line: the column names and rows."""
+    return text.split("\n", 1)[1] if text.startswith("# config=") else text
+
+
+def csv_estimates(text: str) -> list[list[float]] | None:
+    """The ``[error_prob, stderr]`` pairs of a CLI CSV, row by row, each
+    ``error_prob*`` column with its ``stderr*`` twin; None if it has no
+    standard errors (an exact mode)."""
+    columns, *rows = (line.split(",") for line in csv_body(text).splitlines())
+    twins = [(i, columns.index(twin)) for i, name in enumerate(columns)
+             if name.startswith("error_prob")
+             and (twin := "stderr" + name.removeprefix("error_prob")) in columns]
+    return [[float(row[i]), float(row[j])] for row in rows for i, j in twins] if twins else None
+
+
+def max_abs_z(parent: list | None, change: list | None) -> float | None:
+    """Largest |p1 - p2| / sqrt(se1^2 + se2^2) over the two sides' paired
+    estimates (0 where p1 == p2, inf where they differ with both errors 0);
+    None unless both sides hold estimates of the same points."""
+    if parent is None or change is None or len(parent) != len(change):
+        return None
+
+    def z(p1: float, se1: float, p2: float, se2: float) -> float:
+        if p1 == p2:
+            return 0.0
+        se = math.hypot(se1, se2)
+        return abs(p1 - p2) / se if se else math.inf
+
+    return max((z(*a, *b) for a, b in zip(parent, change)), default=0.0)
+
+
 def run_default(tree: Path, mode: str, out: Path) -> dict:
     """One CLI run of ``mode`` at its default config in ``tree``: wall seconds,
-    exit code and the sha256 of the CSV it wrote (None if it wrote none)."""
+    exit code, and the sha256, body sha256 and estimates of the CSV it wrote
+    (None if it wrote none)."""
     t0 = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "qpskrx.cli", mode, "--out", str(out)],
                           cwd=tree, env=tree_env(), capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return {"wall_s": wall, "returncode": done.returncode, "csv_sha256": sha}
+    run = {"wall_s": wall, "returncode": done.returncode,
+           "csv_sha256": None, "csv_body_sha256": None, "estimates": None}
+    if out.exists():
+        data = out.read_bytes()
+        body = csv_body(data.decode())
+        run.update(csv_sha256=hashlib.sha256(data).hexdigest(),
+                   csv_body_sha256=hashlib.sha256(body.encode()).hexdigest(),
+                   estimates=csv_estimates(body))
+    return run
 
 
 def summarize_defaults(runs: dict) -> dict:
-    """Each mode's runs with ``csv_sha256_equal``: both sides wrote the same CSV."""
-    return {mode: {**r, "csv_sha256_equal": r["parent"]["csv_sha256"] is not None
-                   and r["parent"]["csv_sha256"] == r["change"]["csv_sha256"]}
+    """Each mode's runs with ``csv_sha256_equal`` and ``csv_body_sha256_equal``
+    (both sides wrote the same CSV, the same body) and ``max_abs_z`` (see
+    ``max_abs_z``)."""
+    def equal(r: dict, key: str) -> bool:
+        return r["parent"][key] is not None and r["parent"][key] == r["change"][key]
+
+    return {mode: {**r, "csv_sha256_equal": equal(r, "csv_sha256"),
+                   "csv_body_sha256_equal": equal(r, "csv_body_sha256"),
+                   "max_abs_z": max_abs_z(r["parent"]["estimates"], r["change"]["estimates"])}
             for mode, r in runs.items()}
 
 
