@@ -40,9 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
 
 _NEG_INF = float("-inf")
+# cos(delta*pi/2) for delta = 0..3, exact; math.cos leaves 6.1e-17 at pi/2
+# but -1.8e-16 at 3*pi/2, which would split the mirror pair delta = 1, 3
+QUARTER_TURN_COS = (1.0, 0.0, -1.0, 0.0)
 
 
 def check_stages(stages) -> int:
@@ -60,9 +62,12 @@ class InferenceModel:
     builders (``truth_from_inference``, ``delay.delay_truth_tables``) read it.
 
     ``eta_total`` is the effective efficiency, including any lumped
-    discard-loss multiplier.  The signal's mean photon number and the dark
-    counts are stored per state and split evenly over the M bins
-    (``gamma_sq``, ``nu_per_bin``): the one place the point is divided by M.
+    discard-loss multiplier, and ``xi`` the interference visibility.  The
+    signal's mean photon number and the dark counts are stored per state and
+    split evenly over the M bins (``gamma_sq``, ``nu_per_bin``): the one place
+    the point is divided by M.  Each bin displaces the current target to
+    vacuum; a symbol at phase theta from it gives no click with probability
+    exp(-mu), mu = nu + 2 eta (1 - xi cos theta) |gamma|^2 (``mean_count``).
     """
 
     alpha_sq: float
@@ -77,7 +82,10 @@ class InferenceModel:
         if not self.nu_per_state >= 0:
             raise ValueError(f"nu_per_state must be >= 0, got {self.nu_per_state}")
         object.__setattr__(self, "stages", check_stages(self.stages))
-        ChannelModel(self.eta_total, self.xi)  # range validation
+        if not 0.0 <= self.eta_total <= 1.0:
+            raise ValueError(f"eta_total must be in [0, 1], got {self.eta_total}")
+        if not 0.0 <= self.xi <= 1.0:
+            raise ValueError(f"xi must be in [0, 1], got {self.xi}")
 
     @property
     def gamma_sq(self) -> float:
@@ -87,8 +95,28 @@ class InferenceModel:
     def nu_per_bin(self) -> float:
         return self.nu_per_state / self.stages
 
-    def channel(self) -> ChannelModel:
-        return ChannelModel(self.eta_total, self.xi)
+    def mean_count(self, segments=((1.0, QUARTER_TURN_COS),)) -> np.ndarray:
+        """A bin's mean photon count, the one formula where efficiency,
+        visibility, dark counts and phase meet.
+
+        Each ``(share, cos)`` segment holds ``share`` of the bin's intensity at
+        the (mean) cosine ``cos`` from the target, an array, and adds
+        2 eta (1 - xi cos) (gamma^2 share); the segments are summed in order
+        and the dark counts added once.  The default is the whole bin at the
+        four quarter turns, by delta.  The bin gives no click with probability
+        exp(-count).
+        """
+        return sum(2.0 * self.eta_total * (1.0 - self.xi * np.asarray(cos))
+                   * (self.gamma_sq * share) for share, cos in segments) + self.nu_per_bin
+
+    def off_probs(self) -> np.ndarray:
+        """The no-click probabilities by delta = (m - target) mod 4, exp(-mean_count).
+
+        Exact cosines make the mirror pair delta = 1, 3 bitwise equal, so MAP
+        ties stay exact; scalar ``math.exp`` (not ``np.exp``) keeps every table
+        bitwise.
+        """
+        return np.array([math.exp(-mu) for mu in self.mean_count().tolist()])
 
     def log_likelihood_table(self) -> np.ndarray:
         """(2, 4) array of log p(e | delta) on the dyadic grid of ``_grid_exponent``;
@@ -100,8 +128,7 @@ class InferenceModel:
         log(1 - exp(-mu)), is rounded on its own.  A zero likelihood
         (exp(-mu) is 0) stays -inf and a rounded zero is +0.0.
         """
-        mu = mean_count(self.gamma_sq, self.channel(), np.array(QUARTER_TURN_COS),
-                        self.nu_per_bin).tolist()
+        mu = self.mean_count().tolist()
         p_off = [math.exp(-x) for x in mu]
         logs = [[-x if p > 0.0 else _NEG_INF for x, p in zip(mu, p_off)],
                 [math.log(1.0 - p) if p < 1.0 else _NEG_INF for p in p_off]]
@@ -155,7 +182,7 @@ class TruthTables:
 def truth_from_inference(model: InferenceModel) -> TruthTables:
     """Matched truth model: outcomes generated from the inference likelihoods,
     with identical per-bin statistics (no delay, lumped loss)."""
-    p = off_probs(model.gamma_sq, model.channel(), model.nu_per_bin)
+    p = model.off_probs()
     return TruthTables(model.stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 
 

@@ -5,11 +5,11 @@ stale for ``t_hold``, ramps linearly to the new phase during ``t_swing``, and
 only then sits at the target.  A discard window ``[0, discard_dt)`` at the
 bin start is treated as linear loss, so a segment ``[start, end)`` keeps the
 share ``max(end - max(start, discard_dt), 0) / t_bin`` of the bin's
-intensity: its time outside the window, over ``t_bin``.  A segment adds
-``physics.mean_count`` at its intensity and its mean cosine to the bin's mean
-photon count.  The ramp's mean cosine is the continuum limit of a product over
-L modes at equally spaced phases (tested against it).  The delay-free
-comparison model puts every segment at the new target.
+intensity: its time outside the window, over ``t_bin``.  The bin's mean
+photon count is the grid point's ``InferenceModel.mean_count`` of its three
+``(share, mean cosine)`` segments.  The ramp's mean cosine is the continuum
+limit of a product over L modes at equally spaced phases (tested against it).
+The delay-free comparison model puts every segment at the new target.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import InferenceModel, TruthTables
-from .physics import QUARTER_TURN_COS, mean_count, off_probs
+from .bayes import QUARTER_TURN_COS, InferenceModel, TruthTables
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,10 @@ def delay_truth_tables(point: InferenceModel, params: DelayParams, discard_dt: f
     discarding and optional delay.
 
     The first bin has no feedback transient and no discard window.  A later bin
-    adds the ``mean_count`` of its hold, swing and settle segments and its dark
-    counts; ``include_delay=False`` makes the feedback instantaneous.
+    takes the point's ``mean_count`` of its hold, swing and settle segments;
+    ``include_delay=False`` makes the feedback instantaneous.
     """
-    ch = point.channel()
-    first = off_probs(point.gamma_sq, ch, point.nu_per_bin)
     cosines = (STALE_COS, RAMP_COS, SETTLED_COS) if include_delay else (SETTLED_COS,) * 3
-    hold, swing, settle = (mean_count(point.gamma_sq * share, ch, cos)
-                           for share, cos in zip(params.shares(discard_dt), cosines))
-    trans = np.array([math.exp(-mu) for mu in (hold + swing + settle + point.nu_per_bin).flat])
-    return TruthTables(point.stages, first, trans.reshape(4, 4))
+    mu = point.mean_count(zip(params.shares(discard_dt), cosines))
+    trans = np.array([math.exp(-x) for x in mu.flat])
+    return TruthTables(point.stages, point.off_probs(), trans.reshape(4, 4))

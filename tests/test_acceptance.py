@@ -29,7 +29,6 @@ from qpskrx.bayes import (InferenceModel, enumerate_detail,
 from qpskrx.bounds import gram_eigenvalues, helstrom_qpsk, sql_heterodyne
 from qpskrx.delay import RAMP_COS, DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec, estimate_error
-from qpskrx.physics import ChannelModel, mean_count
 
 ETA_SE = 0.65
 XI = 0.996
@@ -240,13 +239,14 @@ def test_c10_swing_limit_convergence():
     ratios = []
     for _ in range(100):
         params = DelayParams(20.0, rng.uniform(0.2, 0.5), rng.uniform(0.4, 0.8))
-        ch = ChannelModel(rng.uniform(0.3, 0.65), rng.uniform(0.95, 1.0))
+        eta, xi = rng.uniform(0.3, 0.65), rng.uniform(0.95, 1.0)
+        ch = InferenceModel(0.0, 1, eta, xi)  # the oracle reads eta_total and xi
         m = int(rng.integers(0, 4))
         prev = int(rng.integers(0, 4))
         new = (prev + int(rng.integers(1, 4))) % 4
         g = rng.uniform(0.0, 0.5)
-        exact = math.exp(-mean_count(g * params.t_swing / params.t_bin, ch,
-                                     RAMP_COS[(m - prev) % 4, (new - prev) % 4]))
+        swing = InferenceModel(g * params.t_swing / params.t_bin, 1, eta, xi)
+        exact = math.exp(-swing.mean_count(((1.0, RAMP_COS[(m - prev) % 4, (new - prev) % 4]),)))
         e_hi = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**4) - exact)
         e_lo = abs(off_prob_swing_discrete(m, prev, new, g, params, ch, 10**2) - exact)
         worst = max(worst, e_hi)

@@ -18,21 +18,10 @@ from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
 from qpskrx.delay import DelayParams, delay_truth_tables
 from qpskrx.montecarlo import RngSpec, estimate_errors
-from qpskrx.physics import QUARTER_TURN_COS, mean_count, off_probs
 
 
 def ideal(alpha_sq, stages):
     return InferenceModel(alpha_sq, stages)
-
-
-def model_off_probs(m):
-    """The model's no-click probabilities by delta."""
-    return off_probs(m.gamma_sq, m.channel(), m.nu_per_bin)
-
-
-def mean_counts(m):
-    """The model's mean photon counts by delta."""
-    return [mean_count(m.gamma_sq, m.channel(), cos, m.nu_per_bin) for cos in QUARTER_TURN_COS]
 
 
 class TestInitialState:
@@ -47,16 +36,16 @@ class TestInitialState:
 
 class TestBinLikelihood:
     def test_matched_hypothesis_never_clicks_ideally(self):
-        assert model_off_probs(ideal(1.0, 3))[0] == 1.0
+        assert ideal(1.0, 3).off_probs()[0] == 1.0
 
     def test_opposite_phase(self):
-        assert model_off_probs(InferenceModel(0.5, 1))[2] == pytest.approx(
+        assert InferenceModel(0.5, 1).off_probs()[2] == pytest.approx(
             math.exp(-2), rel=1e-12)
 
     def test_complement(self):
         # the logs that the dyadic table rounds; the table itself is checked
         # against them in TestDyadicTable
-        p = model_off_probs(InferenceModel(2.0, 4, 0.7, 0.99, 1e-3))
+        p = InferenceModel(2.0, 4, 0.7, 0.99, 1e-3).off_probs()
         np.testing.assert_allclose(np.exp([log(1.0 - x) for x in p]),
                                    1.0 - np.exp([log(x) for x in p]), rtol=0, atol=1e-15)
 
@@ -80,7 +69,7 @@ def dyadic(request):
     The off logs are -mu, -inf where exp(-mu) is 0; the on logs log(1 - exp(-mu)).
     """
     model = InferenceModel(*request.param)
-    mu = mean_counts(model)
+    mu = model.mean_count().tolist()
     p = [math.exp(-x) for x in mu]
     logs = [[-x if q > 0.0 else -math.inf for x, q in zip(mu, p)], [log(1.0 - q) for q in p]]
     return model, model.log_likelihood_table(), logs, _grid_exponent(logs, model.stages)
@@ -107,7 +96,7 @@ class TestDyadicTable:
     def test_off_row_rounds_the_mean_counts(self, dyadic):
         # o = -mu(0) and t = mu(1) - mu(0), each rounded to the grid once
         model, ll, _, k = dyadic
-        mu = mean_counts(model)
+        mu = model.mean_count().tolist()
         if np.isfinite(ll[0, :2]).all():
             assert ll[0, 0] == _dyadic(-mu[0], k)
             assert ll[0, 0] - ll[0, 1] == _dyadic(mu[1] - mu[0], k)
@@ -548,7 +537,7 @@ class TestTruthTables:
     def test_matched_truth_equals_inference_off_probs(self):
         model = InferenceModel(1.5, 4, 0.65, 0.996, 9.1e-3)
         t = truth_from_inference(model)
-        np.testing.assert_allclose(t.first, model_off_probs(model), rtol=1e-15)
+        np.testing.assert_allclose(t.first, model.off_probs(), rtol=1e-15)
 
 
 class TestPointTables:
@@ -597,7 +586,7 @@ class TestMirrorTies:
     model = InferenceModel(2.5, 7, 0.65, 0.996, 9.1e-3)
 
     def test_off_probs(self):
-        p = model_off_probs(self.model)
+        p = self.model.off_probs()
         assert p[1] == p[3]
 
     def test_log_likelihood_table(self):
@@ -606,7 +595,7 @@ class TestMirrorTies:
 
     def test_bin_likelihood(self):
         m = self.model
-        p = [off_probs(m.gamma_sq, m.channel(), m.nu_per_bin)[d % 4] for d in (1, 3, -1)]
+        p = [m.off_probs()[d % 4] for d in (1, 3, -1)]
         assert p[0] == p[1] == p[2]
 
     def test_uniform_truth_tables(self):

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from oracles import off_prob_swing_discrete, off_probability_visibility
-from qpskrx.bayes import InferenceModel, TruthTables, truth_from_inference
+from qpskrx.bayes import QUARTER_TURN_COS, InferenceModel, TruthTables, truth_from_inference
 from qpskrx.delay import (RAMP_COS, SETTLED_COS, STALE_COS, DelayParams,
                           delay_truth_tables)
-from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
+
+
+def channel(eta, xi):
+    """A channel for the helpers and oracles below, which read only its
+    ``eta_total`` and ``xi`` and take the signal on its own."""
+    return InferenceModel(0.0, 1, eta, xi)
+
 
 DEFAULTS = DelayParams(20.0, 0.37, 0.63)
-IDEAL = ChannelModel(1.0, 1.0)
+IDEAL = channel(1.0, 1.0)
 
 
 def bin_off(m, prev, new, gamma_sq, p, ch, nu=0.0, dt=0.0, include_delay=True):
@@ -28,12 +34,13 @@ def swing_sq(gamma_sq, p):
 def swing_off(m, prev, new, sq, ch):
     """No-click probability of the swing segment alone at intensity ``sq``: the
     fixed-phase formula at the ramp's mean cosine."""
-    return math.exp(-mean_count(sq, ch, RAMP_COS[(m - prev) % 4, (new - prev) % 4]))
+    swing = InferenceModel(sq, 1, ch.eta_total, ch.xi)
+    return math.exp(-swing.mean_count(((1.0, RAMP_COS[(m - prev) % 4, (new - prev) % 4]),)))
 
 
 def random_case(rng):
     p = DelayParams(20.0, rng.uniform(0.2, 0.5), rng.uniform(0.4, 0.8))
-    ch = ChannelModel(rng.uniform(0.3, 0.65), rng.uniform(0.95, 1.0))
+    ch = channel(rng.uniform(0.3, 0.65), rng.uniform(0.95, 1.0))
     m = int(rng.integers(0, 4))
     prev = int(rng.integers(0, 4))
     new = (prev + int(rng.integers(1, 4))) % 4
@@ -176,7 +183,7 @@ class TestHoldSegment:
         p = bin_off(2, 0, 2, 1.0, DEFAULTS, IDEAL)
         p /= swing_off(2, 0, 2, 1.0 * swing, IDEAL)
         assert p == pytest.approx(math.exp(-2 * 0.0185 * 2), rel=1e-12)
-        assert off_probs(hold * 1.0, IDEAL)[2] == pytest.approx(
+        assert InferenceModel(hold * 1.0, 1).off_probs()[2] == pytest.approx(
             math.exp(-2 * 0.0185 * 2), rel=1e-12)
 
     def test_vacuum_signal(self):
@@ -191,7 +198,7 @@ class TestSwingSegment:
             1.0, abs=1e-15)
 
     def test_zero_visibility_is_phase_independent(self):
-        ch = ChannelModel(0.8, 0.0)
+        ch = channel(0.8, 0.0)
         vals = {swing_off(m, 0, 1, swing_sq(0.7, DEFAULTS), ch)
                 for m in range(4)}
         ref = math.exp(-2 * 0.8 * (0.63 / 20) * 0.7)
@@ -201,8 +208,8 @@ class TestSwingSegment:
     def test_unchanged_target_does_not_ramp(self):
         # step 0: the ramp's cosine is the settled one, the phase from the target
         assert RAMP_COS[:, 0].tolist() == SETTLED_COS[:, 0].tolist() == list(QUARTER_TURN_COS)
-        assert swing_off(1, 2, 2, swing_sq(0.5, DEFAULTS), IDEAL) == off_probs(
-            swing_sq(0.5, DEFAULTS), IDEAL)[3]
+        assert swing_off(1, 2, 2, swing_sq(0.5, DEFAULTS), IDEAL) == InferenceModel(
+            swing_sq(0.5, DEFAULTS), 1).off_probs()[3]
 
     def test_two_mode_product_by_hand(self):
         # L=2, m = prev_target: endpoints theta in {0, m2*pi/2}
@@ -257,7 +264,7 @@ class TestCosineTables:
 
 class TestFullBin:
     def test_target_unchanged_reduces_to_plain_formula(self):
-        ch = ChannelModel(0.65, 0.996)
+        ch = channel(0.65, 0.996)
         for dt in (0.0, 0.5, 1.7):
             for m in range(4):
                 a = bin_off(m, 1, 1, 0.4, DEFAULTS, ch, 9.1e-4, dt)
@@ -268,7 +275,7 @@ class TestFullBin:
                 assert b == pytest.approx(plain, abs=1e-14)
 
     def test_discard_beyond_ramp_equals_no_delay(self):
-        ch = ChannelModel(0.65, 0.996)
+        ch = channel(0.65, 0.996)
         for dt in (1.0, 1.1, 2.5):
             for m in range(4):
                 for prev in range(4):
@@ -299,7 +306,7 @@ class TestFullBin:
 
     def test_zero_durations_reduce_to_delay_free(self):
         p = DelayParams(20.0, 0.0, 0.0)
-        ch = ChannelModel(0.7, 0.98)
+        ch = channel(0.7, 0.98)
         for m in range(4):
             for new in range(4):
                 a = bin_off(m, 2, new, 0.6, p, ch, 1e-3)
@@ -318,7 +325,7 @@ class TestFullBin:
 
 class TestDelayTruthTables:
     def test_first_bin_has_no_discard_or_delay(self):
-        ch = ChannelModel(0.65, 0.996)
+        ch = channel(0.65, 0.996)
         t = delay_truth_tables(InferenceModel(3.3, 10, 0.65, 0.996, 9.1e-3), DEFAULTS, 1.1, True)
         for d in range(4):
             expected = off_probability_visibility(d * math.pi / 2, 0.33, ch, 9.1e-4)

@@ -6,7 +6,8 @@ definition.  A helper that only the tests call belongs in
 ``tests/oracles.py``.  The package namespace re-exports nothing: callers
 import the submodules.  Each CLI number flag is listed once, in
 ``cli.NUMBER_FLAGS``, with the config field it sets.  A grid point's channel
-is one object, ``bayes.InferenceModel``: only it divides by the stage count.
+is one object, ``bayes.InferenceModel``: only it divides by the stage count,
+and only it computes with the visibility ``xi``, in its one mean-count formula.
 """
 
 import ast
@@ -71,6 +72,20 @@ def divisions_by_stages(tree, where=None):
         yield from divisions_by_stages(node, inside)
 
 
+def arithmetic_on_xi(tree, where=None):
+    """(enclosing class or None, line) of each binary, augmented or unary
+    arithmetic operation with an operand that is a name or attribute called ``xi``."""
+    for node in ast.iter_child_nodes(tree):
+        inside = node.name if isinstance(node, ast.ClassDef) else where
+        operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                    else (node.target, node.value) if isinstance(node, ast.AugAssign)
+                    else (node.operand,) if isinstance(node, ast.UnaryOp)
+                    and not isinstance(node.op, ast.Not) else ())
+        if any(getattr(x, "id", getattr(x, "attr", None)) == "xi" for x in operands):
+            yield inside, node.lineno
+        yield from arithmetic_on_xi(node, inside)
+
+
 def test_every_top_level_name_is_used():
     package = parse(PACKAGE.glob("*.py"))
     perfbench = parse(p for p in (ROOT / "perfbench").glob("*.py")
@@ -115,3 +130,22 @@ def test_scan_finds_divisions_by_stages():
                      "def split(a, stages, point):\n"
                      "    a /= stages\n    return a // point.stages, stages / a\n")
     assert list(divisions_by_stages(tree)) == [("InferenceModel", 3), (None, 5), (None, 6)]
+
+
+def test_only_the_inference_model_computes_with_the_visibility():
+    # the mean-count formula, where efficiency, visibility, dark counts and
+    # phase meet, is one method of the point
+    sites = [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
+             for where, line in arithmetic_on_xi(tree)]
+    assert sites
+    assert [site for site, where in sites if where != "InferenceModel"] == []
+
+
+def test_scan_finds_arithmetic_on_xi():
+    tree = ast.parse("class InferenceModel:\n"
+                     "    def count(self, cos):\n        return 1.0 - self.xi * cos\n"
+                     "def mean_count(ch, cos, xi):\n"
+                     "    xi -= 1\n    a = -ch.xi\n    return cos * xi\n"
+                     "def fine(ch, xi):\n"
+                     "    return f(xi=ch.xi), 0.0 <= xi <= 1.0, not xi, ch.xi_scale * 2\n")
+    assert list(arithmetic_on_xi(tree)) == [("InferenceModel", 3), (None, 5), (None, 6), (None, 7)]

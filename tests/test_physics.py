@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import qpsk_amplitudes, run_point
-from qpskrx.bayes import InferenceModel, enumerate_detail
-from qpskrx.physics import QUARTER_TURN_COS, ChannelModel, mean_count, off_probs
+from qpskrx.bayes import QUARTER_TURN_COS, InferenceModel, enumerate_detail
 
-IDEAL = ChannelModel(1.0, 1.0)
+
+def point(gamma_sq, eta=1.0, xi=1.0, nu=0.0):
+    """A one-bin grid point: its ``gamma_sq`` and ``nu_per_bin`` are the values given."""
+    return InferenceModel(gamma_sq, 1, eta, xi, nu)
 
 
 def kernel_clicks(u, p_off):
@@ -22,7 +25,7 @@ def kernel_clicks(u, p_off):
 class TestSymbolAmplitude:
     def test_zero_magnitude(self):
         m = InferenceModel(0.0, 5)
-        assert off_probs(m.gamma_sq, m.channel(), m.nu_per_bin).tolist() == [1.0] * 4
+        assert m.off_probs().tolist() == [1.0] * 4
 
     def test_unit_magnitude_first_symbol(self):
         g = qpsk_amplitudes(1.0)[0]
@@ -45,85 +48,110 @@ class TestSymbolAmplitude:
         gammas = qpsk_amplitudes(1.3 ** 2)
         for m in range(4):
             for n in range(4):
-                assert off_probs(1.3 ** 2, IDEAL)[(m - n) % 4] == pytest.approx(
+                assert point(1.3 ** 2).off_probs()[(m - n) % 4] == pytest.approx(
                     math.exp(-abs(gammas[m] - gammas[n]) ** 2), rel=1e-12)
 
 
 class TestOffProbability:
     def test_perfectly_nulled(self):
-        assert off_probs(0.25, ChannelModel(0.7))[0] == 1.0
+        assert point(0.25, 0.7).off_probs()[0] == 1.0
 
     def test_unit_distance(self):
         # |gamma - (-gamma)|^2 = 4 * 0.25
-        assert off_probs(0.25, IDEAL)[2] == pytest.approx(
+        assert point(0.25).off_probs()[2] == pytest.approx(
             math.exp(-1), rel=1e-12)
 
     def test_dark_counts_only(self):
         # nu = 9.1e-3 per state over 10 bins
-        p = off_probs(0.25, IDEAL, nu_per_bin=9.1e-4)[0]
+        p = point(0.25, nu=9.1e-4).off_probs()[0]
         assert p == pytest.approx(math.exp(-9.1e-4), rel=1e-12)
         assert p == pytest.approx(0.99909, abs=5e-6)
 
 
 class TestMeanCount:
+    """The formula's float order, pinned bitwise to the closed form typed here:
+    gamma^2 times the share first, the segments summed left to right, and the
+    dark counts added once at the end."""
+
+    @given(alpha_sq=st.floats(0, 1e6), stages=st.integers(1, 64), eta=st.floats(0, 1),
+           xi=st.floats(0, 1), nu=st.floats(0, 10.0))
+    def test_whole_bin_closed_form(self, alpha_sq, stages, eta, xi, nu):
+        model = InferenceModel(alpha_sq, stages, eta, xi, nu)
+        gamma_sq, nu = model.gamma_sq, model.nu_per_bin
+        expected = [nu + 2.0*eta*(1.0 - xi*cos)*gamma_sq for cos in QUARTER_TURN_COS]
+        assert [x.hex() for x in model.mean_count().tolist()] == [x.hex() for x in expected]
+
+    @given(alpha_sq=st.floats(0, 1e6), stages=st.integers(1, 64), eta=st.floats(0, 1),
+           xi=st.floats(0, 1), nu=st.floats(0, 10.0),
+           shares=st.tuples(*[st.floats(0, 1)] * 3), cosines=st.tuples(*[st.floats(-1, 1)] * 3))
+    def test_three_segment_bin_closed_form(self, alpha_sq, stages, eta, xi, nu, shares, cosines):
+        # a delay bin: hold, swing and settle, each at its share and mean cosine
+        model = InferenceModel(alpha_sq, stages, eta, xi, nu)
+        gamma_sq, nu = model.gamma_sq, model.nu_per_bin
+        h, s, t = (2.0*eta*(1.0 - xi*cos)*(gamma_sq*share) for share, cos in zip(shares, cosines))
+        got = model.mean_count(zip(shares, cosines))
+        assert float(got).hex() == (((h + s) + t) + nu).hex()
+        # an array of cosines per segment, as the delay tables pass them
+        arrays = [np.full((4, 4), cos) for cos in cosines]
+        assert {x.hex() for x in model.mean_count(zip(shares, arrays)).flat} == {float(got).hex()}
+
     @given(gamma_sq=st.floats(0, 1e6), eta=st.floats(0, 1), xi=st.floats(0, 1),
            nu=st.floats(0, 10.0))
     def test_off_probs_is_exp_of_minus_the_count(self, gamma_sq, eta, xi, nu):
-        ch = ChannelModel(eta, xi)
-        expected = [math.exp(-mean_count(gamma_sq, ch, cos, nu)) for cos in QUARTER_TURN_COS]
-        assert off_probs(gamma_sq, ch, nu).tolist() == expected  # bitwise
+        model = point(gamma_sq, eta, xi, nu)
+        expected = [math.exp(-model.mean_count(((1.0, cos),))) for cos in QUARTER_TURN_COS]
+        assert model.off_probs().tolist() == expected  # bitwise
 
     def test_array_of_cosines_matches_scalars(self):
-        ch = ChannelModel(0.65, 0.996)
+        model = point(0.33, 0.65, 0.996, 9.1e-4)
         cos = np.array([1.0, 2.0 / math.pi, 0.0, -2.0 / math.pi, -1.0])
-        counts = mean_count(0.33, ch, cos, 9.1e-4)
-        assert counts.tolist() == [mean_count(0.33, ch, c, 9.1e-4) for c in cos.tolist()]
+        counts = model.mean_count(((1.0, cos),))
+        assert counts.tolist() == [model.mean_count(((1.0, c),)) for c in cos.tolist()]
 
     def test_hand_value(self):
         # nu + 2 eta (1 - xi cos) gamma^2 at the opposite phase
-        assert mean_count(0.5, ChannelModel(0.8, 0.9), -1.0, 0.01) == pytest.approx(
+        assert point(0.5, 0.8, 0.9, 0.01).mean_count(((1.0, -1.0),)) == pytest.approx(
             0.01 + 2 * 0.8 * 1.9 * 0.5, rel=1e-15)
 
 
 class TestOffProbabilityVisibility:
     def test_perfect_nulling(self):
         for eta in (0.3, 0.9, 1.0):
-            assert off_probs(0.8, ChannelModel(eta, 1.0))[0] == 1.0
+            assert point(0.8, eta, 1.0).off_probs()[0] == 1.0
 
     def test_opposite_phase(self):
-        p = off_probs(0.5, IDEAL)[2]
+        p = point(0.5).off_probs()[2]
         assert p == pytest.approx(math.exp(-2), rel=1e-12)
 
     def test_quadrature_phase_kills_visibility_term(self):
-        p = off_probs(0.4, ChannelModel(0.65, 0.996))[1]
+        p = point(0.4, 0.65, 0.996).off_probs()[1]
         assert p == pytest.approx(math.exp(-0.52), rel=1e-12)
 
     @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0), eta=st.floats(0, 1))
     def test_agrees_with_general_formula_at_unit_visibility(self, delta, gamma_sq, eta):
         gammas = qpsk_amplitudes(gamma_sq)
         p_gen = math.exp(-eta * abs(gammas[delta % 4] - gammas[0]) ** 2)
-        p_vis = off_probs(gamma_sq, ChannelModel(eta, 1.0))[delta % 4]
+        p_vis = point(gamma_sq, eta, 1.0).off_probs()[delta % 4]
         assert p_vis == pytest.approx(p_gen, abs=1e-12)
 
     @given(delta=st.integers(-8, 8), gamma_sq=st.floats(0, 10.0),
            xi=st.floats(0, 1), eta=st.floats(0, 1), nu=st.floats(0, 0.1))
     def test_probability_range(self, delta, gamma_sq, xi, eta, nu):
-        p = off_probs(gamma_sq, ChannelModel(eta, xi), nu)[delta % 4]
+        p = point(gamma_sq, eta, xi, nu).off_probs()[delta % 4]
         assert 0.0 < p <= 1.0
 
 
 class TestMonotonicity:
     def test_decreasing_in_distance(self):
-        ch = ChannelModel(0.8)
-        probs = [off_probs(g, ch)[2] for g in np.linspace(0, 3, 20)]
+        probs = [point(g, 0.8).off_probs()[2] for g in np.linspace(0, 3, 20)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
-        by_delta = off_probs(0.7, ch)[:3]
+        by_delta = point(0.7, 0.8).off_probs()[:3]
         assert by_delta[0] > by_delta[1] > by_delta[2]
 
     def test_decreasing_in_eta_and_nu(self):
-        by_eta = [off_probs(0.25, ChannelModel(e))[2] for e in np.linspace(0, 1, 11)]
+        by_eta = [point(0.25, e).off_probs()[2] for e in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_eta, by_eta[1:]))
-        by_nu = [off_probs(0.25, ChannelModel(0.5), nu)[2] for nu in np.linspace(0, 1, 11)]
+        by_nu = [point(0.25, 0.5, nu=nu).off_probs()[2] for nu in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(by_nu, by_nu[1:]))
 
 
@@ -150,23 +178,24 @@ class TestValidation:
             InferenceModel(1.0, 3, eta_total=0.5, nu_per_state=-1e-3)
 
     def test_off_probs_ranges(self):
-        with pytest.raises(ValueError, match="gamma_sq"):
-            off_probs(-1e-3, IDEAL)
-        with pytest.raises(ValueError, match="nu_per_bin"):
-            off_probs(0.5, IDEAL, -1e-3)
+        # the formula's signal and dark counts reach it only through the point
+        with pytest.raises(ValueError, match="^alpha_sq must be finite and >= 0, got -0.001$"):
+            InferenceModel(-1e-3, 1)
+        with pytest.raises(ValueError, match="^nu_per_state must be >= 0, got -0.001$"):
+            InferenceModel(0.5, 1, nu_per_state=-1e-3)
 
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="nu_per_state"):
             InferenceModel(3.0, 10, 0.65, 0.996, float("nan"))
-        with pytest.raises(ValueError, match="gamma_sq"):
-            off_probs(float("nan"), IDEAL)
-        with pytest.raises(ValueError, match="nu_per_bin"):
-            off_probs(0.5, IDEAL, float("nan"))
+        with pytest.raises(ValueError, match="^alpha_sq must be finite and >= 0, got nan$"):
+            InferenceModel(float("nan"), 1)
+        with pytest.raises(ValueError, match="^nu_per_state must be >= 0, got nan$"):
+            InferenceModel(0.5, 1, nu_per_state=float("nan"))
 
     def test_infinite_signal_rejected(self):
         # 0 * inf in the delta = 0 exponent would make p_off[0] nan
-        with pytest.raises(ValueError, match="gamma_sq"):
-            off_probs(math.inf, ChannelModel(1.0, 1.0))
+        with pytest.raises(ValueError, match="^alpha_sq must be finite and >= 0, got inf$"):
+            InferenceModel(math.inf, 1)
 
     def test_numpy_stage_count_stored_as_int(self):
         model = InferenceModel(3.0, np.int64(10), 0.65, 0.996, 9.1e-3)
@@ -183,10 +212,9 @@ class TestValidation:
             InferenceModel(3.0, stages)
 
     def test_channel_ranges(self):
-        with pytest.raises(ValueError):
-            ChannelModel(eta_total=-0.1)
-        with pytest.raises(ValueError):
-            ChannelModel(eta_total=0.5, xi=1.01)
+        for name, bad in itertools.product(("eta_total", "xi"), (-0.1, 1.01, float("nan"))):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\], got {bad}$"):
+                InferenceModel(1.0, 3, **{"eta_total": 0.5, "xi": 0.5, name: bad})
 
     def test_alphabet_magnitude(self):
         with pytest.raises(ValueError):
