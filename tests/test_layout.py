@@ -59,31 +59,41 @@ def parse(paths) -> dict:
             for path in sorted(paths)}
 
 
-def divisions_by_stages(tree, where=None):
-    """(enclosing class or None, line) of each ``/`` or ``//`` whose divisor is a
-    name or attribute called ``stages``."""
+def sites(tree, flagged, where=None):
+    """(enclosing class or None, line) of each node of ``tree`` that ``flagged`` accepts."""
     for node in ast.iter_child_nodes(tree):
         inside = node.name if isinstance(node, ast.ClassDef) else where
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-                node.op, (ast.Div, ast.FloorDiv)):
-            divisor = node.right if isinstance(node, ast.BinOp) else node.value
-            if getattr(divisor, "id", getattr(divisor, "attr", None)) == "stages":
-                yield inside, node.lineno
-        yield from divisions_by_stages(node, inside)
-
-
-def arithmetic_on_xi(tree, where=None):
-    """(enclosing class or None, line) of each binary, augmented or unary
-    arithmetic operation with an operand that is a name or attribute called ``xi``."""
-    for node in ast.iter_child_nodes(tree):
-        inside = node.name if isinstance(node, ast.ClassDef) else where
-        operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
-                    else (node.target, node.value) if isinstance(node, ast.AugAssign)
-                    else (node.operand,) if isinstance(node, ast.UnaryOp)
-                    and not isinstance(node.op, ast.Not) else ())
-        if any(getattr(x, "id", getattr(x, "attr", None)) == "xi" for x in operands):
+        if flagged(node):
             yield inside, node.lineno
-        yield from arithmetic_on_xi(node, inside)
+        yield from sites(node, flagged, inside)
+
+
+def package_sites(flagged):
+    return [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
+            for where, line in sites(tree, flagged)]
+
+
+def named(node, name):
+    return getattr(node, "id", getattr(node, "attr", None)) == name
+
+
+def divides_by_stages(node):
+    """A ``/`` or ``//`` whose divisor is a name or attribute called ``stages``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+        return named(node.right, "stages")
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Div, ast.FloorDiv)):
+        return named(node.value, "stages")
+    return False
+
+
+def computes_with_xi(node):
+    """A binary, augmented or unary arithmetic operation with an operand that is
+    a name or attribute called ``xi``."""
+    operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                else (node.target, node.value) if isinstance(node, ast.AugAssign)
+                else (node.operand,) if isinstance(node, ast.UnaryOp)
+                and not isinstance(node.op, ast.Not) else ())
+    return any(named(x, "xi") for x in operands)
 
 
 def test_every_top_level_name_is_used():
@@ -118,10 +128,9 @@ def test_scan_flags_an_unused_helper():
 def test_only_the_inference_model_splits_a_point_over_its_bins():
     # the per-bin quotients of a point's channel live in one place, which both
     # truth builders and the likelihoods read
-    sites = [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
-             for where, line in divisions_by_stages(tree)]
-    assert sites
-    assert [site for site, where in sites if where != "InferenceModel"] == []
+    found = package_sites(divides_by_stages)
+    assert found
+    assert [site for site, where in found if where != "InferenceModel"] == []
 
 
 def test_scan_finds_divisions_by_stages():
@@ -129,16 +138,15 @@ def test_scan_finds_divisions_by_stages():
                      "    def quotient(self):\n        return self.alpha_sq / self.stages\n"
                      "def split(a, stages, point):\n"
                      "    a /= stages\n    return a // point.stages, stages / a\n")
-    assert list(divisions_by_stages(tree)) == [("InferenceModel", 3), (None, 5), (None, 6)]
+    assert list(sites(tree, divides_by_stages)) == [("InferenceModel", 3), (None, 5), (None, 6)]
 
 
 def test_only_the_inference_model_computes_with_the_visibility():
     # the mean-count formula, where efficiency, visibility, dark counts and
     # phase meet, is one method of the point
-    sites = [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
-             for where, line in arithmetic_on_xi(tree)]
-    assert sites
-    assert [site for site, where in sites if where != "InferenceModel"] == []
+    found = package_sites(computes_with_xi)
+    assert found
+    assert [site for site, where in found if where != "InferenceModel"] == []
 
 
 def test_scan_finds_arithmetic_on_xi():
@@ -148,4 +156,5 @@ def test_scan_finds_arithmetic_on_xi():
                      "    xi -= 1\n    a = -ch.xi\n    return cos * xi\n"
                      "def fine(ch, xi):\n"
                      "    return f(xi=ch.xi), 0.0 <= xi <= 1.0, not xi, ch.xi_scale * 2\n")
-    assert list(arithmetic_on_xi(tree)) == [("InferenceModel", 3), (None, 5), (None, 6), (None, 7)]
+    assert list(sites(tree, computes_with_xi)) == [("InferenceModel", 3), (None, 5), (None, 6),
+                                                   (None, 7)]
