@@ -7,15 +7,18 @@ everything is phase-covariant, likelihoods depend only on the index difference
 ``delta = (m - target) mod 4`` and can be tabulated once per model.  Both
 estimators read one point's tables, in one layout, from ``point_tables``.
 
-``enumerate_error_probability`` is the exact answer the Monte Carlo engine
-is checked against.  It is a dynamic program with one layer per bin: outcome
+``enumerate_points`` is the exact answer the Monte Carlo engine is checked
+against, for a whole grid of points in one pass (``enumerate_detail`` is its
+one-point call).  It is a dynamic program with one layer per bin: outcome
 histories that leave the receiver in the same state (the differences of the
 outcome counts the log-posterior depends on, which fix it up to a constant
 vector, and the previous target) are merged on one int64 key, so a layer
-holds a few thousand states at M=16 where a plain walk visits 2^M
-histories.  A state is indexed by ``s = 4 * prev + cur`` into
-per-point tables of its log-likelihood steps, truth outcome probabilities
-and key steps; a layer's children are grouped by one argsort of their keys.
+holds a few thousand states per point at M=16 where a plain walk visits 2^M
+histories.  The key also carries the point, longest first, so the points'
+states are stacked in one set of arrays and a point that ends drops off
+their end.  A state is indexed by ``16 * point + 4 * prev + cur`` into the
+points' stacked tables of log-likelihood steps, truth outcome probabilities
+and key steps; a layer's children are grouped by one sort of their keys.
 The test suite keeps the 2^M walk and a merge by one
 ``np.lexsort`` over differences of raw outcome counts as its oracles.
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -197,8 +200,9 @@ def point_tables(model: InferenceModel,
     return (*_kernels.symbol_tables(truth.first, truth.trans), model.log_likelihood_table())
 
 
-# Merged states a layer of the exact DP may hold (the experimental condition
-# at |alpha|^2 = 3 peaks at 41,696 states at M=50 and 184,674 at M=100).
+# Merged states a layer of one exact DP pass may hold, over all of its points (the
+# experimental condition at |alpha|^2 = 3 peaks at 41,696 states at M=50 and
+# 184,674 at M=100).
 MAX_ENUM_STATES = 1 << 18
 
 
@@ -228,13 +232,15 @@ def _value_key(lp: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return key
 
 
-# Bits the count key may fill; value keys of rows with a -inf in lp start at
-# 2^KEY_BITS, above every count key and, with a count step added, below 2^63.
+# Bits one point's count key may fill (M <= 1023).  A pass packs its point
+# index above its points' keys, all below 2^PASS_BITS, so that a child's key,
+# its parent's plus one step, stays inside an int64.
 KEY_BITS = 61
+PASS_BITS = 62
 # W[delta]: the t's in the off log-likelihood o - W[delta] t (log_likelihood_table)
 _W = (0, 1, 2, 1)
 _ONES = np.ones(4)
-_ROWS = np.arange(4)[:, None]
+_CUR_OF = np.tile(np.arange(4), 4)  # s % 4 = cur, for tables that do not read prev
 
 
 def _count_fields(stages: int) -> tuple[tuple[int, ...], int]:
@@ -282,9 +288,246 @@ def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
     return steps, fits
 
 
-def enumerate_detail(model: InferenceModel,
-                     truth: TruthTables | None = None) -> EnumerationDetail:
-    """Exact error probability, one layer of merged receiver states per bin.
+@dataclass
+class _PointTables:
+    """One point's tables by receiver state ``s = 4 * prev + cur``: the ``lp`` step
+    ``[e, s, h]``, the truth probability of outcome e ``[m, e, s]`` in bin 0 (which
+    reads only cur) and in later bins, and the key step ``[e, s]`` from a
+    parent's key (previous target in the low 2 bits) to its child's; whether
+    the count fields fit, and whether the point takes value keys (``dying``)."""
+
+    stages: int
+    step: np.ndarray
+    p_first: np.ndarray
+    p_trans: np.ndarray
+    cstep: np.ndarray
+    fits: bool
+    dying: bool
+
+    @classmethod
+    def of(cls, model: InferenceModel, truth: TruthTables | None) -> _PointTables:
+        first, trans, loglik = point_tables(model, truth)
+        count_steps, fits = _count_steps(model.stages)
+        trans = trans.reshape(4, 16)
+        return cls(model.stages,
+                   _kernels.step_rows(loglik).reshape(4, 2, 4).swapaxes(0, 1)[:, _CUR_OF],
+                   np.stack((first, 1.0 - first), axis=1)[:, :, _CUR_OF],
+                   np.stack((trans, 1.0 - trans), axis=1),
+                   count_steps.reshape(4, 2).T[:, _CUR_OF] - np.repeat(np.arange(4), 4),
+                   fits, not fits or bool(np.isneginf(loglik).any()))
+
+
+def _key_shift(longest: _PointTables, dying: bool) -> int:
+    """B: in a pass whose longest point is ``longest``, every key of point k lies in
+    [2^B k - 2^(B-1), 2^B k + 2^(B-1)).
+
+    Count keys lie in (-2^(bits-1), 2^(bits-1)) (``_count_fields``; [0, 4) when
+    they hold prev alone).  A ``dying`` pass adds value keys 2^(B-2) + 4 rank +
+    prev above them: a layer holds at most 2 ``MAX_ENUM_STATES`` children, so
+    4 rank + prev stays below 8 ``MAX_ENUM_STATES``.
+    """
+    bits = _count_fields(longest.stages)[1] if longest.fits else 3
+    return max(bits, (8 * MAX_ENUM_STATES).bit_length() + 1) + 1 if dying else bits
+
+
+def _passes(tables: list[_PointTables]) -> list[list[int]]:
+    """The points' indices by pass, longest first: a pass grows while its points
+    agree on ``fits`` and its point index and keys fit in ``PASS_BITS``; a
+    point always fits a pass of its own."""
+    passes, dying = [], False
+    for j in sorted(range(len(tables)), key=lambda j: -tables[j].stages):
+        group = passes[-1] if passes else []
+        point = tables[j]
+        if group and point.fits == tables[group[0]].fits and len(group).bit_length() + (
+                _key_shift(tables[group[0]], dying or point.dying)) <= PASS_BITS:
+            group.append(j)
+            dying |= point.dying
+        else:
+            passes.append([j])
+            dying = point.dying
+    return passes
+
+
+def _sort(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts ``keys``, each below 2^bits in magnitude, and the sorted
+    keys; ``keys`` is overwritten.
+
+    Where the child index fits below the keys in an int64, one value sort of
+    ``keys * 2^b + index`` gives both (ties in child order, about half the
+    time of an argsort); wider keys take an argsort.
+    """
+    b = (len(keys) - 1).bit_length()
+    if bits + b > 63:
+        order = keys.argsort()
+        return order, keys.take(order)
+    keys <<= b
+    keys |= np.arange(len(keys))
+    keys.sort()
+    order = keys & ((1 << b) - 1)
+    keys >>= b
+    return order, keys
+
+
+def _first_argmax(lp: np.ndarray) -> np.ndarray:
+    """``lp.argmax(axis=1)`` of an (N, 4) ``lp`` without nan, by comparing columns:
+    the first maximum of each pair, then of the two pairs' maxima."""
+    lp0, lp1, lp2, lp3 = lp.T
+    return np.where(np.maximum(lp2, lp3) > np.maximum(lp0, lp1), 2 + (lp3 > lp2), lp1 > lp0)
+
+
+def _sum_weights(w: np.ndarray, order: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
+    """Each of the ``n`` states' weights, row m of ``w`` summed over its children
+    in child order: ``order`` sorts the children, and ``new`` marks each
+    state's first child in that order."""
+    state = np.empty_like(order)
+    state[order] = new.cumsum()
+    state -= 1
+    out = np.empty((len(w), n))
+    for m, row in enumerate(w):
+        out[m] = np.bincount(state, weights=row, minlength=n)
+    return out
+
+
+def _detail(w: np.ndarray, cur: np.ndarray, peak: int) -> EnumerationDetail:
+    """A point's result from its last layer: its states' weights and targets."""
+    per_symbol = 1.0 - np.array([w[k, cur == k].sum() for k in range(4)])
+    return EnumerationDetail(
+        error_prob=float(per_symbol.mean()),
+        per_symbol_error=per_symbol,
+        branch_totals=w.T.copy().sum(axis=0),  # a C-ordered (N, 4) copy, summed row by row
+        peak_states=peak,
+    )
+
+
+@dataclass
+class _Pass:
+    """The points of one pass, longest first, and their merged states after
+    ``layer`` bins: a state's row of ``lp``, column of ``w`` (row m: its linear
+    weight given symbol m), key ``ck`` and target ``cur``.  Point k's keys lie
+    in [2^B k - 2^(B-1), 2^B k + 2^(B-1)), B = ``shift``, so its states are the
+    run of the sorted keys from ``starts[k]`` on; ``tables`` stacks the points'
+    ``_PointTables`` along their state axis, so that index ``16 k + s`` reads
+    point k's row s.  Every key lies below 2^``key_bits`` in magnitude."""
+
+    slots: list[int]
+    stages: list[int]
+    peak: np.ndarray
+    tables: tuple[np.ndarray, ...]
+    shift: int
+    starts: np.ndarray
+    key_bits: int
+    dying: bool
+    fits: bool
+    layer: int
+    lp: np.ndarray
+    w: np.ndarray
+    ck: np.ndarray
+    cur: np.ndarray
+
+    @classmethod
+    def start(cls, slots: list[int], points: list[_PointTables]) -> _Pass:
+        """The points' roots: one state each, targeting 0 with prev = 0."""
+        k, dying = len(points), any(p.dying for p in points)
+        shift = _key_shift(points[0], dying)
+        tables = (np.concatenate([p.step for p in points], axis=1),
+                  *(np.concatenate([getattr(p, name) for p in points], axis=-1)
+                    for name in ("p_first", "p_trans", "cstep")))
+        starts = (np.arange(k + 1, dtype=np.int64) << shift) - (1 << (shift - 1))
+        return cls(slots, [p.stages for p in points], np.ones(k, dtype=np.int64), tables,
+                   shift, starts, (k - 1).bit_length() + shift, dying, points[0].fits, 0,
+                   np.zeros((k, 4)), np.ones((4, k)), np.arange(k, dtype=np.int64) << shift,
+                   np.zeros(k, dtype=np.intp))
+
+    def split(self, at: int, cut: int) -> _Pass:
+        """Points ``at`` on, whose states start at ``cut``, renumbered from 0, to
+        resume from this layer; this pass keeps the points before them."""
+        step, p_first, p_trans, cstep = self.tables
+        tail = replace(self, slots=self.slots[at:], stages=self.stages[at:], peak=self.peak[at:],
+                       tables=(step[:, 16 * at:], p_first[..., 16 * at:],
+                               p_trans[..., 16 * at:], cstep[:, 16 * at:]),
+                       lp=self.lp[cut:], w=self.w[:, cut:], ck=self.ck[cut:] - (at << self.shift),
+                       cur=self.cur[cut:])
+        self.truncate(at, cut)
+        return tail
+
+    def truncate(self, at: int, cut: int) -> None:
+        """Keep the first ``at`` points, whose states end before ``cut``."""
+        self.slots, self.stages, self.peak = self.slots[:at], self.stages[:at], self.peak[:at]
+        self.lp, self.w, self.ck, self.cur = (self.lp[:cut], self.w[:, :cut], self.ck[:cut],
+                                              self.cur[:cut])
+
+    def run(self, pending: list[_Pass], details: list) -> None:
+        """Layer by layer until each point has its detail; a layer over
+        ``MAX_ENUM_STATES`` leaves its trailing points to ``pending``."""
+        while True:
+            k = len(self.slots)
+            bounds = np.searchsorted(self.ck, self.starts[:k + 1])
+            counts = bounds[1:] - bounds[:-1]
+            if len(self.ck) > MAX_ENUM_STATES:
+                k = int(np.searchsorted(counts.cumsum(), MAX_ENUM_STATES, side="right"))
+                if not k:
+                    raise ValueError(f"enumeration: layer {self.layer} of {self.stages[0]} "
+                                     f"holds {counts[0]} merged states, over the budget "
+                                     f"of {MAX_ENUM_STATES}")
+                pending.append(self.split(k, bounds[k]))
+                counts = counts[:k]
+            np.maximum(self.peak, counts, out=self.peak)
+            live = k - self.stages.count(self.layer)  # the points that end here come last
+            for j in range(live, k):
+                details[self.slots[j]] = _detail(self.w[:, bounds[j]:bounds[j + 1]],
+                                                 self.cur[bounds[j]:bounds[j + 1]],
+                                                 int(self.peak[j]))
+            if not live:
+                return
+            if live < k:
+                self.truncate(live, bounds[live])
+                counts = counts[:live]
+            s = np.repeat(np.arange(0, 16 * live, 16), counts)  # 16 k + 4 prev + cur
+            s += (self.ck & 3) << 2
+            s += self.cur
+            self.expand(s)
+            self.merge()
+
+    def expand(self, s: np.ndarray) -> None:
+        """Replace every state, of state index ``s``, by its two children: every
+        e = 0 child, then every e = 1 child."""
+        step, p_first, p_trans, cstep = self.tables
+        lp = step.take(s, axis=1)
+        lp += self.lp
+        w = (p_trans if self.layer else p_first).take(s, axis=2)
+        w *= self.w[:, None]
+        ck = cstep.take(s, axis=1)
+        ck += self.ck
+        self.lp, self.w, self.ck = lp.reshape(-1, 4), w.reshape(4, -1), ck.ravel()
+        if self.dying:  # rows with a -inf in lp, or all rows when the fields do not fit
+            dead = (self.lp @ _ONES == _NEG_INF) | (not self.fits)  # lp holds no +inf or nan
+            self.ck[dead] = (np.tile(s >> 4, 2)[dead] << self.shift) + (
+                (1 << (self.shift - 2)) + _value_key(self.lp[dead], self.ck[dead] & 3))
+
+    def merge(self) -> None:
+        """Merge the children into the next layer's states, in key order."""
+        order, ck = _sort(self.ck, self.key_bits)
+        new = np.empty(len(ck), dtype=bool)  # first child of a state in key order
+        new[0] = True
+        np.not_equal(ck[1:], ck[:-1], out=new[1:])
+        at = new.nonzero()[0]
+        self.w = _sum_weights(self.w, order, new, len(at))
+        # any child of a state will do: its merge key, and lp, whose rows
+        # differ between the state's children by an exact constant vector, so
+        # argmax and ties agree bitwise.  Where the value key ranks rows (a
+        # table with a -inf), a finite row has no clicks or no no-clicks, so
+        # equal count keys mean equal counts and equal lp.  lp starts at +0.0
+        # and only adds logs of (0, 1] or -inf, so it has no -0.0 and
+        # value-equal rows are bitwise equal
+        self.lp, self.ck = self.lp.take(order.take(at), axis=0), ck.take(at)
+        self.cur = _first_argmax(self.lp)
+        self.layer += 1
+
+
+def enumerate_points(points) -> list[EnumerationDetail]:
+    """Exact error probability of each ``(inference, truth)`` point (truth None:
+    the matched one), one layer of merged receiver states per bin, every point
+    of the grid in one pass.
 
     Each outcome history is weighted by its probability under the truth model
     while the posterior is propagated with the inference model, mirroring the
@@ -296,86 +539,48 @@ def enumerate_detail(model: InferenceModel,
     ``_count_steps`` row: the differences of the outcome counts that fix
     ``lp`` up to a constant vector, and the previous target.
 
-    A state's index ``s = 4 * prev + cur`` picks its rows of four tables
-    built once per point: the ``lp`` step ``[e, s, h]``, the truth probability
-    of outcome e ``[m, e, s]`` (bin 0 reads ``[m, e, cur]``) and the key step
-    ``[e, s]``, so each of ``lp``, the weights (four rows, one per symbol m)
-    and the key takes one ``take`` and one op per layer; the e = 0 children
-    come first.  The merge argsorts the keys once: a state is a run of equal
-    sorted keys, its weights one ``np.bincount`` over (symbol, state) for all
-    four rows, and its ``lp`` that of any of its children.
+    The points are stacked longest first; point k's key carries 2^B k above
+    its own key (``_key_shift``), so a merge never crosses points and the
+    sorted states are point-major.  A state's index ``16 k + 4 prev + cur``
+    picks its rows of four tables stacked once per pass (``_PointTables``), so
+    each of ``lp``, the weights (four rows, one per symbol m) and the key
+    takes one ``take`` and one in-place op per layer, whatever the number of
+    points; the e = 0 children come first.  The merge sorts the keys once
+    (``_sort``): a state is a run of equal sorted keys, its weights one
+    ``np.bincount`` per symbol row, and its ``lp`` that of any of its
+    children.  A point whose M has ended drops off the end of every array;
+    its result is cut from its own run of states.  Within a point, the
+    children and states come in the order of a pass of that point alone, so
+    every result is bitwise that of ``enumerate_detail`` of the point.
 
     ``lp`` sums are exact, so the children of a state hold ``lp`` rows that
     differ by an exact constant vector: the receiver's targets from then on,
     and its ties, which go to the lowest index as in Monte Carlo and in the
     2^M walk, do not depend on which child represents the state, and the
     weights never read ``lp``.  Only the weights' order of summation differs
-    from that walk.  A row
-    with a -inf in ``lp`` (the table has a zero likelihood) takes a
-    ``_value_key`` instead, one ``np.lexsort`` of those rows alone, so dead
-    hypotheses whose histories differ still merge; so does every row when the
-    count fields do not fit in ``KEY_BITS``.  A layer of more than
-    ``MAX_ENUM_STATES`` merged states raises ``ValueError``.
+    from that walk.  A row with a -inf in ``lp`` (the table has a zero
+    likelihood) takes a ``_value_key`` instead, one ``np.lexsort`` of those
+    rows alone, so dead hypotheses whose histories differ still merge; so
+    does every row when the count fields do not fit in ``KEY_BITS``.
+
+    A layer of a pass may hold ``MAX_ENUM_STATES`` merged states over all its
+    points.  Past that, the pass splits at a point boundary, and its trailing
+    points resume from that layer later; a point that alone holds more raises
+    ``ValueError``.  Points whose index and keys would not fit together in
+    ``PASS_BITS`` go to further passes.
     """
-    M = model.stages
-    first, trans, loglik = point_tables(model, truth)
-    cur_of = np.tile(np.arange(4), 4)  # s % 4 = cur, for tables that do not read prev
-    step = _kernels.step_rows(loglik).reshape(4, 2, 4).swapaxes(0, 1)[:, cur_of]  # [e, s, h]
-    p_bins = [np.stack((p, 1.0 - p), axis=1)  # [m, e, s]: truth prob. of outcome e
-              for p in (first, trans.reshape(4, 16))]  # bin 0 reads s = cur
-    count_steps, fits = _count_steps(M)
-    # [e, s]: parent key (previous target in the low 2 bits) to child key
-    cstep = count_steps.reshape(4, 2).T[:, cur_of] - np.repeat(np.arange(4), 4)
-    dying = not fits or bool(np.isneginf(loglik).any())
+    tables = [_PointTables.of(model, truth) for model, truth in points]
+    details = [None] * len(tables)
+    pending = [_Pass.start(group, [tables[j] for j in group]) for group in _passes(tables)]
+    while pending:
+        pending.pop().run(pending, details)
+    return details
 
-    lp = np.zeros((1, 4))
-    w = np.ones((4, 1))               # row m: linear weight of the state given symbol m
-    ck = np.zeros(1, dtype=np.int64)  # merge key, prev in the low 2 bits
-    s = cur = np.zeros(1, dtype=np.intp)  # receiver state 4 * prev + cur
-    peak = 1
-    for i in range(M):
-        # children: every state's e = 0 child, then every e = 1 child
-        lp = (lp + step.take(s, axis=1)).reshape(-1, 4)
-        w = (w[:, None] * p_bins[i > 0].take(s, axis=2)).reshape(4, -1)
-        ck = (ck + cstep.take(s, axis=1)).ravel()
-        if dying:  # rows with a -inf in lp, or all rows when the fields do not fit
-            dead = (lp @ _ONES == _NEG_INF) | (not fits)  # lp holds no +inf or nan
-            ck[dead] = (1 << KEY_BITS) + _value_key(lp[dead], ck[dead] & 3)
-        order = ck.argsort()
-        ck = ck.take(order)
-        new = np.empty(len(ck), dtype=bool)  # first child of a state in key order
-        new[0] = True
-        np.not_equal(ck[1:], ck[:-1], out=new[1:])
-        group = np.empty_like(order)
-        group[order] = new.cumsum()  # 1 + the child's state
-        at = new.nonzero()[0]
-        n = len(at)
-        if n > MAX_ENUM_STATES:
-            raise ValueError(f"enumeration: layer {i + 1} of {M} holds {n} merged "
-                             f"states, over the budget of {MAX_ENUM_STATES}")
-        # each state's weights summed in child order, all four rows in one pass
-        w = np.bincount((group + (n * _ROWS - 1)).ravel(), weights=w.ravel(),
-                        minlength=4 * n).reshape(4, n)
-        # any child of a state will do: its merge key, and lp, whose rows
-        # differ between the state's children by an exact constant vector, so
-        # argmax and ties agree bitwise.  Where the value key ranks rows (a
-        # table with a -inf), a finite row has no clicks or no no-clicks, so
-        # equal count keys mean equal counts and equal lp.  lp starts at +0.0
-        # and only adds logs of (0, 1] or -inf, so it has no -0.0 and
-        # value-equal rows are bitwise equal
-        lp, ck = lp.take(order.take(at), axis=0), ck.take(at)
-        cur = lp.argmax(axis=1)
-        s = (ck & 3) << 2
-        s += cur
-        peak = max(peak, n)
 
-    per_symbol = 1.0 - np.array([w[k, cur == k].sum() for k in range(4)])
-    return EnumerationDetail(
-        error_prob=float(per_symbol.mean()),
-        per_symbol_error=per_symbol,
-        branch_totals=w.T.copy().sum(axis=0),  # a C-ordered (N, 4) copy, summed row by row
-        peak_states=peak,
-    )
+def enumerate_detail(model: InferenceModel,
+                     truth: TruthTables | None = None) -> EnumerationDetail:
+    """Exact error probability of one point: ``enumerate_points`` of it alone."""
+    return enumerate_points([(model, truth)])[0]
 
 
 def enumerate_error_probability(model: InferenceModel,

@@ -15,7 +15,9 @@ import sys
 
 import numpy as np
 
-from .bayes import InferenceModel, enumerate_error_probability
+# ``enumerate_error_probability`` stays importable from here: perfbench/spans.py traces
+# it by this name, though ``_enumerate`` makes one ``enumerate_points`` call per grid.
+from .bayes import InferenceModel, enumerate_error_probability, enumerate_points  # noqa: F401
 from .bounds import helstrom_qpsk, sql_heterodyne, sql_lossy
 from .config import MODES, ConfigError, RunConfig, load_config
 from .delay import DelayParams, delay_truth_tables
@@ -57,13 +59,13 @@ def _bounds(cfg: RunConfig) -> list[dict]:
 
 
 def _enumerate(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for a in alpha_grid(cfg):
-        model = matched_inference(cfg, float(a))
-        rows.append({"alpha_sq": float(a),
-                     "alpha_sq_detected": model.eta_total * float(a),
-                     "error_prob": enumerate_error_probability(model)})
-    return rows
+    """One exact pass over the whole |alpha|^2 grid."""
+    alphas = [float(a) for a in alpha_grid(cfg)]
+    models = [matched_inference(cfg, a) for a in alphas]
+    details = enumerate_points([(model, None) for model in models])
+    return [{"alpha_sq": a, "alpha_sq_detected": model.eta_total * a,
+             "error_prob": detail.error_prob}
+            for a, model, detail in zip(alphas, models, details)]
 
 
 def _sweep(cfg: RunConfig) -> list[dict]:

@@ -10,9 +10,9 @@ from oracles import (brute_force_error, decimal_enumeration, kernel_outcomes,
                      reference_trial, truth_off_prob, walk_enumeration)
 from qpskrx import bayes
 from qpskrx._kernels import step_rows
-from qpskrx.bayes import (InferenceModel, _dyadic, _grid_exponent, _value_key,
-                          enumerate_detail, enumerate_error_probability, point_tables,
-                          truth_from_inference)
+from qpskrx.bayes import (InferenceModel, _dyadic, _first_argmax, _grid_exponent, _sort,
+                          _value_key, enumerate_detail, enumerate_error_probability,
+                          enumerate_points, point_tables, truth_from_inference)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
@@ -524,6 +524,116 @@ class TestValueKey:
         radices = [len(np.unique(col)) for col in lp.T]
         assert min(radices) >= 1 << 16 and math.prod(radices) > 1 << 60
         assert_key_sorts_as_lexsort(lp, prev)
+
+
+GRID_STAGES = (16, 1, 9, 4, 13, 2, 7, 11, 3, 16, 6, 5, 8, 14, 10, 12, 15)
+
+
+def grid_points():
+    """A mixed grid: experimental and ideal inference, matched truths, delay
+    truths and the ideal model's zero-likelihood mismatch, M from 1 to 16
+    interleaved so that points drop off at most lengths, and one point twice."""
+    points = []
+    for i, stages in enumerate(GRID_STAGES):
+        name = ("experimental", "ideal")[i % 2]
+        model = InferenceModel((0.25, 1.0, 3.0, 7.0)[i % 4], stages, *ORACLE_MODELS[name])
+        if i % 3 == 0:
+            truth = None
+        elif i % 3 == 1:
+            truth = oracle_truth(model, 1.1)
+        elif name == "ideal":
+            truth = truth_from_inference(InferenceModel(model.alpha_sq, stages, 1.0, 0.9, 0.3))
+        else:
+            truth = oracle_truth(model, 3.0)
+        points.append((model, truth))
+    return points + [points[4]]
+
+
+class TestGridPass:
+    """``enumerate_points`` against one-point calls and the lexsort merge, bitwise."""
+
+    def test_each_point_as_alone(self):
+        points = grid_points()
+        details = enumerate_points(points)
+        assert len(details) == len(points)
+        for (model, truth), detail in zip(points, details):
+            assert_bitwise_equal(detail, enumerate_detail(model, truth))
+            assert_bitwise_equal(detail, lexsort_enumeration(model, truth))
+        assert_bitwise_equal(details[-1], details[4])
+
+    def test_empty_grid(self):
+        assert enumerate_points([]) == []
+
+    @pytest.mark.parametrize("extra", [0, 300])
+    def test_split_over_budget_keeps_every_result(self, monkeypatch, extra):
+        points = grid_points()
+        details = enumerate_points(points)
+        splits = []
+        split = bayes._Pass.split
+
+        def counted(self, at, cut):
+            splits.append(at)
+            return split(self, at, cut)
+
+        monkeypatch.setattr(bayes._Pass, "split", counted)
+        monkeypatch.setattr(bayes, "MAX_ENUM_STATES", max(d.peak_states for d in details) + extra)
+        for detail, again in zip(details, enumerate_points(points), strict=True):
+            assert_bitwise_equal(again, detail)
+        assert splits  # the budget cut the pass at least once
+
+    def test_point_over_budget_raises_its_own_message(self, monkeypatch):
+        big = InferenceModel(3.0, 14, 0.65, 0.996, 9.1e-3)
+        small = [(InferenceModel(a, m, 0.65, 0.996, 9.1e-3), None) for a, m in ((1.0, 6), (4.0, 8))]
+        peak = enumerate_detail(big).peak_states
+        assert all(d.peak_states < peak - 1 for d in enumerate_points(small))
+        monkeypatch.setattr(bayes, "MAX_ENUM_STATES", peak - 1)
+        with pytest.raises(ValueError) as alone:
+            enumerate_detail(big)
+        with pytest.raises(ValueError) as grid:
+            enumerate_points([small[0], (big, None), small[1]])
+        assert str(grid.value) == str(alone.value)
+        assert f"of 14 holds {peak} merged states" in str(alone.value)
+
+    def test_passes_split_where_point_and_key_bits_do_not_fit(self, monkeypatch):
+        # M=16 count keys take 34 bits, 35 with value keys: with 36 bits for the
+        # pass, a pass holds 4 points, or 2 once one takes value keys
+        points = [(InferenceModel(a, 16, 0.65, 0.996, 9.1e-3), None) for a in (1, 2, 3, 4, 5, 6)]
+        points.insert(4, (InferenceModel(2.0, 16), None))
+        details = enumerate_points(points)
+        monkeypatch.setattr(bayes, "PASS_BITS", 36)
+        tables = [bayes._PointTables.of(model, truth) for model, truth in points]
+        assert [len(group) for group in bayes._passes(tables)] == [4, 2, 1]
+        for detail, again in zip(details, enumerate_points(points), strict=True):
+            assert_bitwise_equal(again, detail)
+
+    def test_points_keep_their_keys_when_another_does_not_fit(self, monkeypatch):
+        # the count fields take 29 bits at M = 8..15 and 24 at M = 4..7: with
+        # 28, the M=12 point merges every row on its lp values, as alone, and
+        # the shorter points keep their count keys
+        long = InferenceModel(1.0, 12, 0.8, 0.99, 5e-3)
+        short = [InferenceModel(a, m, 0.8, 0.99, 5e-3) for a, m in ((2.0, 7), (1.0, 5))]
+        monkeypatch.setattr(bayes, "KEY_BITS", 28)
+        details = enumerate_points([(short[0], None), (long, None), (short[1], None)])
+        assert_bitwise_equal(details[1], lexsort_enumeration(long, counts=False))
+        for model, detail in zip(short, details[::2]):
+            assert_bitwise_equal(detail, lexsort_enumeration(model))
+
+
+class TestLayerHelpers:
+    @pytest.mark.parametrize("bits", [20, 62])  # a packed value sort; an argsort
+    def test_sort(self, bits):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=5000)
+        keys[::3] = keys[1::3]  # ties
+        order, got = _sort(keys.copy(), bits)
+        np.testing.assert_array_equal(got, np.sort(keys))
+        np.testing.assert_array_equal(keys[order], got)
+        assert sorted(order.tolist()) == list(range(len(keys)))
+
+    def test_first_argmax(self):
+        values = (-np.inf, -1.5, 0.0, 0.25, 1.0)
+        lp = np.array(list(itertools.product(values, repeat=4)))
+        np.testing.assert_array_equal(_first_argmax(lp), lp.argmax(axis=1))
 
 
 class TestTruthTables:

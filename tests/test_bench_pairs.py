@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,36 @@ class TestSummarizeExact:
         assert out["ideal_M100"]["parent"] == {"best_s": 100.0, "peak_states": 100}
         assert out["ideal_M100"]["ratio_median"] == 0.75
 
+
+    def test_grid_call_against_the_parents_per_point_calls(self):
+        def probe(per_point, grid=None):
+            out = {**{key: {"best_s": 1.0, "peak_states": 7} for key in bench_pairs.EXACT_KEYS},
+                   "five_point_s": per_point, "five_point_traced_peak_mb": 0.5}
+            if grid is not None:
+                out.update(five_point_grid_s=grid, five_point_grid_traced_peak_mb=2.0)
+            return out
+
+        rounds = [{"first": "parent", "parent": probe(1.0), "change": probe(1.5, 0.8)},
+                  {"first": "change", "parent": probe(2.0), "change": probe(2.5, 1.2)}]
+        out = bench_pairs.summarize_exact(rounds)
+        grid = out["enumerate_m16_five_point_grid"]
+        assert grid["parent"]["timed"] == "five_point" and grid["change"]["timed"] == "five_point_grid"
+        assert grid["ratio_per_round"] == [0.8, 0.6] and grid["change_lower_in"] == 2
+        assert grid["parent"]["traced_peak_mb"] == 0.5 and grid["change"]["traced_peak_mb"] == 2.0
+        assert out["enumerate_m16_five_points"]["ratio_per_round"] == [1.5, 1.25]
+        rounds[0]["parent"], rounds[1]["parent"] = probe(1.0, 1.0), probe(2.0, 1.0)
+        grid = bench_pairs.summarize_exact(rounds)["enumerate_m16_five_point_grid"]
+        assert grid["parent"]["timed"] == "five_point_grid" and grid["ratio_per_round"] == [0.8, 1.2]
+
+    def test_five_point_timing_and_traced_peak(self):
+        calls = []
+
+        def call():
+            calls.append(bytearray(1_000_000))  # kept, so the traced peak holds it
+
+        out = bench_pairs.time_five("x", call)
+        assert len(calls) == bench_pairs.FIVE_POINT_REPS + 2
+        assert out["x_s"] >= 0.0 and out["x_traced_peak_mb"] >= 1.0
 
     def test_refused_stage_count_kept_without_ratio(self):
         def probe(scale, refuse_from=None):
@@ -352,6 +383,33 @@ class TestTables:
                                             "change": table_probe()})
         assert out["delay_entries_moved"] is None and out["delay_max_ulps"] is None
 
+    def test_points_collected_through_the_exact_grid_call(self):
+        from qpskrx import bayes, cli
+
+        config = {"m": 5, "alpha_sq_start": 1.0, "alpha_sq_stop": 3.0, "alpha_sq_points": 3}
+        points = bench_pairs.collect_points(cli, [("enumerate", config)])
+        cfg = cli.load_config(overrides=config, mode="enumerate")
+        assert points == [(cli.matched_inference(cfg, a), None) for a in (1.0, 2.0, 3.0)]
+        assert cli.enumerate_points is bayes.enumerate_points  # restored
+        assert cli.enumerate_error_probability is bayes.enumerate_error_probability
+
+    def test_points_collected_through_the_one_point_call(self):
+        # a tree whose cli calls the exact evaluator once per point, and has no grid call
+        from qpskrx import cli
+
+        def run(cfg):
+            return [fake.enumerate_error_probability(cli.matched_inference(cfg, a))
+                    for a in cli.alpha_grid(cfg)]
+
+        fake = types.SimpleNamespace(run=run, load_config=cli.load_config,
+                                     estimate_errors=None, enumerate_error_probability=None)
+        config = {"m": 4, "alpha_sq_start": 1.0, "alpha_sq_stop": 2.0, "alpha_sq_points": 2}
+        points = bench_pairs.collect_points(fake, [("enumerate", config)])
+        cfg = cli.load_config(overrides=config, mode="enumerate")
+        assert points == [(cli.matched_inference(cfg, a), None) for a in (1.0, 2.0)]
+        assert not hasattr(fake, "enumerate_points")
+        assert fake.enumerate_error_probability is None
+
     def test_probe_of_this_tree(self):
         tree = BENCH_PAIRS.parent.parent
         probe = json.loads(subprocess.run(
@@ -361,7 +419,7 @@ class TestTables:
         assert probe["delay"]["points"] == points
         assert len(probe["delay_truth"]) == 20 * points
         assert probe["delay"]["mirror_breaks"] == 0
-        assert 0 < probe["golden"]["matched_points"] < probe["golden"]["points"]
+        assert 0 < probe["golden"]["matched_points"] < probe["golden"]["points"] == 64
         same = bench_pairs.summarize_tables({"parent": probe, "change": probe})
         assert same["delay_entries_moved"] == 0 and same["delay_sha256_equal"]
 

@@ -224,6 +224,26 @@ class TestRun:
         assert estimate(stages, "_discard") == sweep[1.1]
         assert estimate(stages, "_no_discard") == sweep[0.0]
 
+    @pytest.mark.parametrize("mode", [m for m in RUNNERS if m != "bounds"])
+    def test_one_estimator_call_per_run(self, monkeypatch, mode):
+        # the exact mode runs its whole grid in one DP pass, as each Monte Carlo
+        # mode runs all its points in one estimate_errors call
+        from qpskrx import cli
+
+        calls = {"enumerate_points": [], "estimate_errors": []}
+        for name, calls_of in calls.items():
+            def spy(points, *args, original=getattr(cli, name), calls_of=calls_of):
+                calls_of.append(len(points))
+                return original(points, *args)
+            monkeypatch.setattr(cli, name, spy)
+        cfg = load_config(overrides={"m": 3, "m_start": 3, "m_stop": 4, "trials": 8,
+                                     "alpha_sq_points": 3, "dt_points": 2,
+                                     "eta_spd_list": [0.73, 1]}, mode=mode)
+        rows = run(cfg)[1]
+        points = 2 * len(rows) if mode == "stages-sweep" else len(rows)
+        grid = "enumerate_points" if mode == "enumerate" else "estimate_errors"
+        assert calls == {**dict.fromkeys(calls, []), grid: [points]}
+
     @pytest.mark.parametrize("mode", list(RUNNERS))
     def test_rows_hold_only_numbers(self, mode):
         # render_csv formats ints and floats only: a bool would print as True

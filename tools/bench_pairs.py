@@ -23,14 +23,18 @@ interpreters, 10 rounds alternating the two sides: per side and round, the
 best of 5 walls and the peak states at M = 10, 16, 20, 30, 50 and 100
 (experimental condition, |alpha|^2 = 3) and of the ideal model at M = 50 and
 100 (|alpha|^2 = 3, where every click leaves a -inf in the log-posterior),
-and the median of 15 repetitions of the five ``enumerate-m16`` points.  At
-M = 30 and 50 the probe then runs one more DP under ``tracemalloc`` and
-keeps its peak traced memory in MB, so that a change that trades memory
-for numpy calls shows the trade.  A
+and the median of 15 repetitions of the five ``enumerate-m16`` points, one
+``enumerate_detail`` call each; on a side with ``bayes.enumerate_points``,
+also the median of 15 grid calls over the five, the one call its ``cli``
+makes.  At M = 30 and 50, and after each five-point timing, the probe runs
+one more DP (or loop, or grid call) under ``tracemalloc`` and keeps its peak
+traced memory in MB, so that a change that trades memory for numpy calls
+shows the trade.  A
 side whose ``enumerate_detail`` raises ``ValueError`` at some M (a revision
 that caps M, or whose layer there holds more than ``MAX_ENUM_STATES``
 states) records that M as refused, with the message, and gets no ratio
-there.
+there.  The summary also sets the change's grid call against the parent's,
+or against the parent's per-point calls where it has no grid pass.
 
 The ``tier1`` section runs the tier-1 test command ``TIER1`` once per side
 in its export, parent first: the wall seconds, by this process's clock, and
@@ -50,7 +54,8 @@ side, and their total.
 
 The ``tables`` section hashes the tables the CLI feeds its estimators, from
 each side's source in a fresh interpreter: ``bayes.point_tables`` of every
-point that ``cli.run`` builds (estimators stubbed out) over the golden configs
+point that ``cli.run`` builds (estimators stubbed out, whichever entry the
+side's ``cli`` calls: ``collect_points``) over the golden configs
 of the side's ``tests/test_cli.py`` (``GOLDEN_CSV``), and over the delay grid,
 ``delay-sweep`` at its default 13 discard windows for every |alpha|^2 in
 ``TABLE_ALPHA_SQ``, M in ``TABLE_STAGES`` and ``truth_delay`` on and off.  Per
@@ -229,6 +234,16 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
+def traced_peak_mb(call) -> float:
+    """Peak traced memory of ``call()`` under ``tracemalloc``, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def probe_stages(enumerate_detail, model, traced: bool = False) -> dict:
     """Best of ``EXACT_BEST_OF`` walls of ``enumerate_detail(model)`` and its peak
     states, or the message of the ``ValueError`` with which it refuses the model.
@@ -243,30 +258,33 @@ def probe_stages(enumerate_detail, model, traced: bool = False) -> dict:
         walls.append(time.perf_counter() - t0)
     out = {"best_s": min(walls), "peak_states": detail.peak_states}
     if traced:
-        tracemalloc.start()
-        try:
-            enumerate_detail(model)
-            out["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
+        out["traced_peak_mb"] = traced_peak_mb(lambda: enumerate_detail(model))
     return out
+
+
+def time_five(name: str, call) -> dict:
+    """``call()`` on the five ``enumerate-m16`` points: the median of
+    ``FIVE_POINT_REPS`` walls after one warm-up, and the peak traced memory of
+    one more call, as ``<name>_s`` and ``<name>_traced_peak_mb``."""
+    def wall() -> float:
+        t0 = time.perf_counter()
+        call()
+        return time.perf_counter() - t0
+
+    wall()  # warm-up
+    return {f"{name}_s": statistics.median(wall() for _ in range(FIVE_POINT_REPS)),
+            f"{name}_traced_peak_mb": traced_peak_mb(call)}
 
 
 def exact_probe(tree: str) -> dict:
     """Time ``enumerate_detail`` from ``tree`` in this interpreter (see module doc)."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench"]
+    from qpskrx import bayes
     from qpskrx.bayes import InferenceModel, enumerate_detail
     from qpskrx.cli import alpha_grid, matched_inference
     from workloads import make_config
 
     cfg = make_config("enumerate-m16", 0)
-
-    def wall(models) -> float:
-        t0 = time.perf_counter()
-        for model in models:
-            enumerate_detail(model)
-        return time.perf_counter() - t0
-
     out = {f"M{m}": probe_stages(enumerate_detail,
                                  matched_inference(cfg, EXACT_ALPHA_SQ, m=m),
                                  traced=m in TRACED_STAGES)
@@ -274,8 +292,10 @@ def exact_probe(tree: str) -> dict:
     out.update({f"ideal_M{m}": probe_stages(enumerate_detail, InferenceModel(EXACT_ALPHA_SQ, m))
                 for m in IDEAL_STAGES})
     five = [matched_inference(cfg, float(a)) for a in alpha_grid(cfg)]
-    wall(five)  # warm-up
-    out["five_point_s"] = statistics.median(wall(five) for _ in range(FIVE_POINT_REPS))
+    out.update(time_five("five_point", lambda: [enumerate_detail(model) for model in five]))
+    if hasattr(bayes, "enumerate_points"):  # a side with the grid pass: one call for all five
+        grid = [(model, None) for model in five]
+        out.update(time_five("five_point_grid", lambda: bayes.enumerate_points(grid)))
     return out
 
 
@@ -305,12 +325,32 @@ def summarize_exact(rounds: list[dict]) -> dict:
         if all("traced_peak_mb" in out[key][s] for s in SIDES):
             out[key]["traced_peak_ratio"] = (out[key]["change"]["traced_peak_mb"]
                                              / out[key]["parent"]["traced_peak_mb"])
-    ratios = [r["change"]["five_point_s"] / r["parent"]["five_point_s"] for r in rounds]
-    out["enumerate_m16_five_points"] = {
-        **{side: quartiles([r[side]["five_point_s"] for r in rounds]) for side in SIDES},
-        "ratio_per_round": ratios, "ratio_median": statistics.median(ratios),
-        "change_lower_in": sum(x < 1.0 for x in ratios), "rounds": len(rounds)}
+    out["enumerate_m16_five_points"] = summarize_five(rounds, dict.fromkeys(SIDES, "five_point"))
+    if "five_point_grid_s" in rounds[0]["change"]:
+        # the change's grid call against the parent's, or its per-point calls
+        parent = "five_point_grid" if "five_point_grid_s" in rounds[0]["parent"] else "five_point"
+        out["enumerate_m16_five_point_grid"] = summarize_five(
+            rounds, {"parent": parent, "change": "five_point_grid"})
     return out
+
+
+def summarize_five(rounds: list[dict], names: dict) -> dict:
+    """Per side, the quartiles of ``<name>_s`` over the rounds, ``name`` being the
+    side's entry of ``names``, and the median ``<name>_traced_peak_mb`` where the
+    side recorded one; the per-round ratios of the change's to the parent's."""
+    def values(side: str, metric: str) -> list[float]:
+        return [r[side][f"{names[side]}_{metric}"] for r in rounds]
+
+    def side_summary(side: str) -> dict:
+        out = {**quartiles(values(side, "s")), "timed": names[side]}
+        if f"{names[side]}_traced_peak_mb" in rounds[0][side]:
+            out["traced_peak_mb"] = statistics.median(values(side, "traced_peak_mb"))
+        return out
+
+    ratios = [c / p for c, p in zip(values("change", "s"), values("parent", "s"))]
+    return {**{side: side_summary(side) for side in SIDES},
+            "ratio_per_round": ratios, "ratio_median": statistics.median(ratios),
+            "change_lower_in": sum(x < 1.0 for x in ratios), "rounds": len(rounds)}
 
 
 def delay_grid() -> list[tuple[str, dict]]:
@@ -326,6 +366,44 @@ def mirror_breaks(trans: list[float]) -> bool:
                for a in range(4) for b in (0, 1, 3))
 
 
+def collect_points(cli, configs) -> list[tuple]:
+    """The ``(inference, truth)`` points that ``cli.run`` hands its estimators for
+    each ``(mode, config)`` of ``configs``, estimators stubbed out.
+
+    The stubs replace every entry through which a tree's ``cli`` may reach an
+    estimator: the Monte Carlo grid call, the exact grid call and the exact
+    one-point call; ``cli``'s attributes are restored on return.
+    """
+    points = []
+
+    def estimate_errors(grid, *args):
+        points.extend(grid)
+        return [types.SimpleNamespace(error_prob=0.0, stderr=0.0)] * len(grid)
+
+    def enumerate_points(grid):
+        points.extend(grid)
+        return [types.SimpleNamespace(error_prob=0.0)] * len(grid)
+
+    def enumerate_error_probability(model):
+        points.append((model, None))
+        return 0.0
+
+    stubs = {"estimate_errors": estimate_errors, "enumerate_points": enumerate_points,
+             "enumerate_error_probability": enumerate_error_probability}
+    saved = {name: getattr(cli, name) for name in stubs if hasattr(cli, name)}
+    try:
+        vars(cli).update(stubs)
+        for mode, config in configs:
+            cli.run(cli.load_config(overrides=config, mode=mode))
+    finally:
+        for name in stubs:
+            if name in saved:
+                setattr(cli, name, saved[name])
+            else:
+                delattr(cli, name)
+    return points
+
+
 def table_probe(tree: str) -> dict:
     """Hash the tables that ``cli.run`` builds from ``tree``'s source, in this
     interpreter (see module doc); for the delay grid also each point's truth
@@ -333,26 +411,9 @@ def table_probe(tree: str) -> dict:
     sys.path[:0] = [f"{tree}/src", f"{tree}/tests"]
     from qpskrx import cli
     from qpskrx.bayes import point_tables
-    from qpskrx.config import load_config
     from test_cli import GOLDEN_CSV
 
-    points = []
-
-    def estimate_errors(grid, *args):
-        points.extend(grid)
-        return [types.SimpleNamespace(error_prob=0.0, stderr=0.0)] * len(grid)
-
-    def enumerate_error_probability(model):
-        points.append((model, None))
-        return 0.0
-
-    cli.estimate_errors = estimate_errors
-    cli.enumerate_error_probability = enumerate_error_probability
-
-    def tables(runs) -> dict:
-        points.clear()
-        for mode, config in runs:
-            cli.run(load_config(overrides=config, mode=mode))
+    def tables(points) -> dict:
         digest, matched = hashlib.sha256(), hashlib.sha256()
         for model, truth in points:
             for table in point_tables(model, truth):
@@ -363,8 +424,10 @@ def table_probe(tree: str) -> dict:
                 "matched_sha256": matched.hexdigest(),
                 "matched_points": sum(truth is None for _, truth in points)}
 
-    out = {"golden": tables((mode, config) for mode, config, _ in GOLDEN_CSV),
-           "delay": tables(delay_grid())}
+    out = {"golden": tables(collect_points(cli, ((mode, config)
+                                                  for mode, config, _ in GOLDEN_CSV)))}
+    points = collect_points(cli, delay_grid())
+    out["delay"] = tables(points)
     truth = [(t.first.tolist(), t.trans.ravel().tolist()) for _, t in points]
     out["delay"]["mirror_breaks"] = sum(mirror_breaks(trans) for _, trans in truth)
     out["delay_truth"] = [x for first, trans in truth for x in first + trans]
