@@ -511,7 +511,6 @@ class _Pass:
         new[0] = True
         np.not_equal(ck[1:], ck[:-1], out=new[1:])
         at = new.nonzero()[0]
-        self.w = _sum_weights(self.w, order, new, len(at))
         # any child of a state will do: its merge key, and lp, whose rows
         # differ between the state's children by an exact constant vector, so
         # argmax and ties agree bitwise.  Where the value key ranks rows (a
@@ -520,6 +519,7 @@ class _Pass:
         # and only adds logs of (0, 1] or -inf, so it has no -0.0 and
         # value-equal rows are bitwise equal
         self.lp, self.ck = self.lp.take(order.take(at), axis=0), ck.take(at)
+        self.w = _sum_weights(self.w, order, new, len(at))
         self.cur = _first_argmax(self.lp)
         self.layer += 1
 

@@ -101,13 +101,15 @@ class TestSummarizeExact:
                   {"first": "change", "parent": probe(2.0), "change": probe(2.5, 1.2)}]
         out = bench_pairs.summarize_exact(rounds)
         grid = out["enumerate_m16_five_point_grid"]
-        assert grid["parent"]["timed"] == "five_point" and grid["change"]["timed"] == "five_point_grid"
+        assert grid["parent"]["timed"] == "five_point"
+        assert grid["change"]["timed"] == "five_point_grid"
         assert grid["ratio_per_round"] == [0.8, 0.6] and grid["change_lower_in"] == 2
         assert grid["parent"]["traced_peak_mb"] == 0.5 and grid["change"]["traced_peak_mb"] == 2.0
         assert out["enumerate_m16_five_points"]["ratio_per_round"] == [1.5, 1.25]
         rounds[0]["parent"], rounds[1]["parent"] = probe(1.0, 1.0), probe(2.0, 1.0)
         grid = bench_pairs.summarize_exact(rounds)["enumerate_m16_five_point_grid"]
-        assert grid["parent"]["timed"] == "five_point_grid" and grid["ratio_per_round"] == [0.8, 1.2]
+        assert grid["parent"]["timed"] == "five_point_grid"
+        assert grid["ratio_per_round"] == [0.8, 1.2]
 
     def test_five_point_timing_and_traced_peak(self):
         calls = []

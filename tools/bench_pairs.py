@@ -589,7 +589,11 @@ def run_exact(trees: dict) -> dict:
     return {"method": f"fresh interpreter per side and round, sides alternating; "
                       f"best of {EXACT_BEST_OF} at M = {EXACT_STAGES}, |alpha|^2 = "
                       f"{EXACT_ALPHA_SQ}, cli.matched_inference at the enumerate-m16 "
-                      f"config, and of the ideal model at M = {IDEAL_STAGES}; five points: median of {FIVE_POINT_REPS} after one warm-up; traced_peak_mb: tracemalloc peak of one more DP at M = {TRACED_STAGES}",
+                      f"config, and of the ideal model at M = {IDEAL_STAGES}; five points: "
+                      f"median of {FIVE_POINT_REPS} after one warm-up, one enumerate_detail "
+                      f"call each, and one enumerate_points call where the side has it; "
+                      f"traced_peak_mb: tracemalloc peak of one more DP at M = "
+                      f"{TRACED_STAGES}, and of one more five-point timing",
             "summary": summarize_exact(records), "rounds": records}
 
 
