@@ -17,8 +17,8 @@ per-trial recursion, and its target is the first-maximum argmax, so
 outcomes are bitwise those of that recursion.  The adds are exact (the
 log-likelihoods lie on ``bayes.InferenceModel.log_likelihood_table``'s
 dyadic grid), so hypotheses that tie in real arithmetic tie bitwise and go
-to the lowest index.  The exact DP reads a point's tables in the same layout
-(``bayes.point_tables``).
+to the lowest index.  Both estimators read their tables from one builder,
+``bayes.grid_tables``, which stacks a grid's points longest first.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ STACK_TRIALS = 1 << 16
 ROLL = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
 
 
-def symbol_tables(first: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One point's truth tables by symbol ``m`` and target: ``[m, cur]`` in bin 0,
-    ``[m, prev, cur]`` in later bins (row ``4 * prev + cur`` of ``[m]``)."""
-    m, p, c = np.ix_(range(4), range(4), range(4))
-    return first[ROLL.T], trans[(m - p) % 4, (c - p) % 4]
-
-
 def step_rows(loglik: np.ndarray) -> np.ndarray:
     """Rows ``2 * (4 * point + cur) + e`` of ``loglik[..., e, (h - cur) % 4]`` by ``h``:
     the log-likelihoods added to ``lp`` when target ``cur`` sees outcome ``e``."""
@@ -51,8 +44,8 @@ def run_chunk(draws: np.ndarray, first: np.ndarray, trans: np.ndarray,
     """Walk P points of one symbol over the shared ``(n, top)`` draws; final targets (P, n).
 
     Point p reads the first ``stages[p]`` columns; ``stages`` must not increase.
-    ``first[p]`` and ``trans[p]`` are its ``symbol_tables`` for the chunk's
-    symbol, ``loglik[p]`` its (2, 4) log-likelihood table.
+    ``first[p]`` and ``trans[p]`` are its ``bayes.grid_tables`` truth tables for
+    the chunk's symbol, ``loglik[p]`` its (2, 4) log-likelihood table.
     """
     ends = stages.tolist()
     if ends != sorted(ends, reverse=True):

@@ -5,7 +5,8 @@ hypothesis is displaced to vacuum; the detector outcome multiplies the
 posterior by the per-bin likelihood and the MAP target is refreshed.  Because
 everything is phase-covariant, likelihoods depend only on the index difference
 ``delta = (m - target) mod 4`` and can be tabulated once per model.  Both
-estimators read one point's tables, in one layout, from ``point_tables``.
+estimators read a grid's tables from one builder, ``grid_tables``, stacked
+longest first in one layout.
 
 ``enumerate_points`` is the exact answer the Monte Carlo engine is checked
 against, for a whole grid of points in one pass (``enumerate_detail`` is its
@@ -189,15 +190,26 @@ def truth_from_inference(model: InferenceModel) -> TruthTables:
     return TruthTables(model.stages, p, p[_kernels.ROLL.T])  # trans[dprev, step]: p[dprev - step]
 
 
-def point_tables(model: InferenceModel,
-                 truth: TruthTables | None = None) -> tuple[np.ndarray, ...]:
-    """``_kernels.symbol_tables`` of ``truth`` (default: the matched one) and the
-    model's ``log_likelihood_table``: one point's tables, read by both estimators."""
-    if truth is None:
-        truth = truth_from_inference(model)
-    if truth.stages != model.stages:
+def grid_tables(points) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one table builder both estimators read: the ``(inference, truth)``
+    points (truth None: the matched one) stacked longest first, equal M in the
+    given order.
+
+    Returns that order, the stage counts, the truth no-click probabilities by
+    symbol and target, ``first [p, m, cur]`` in bin 0 and ``trans [p, m, prev,
+    cur]`` in later bins, and each model's ``log_likelihood_table``,
+    ``loglik [p, e, delta]``.
+    """
+    order = sorted(range(len(points)), key=lambda j: -points[j][0].stages)
+    models = [points[j][0] for j in order]
+    truths = [points[j][1] or truth_from_inference(model) for j, model in zip(order, models)]
+    if any(truth.stages != model.stages for model, truth in zip(models, truths)):
         raise ValueError("truth model stage count must match the inference model")
-    return (*_kernels.symbol_tables(truth.first, truth.trans), model.log_likelihood_table())
+    m, p, c = np.ix_(range(4), range(4), range(4))
+    return (order, np.array([model.stages for model in models], dtype=np.int64),
+            np.reshape([t.first for t in truths], (-1, 4))[:, _kernels.ROLL.T],
+            np.reshape([t.trans for t in truths], (-1, 4, 4))[:, (m - p) % 4, (c - p) % 4],
+            np.reshape([model.log_likelihood_table() for model in models], (-1, 2, 4)))
 
 
 # Merged states a layer of one exact DP pass may hold, over all of its points (the
@@ -240,7 +252,6 @@ PASS_BITS = 62
 # W[delta]: the t's in the off log-likelihood o - W[delta] t (log_likelihood_table)
 _W = (0, 1, 2, 1)
 _ONES = np.ones(4)
-_CUR_OF = np.tile(np.arange(4), 4)  # s % 4 = cur, for tables that do not read prev
 
 
 def _count_fields(stages: int) -> tuple[tuple[int, ...], int]:
@@ -260,8 +271,8 @@ def _count_fields(stages: int) -> tuple[tuple[int, ...], int]:
 
 
 def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
-    """Row ``2 * cur + e``: what outcome e at target cur adds to the count key, and
-    whether the key's fields fit in ``KEY_BITS`` (M <= 1023).
+    """``[e, s]``: what outcome e in receiver state ``s = 4 * prev + cur`` adds to the
+    count key, and whether the key's fields fit in ``KEY_BITS`` (M <= 1023).
 
     X_h = sum_c n_{c,off} W[(h - c) % 4] counts the t's that no-clicks at target
     c took from hypothesis h, and n_c counts the clicks at target c, so
@@ -274,77 +285,50 @@ def _count_steps(stages: int) -> tuple[np.ndarray, bool]:
     vector, exactly, as every sum on the dyadic grid is exact: their argmaxes
     and ties agree bitwise now and after any common outcomes.  Each difference
     is linear in the outcomes, so a child's key is its parent's plus one step.
-    When the fields do not fit, the rows only carry the previous target.
+    When the fields do not fit, the steps only carry the previous target.
     """
     shifts, bits = _count_fields(stages)
     fits = bits <= KEY_BITS
-    steps = np.repeat(np.arange(4, dtype=np.int64), 2)  # prev = cur
+    steps = np.zeros((2, 4), dtype=np.int64)  # [e, cur]
     if fits:
-        fields = np.zeros((8, 5), dtype=np.int64)  # row 2 * cur + e: D_1, D_2, E_0..E_2
+        fields = np.zeros((2, 4, 5), dtype=np.int64)  # [e, cur]: D_1, D_2, E_0..E_2
         for c in range(4):
-            fields[2 * c, :2] = [_W[(h - c) % 4] - _W[-c % 4] for h in (1, 2)]
-            fields[2 * c + 1, 2:] = np.eye(3, dtype=np.int64)[c] if c < 3 else -1
-        steps += fields @ (np.int64(1) << np.array(shifts, dtype=np.int64))
-    return steps, fits
+            fields[0, c, :2] = [_W[(h - c) % 4] - _W[-c % 4] for h in (1, 2)]
+            fields[1, c, 2:] = np.eye(3, dtype=np.int64)[c] if c < 3 else -1
+        steps = fields @ (np.int64(1) << np.array(shifts, dtype=np.int64))
+    s = np.arange(16, dtype=np.int64)
+    return steps[:, s % 4] + s % 4 - s // 4, fits  # the low 2 bits go from prev to cur
 
 
-@dataclass
-class _PointTables:
-    """One point's tables by receiver state ``s = 4 * prev + cur``: the ``lp`` step
-    ``[e, s, h]``, the truth probability of outcome e ``[m, e, s]`` in bin 0 (which
-    reads only cur) and in later bins, and the key step ``[e, s]`` from a
-    parent's key (previous target in the low 2 bits) to its child's; whether
-    the count fields fit, and whether the point takes value keys (``dying``)."""
-
-    stages: int
-    step: np.ndarray
-    p_first: np.ndarray
-    p_trans: np.ndarray
-    cstep: np.ndarray
-    fits: bool
-    dying: bool
-
-    @classmethod
-    def of(cls, model: InferenceModel, truth: TruthTables | None) -> _PointTables:
-        first, trans, loglik = point_tables(model, truth)
-        count_steps, fits = _count_steps(model.stages)
-        trans = trans.reshape(4, 16)
-        return cls(model.stages,
-                   _kernels.step_rows(loglik).reshape(4, 2, 4).swapaxes(0, 1)[:, _CUR_OF],
-                   np.stack((first, 1.0 - first), axis=1)[:, :, _CUR_OF],
-                   np.stack((trans, 1.0 - trans), axis=1),
-                   count_steps.reshape(4, 2).T[:, _CUR_OF] - np.repeat(np.arange(4), 4),
-                   fits, not fits or bool(np.isneginf(loglik).any()))
-
-
-def _key_shift(longest: _PointTables, dying: bool) -> int:
-    """B: in a pass whose longest point is ``longest``, every key of point k lies in
-    [2^B k - 2^(B-1), 2^B k + 2^(B-1)).
+def _key_shift(stages: int, fits: bool, dying: bool) -> int:
+    """B: in a pass whose longest point has ``stages`` bins, every key of point k
+    lies in [2^B k - 2^(B-1), 2^B k + 2^(B-1)).
 
     Count keys lie in (-2^(bits-1), 2^(bits-1)) (``_count_fields``; [0, 4) when
     they hold prev alone).  A ``dying`` pass adds value keys 2^(B-2) + 4 rank +
     prev above them: a layer holds at most 2 ``MAX_ENUM_STATES`` children, so
     4 rank + prev stays below 8 ``MAX_ENUM_STATES``.
     """
-    bits = _count_fields(longest.stages)[1] if longest.fits else 3
+    bits = _count_fields(stages)[1] if fits else 3
     return max(bits, (8 * MAX_ENUM_STATES).bit_length() + 1) + 1 if dying else bits
 
 
-def _passes(tables: list[_PointTables]) -> list[list[int]]:
-    """The points' indices by pass, longest first: a pass grows while its points
-    agree on ``fits`` and its point index and keys fit in ``PASS_BITS``; a
-    point always fits a pass of its own."""
-    passes, dying = [], False
-    for j in sorted(range(len(tables)), key=lambda j: -tables[j].stages):
-        group = passes[-1] if passes else []
-        point = tables[j]
-        if group and point.fits == tables[group[0]].fits and len(group).bit_length() + (
-                _key_shift(tables[group[0]], dying or point.dying)) <= PASS_BITS:
-            group.append(j)
-            dying |= point.dying
+def _passes(grid: tuple) -> list[range]:
+    """Runs of ``grid_tables``' stack ``grid``, one per pass: a pass grows while its
+    points agree on whether their count fields fit and its point index and keys
+    fit in ``PASS_BITS``; a point always fits a pass of its own.  A point takes
+    value keys where its fields do not fit or its table holds a -inf."""
+    _, stages, _, _, loglik = grid
+    passes, neginf = [], np.isneginf(loglik).any(axis=(1, 2)).tolist()
+    for j, m in enumerate(stages.tolist()):
+        fits = _count_fields(m)[1] <= KEY_BITS
+        if passes and fits == head[1] and len(passes[-1]).bit_length() + _key_shift(
+                *head, dying or neginf[j]) <= PASS_BITS:
+            passes[-1] = range(passes[-1].start, j + 1)
+            dying |= neginf[j]
         else:
-            passes.append([j])
-            dying = point.dying
+            passes.append(range(j, j + 1))
+            head, dying = (m, fits), neginf[j] or not fits
     return passes
 
 
@@ -394,7 +378,7 @@ def _detail(w: np.ndarray, cur: np.ndarray, peak: int) -> EnumerationDetail:
     return EnumerationDetail(
         error_prob=float(per_symbol.mean()),
         per_symbol_error=per_symbol,
-        branch_totals=w.T.copy().sum(axis=0),  # a C-ordered (N, 4) copy, summed row by row
+        branch_totals=w.cumsum(axis=1)[:, -1],
         peak_states=peak,
     )
 
@@ -405,9 +389,10 @@ class _Pass:
     ``layer`` bins: a state's row of ``lp``, column of ``w`` (row m: its linear
     weight given symbol m), key ``ck`` and target ``cur``.  Point k's keys lie
     in [2^B k - 2^(B-1), 2^B k + 2^(B-1)), B = ``shift``, so its states are the
-    run of the sorted keys from ``starts[k]`` on; ``tables`` stacks the points'
-    ``_PointTables`` along their state axis, so that index ``16 k + s`` reads
-    point k's row s.  Every key lies below 2^``key_bits`` in magnitude."""
+    run of the sorted keys from ``starts[k]`` on.  ``tables`` holds, by state
+    index ``t = 16 k + 4 prev + cur``, the ``lp`` step ``[e, t, h]``, the truth
+    probability of outcome e ``[m, e, t]`` in bin 0 and in later bins, and the
+    key step ``[e, t]``.  Every key lies below 2^``key_bits`` in magnitude."""
 
     slots: list[int]
     stages: list[int]
@@ -425,16 +410,25 @@ class _Pass:
     cur: np.ndarray
 
     @classmethod
-    def start(cls, slots: list[int], points: list[_PointTables]) -> _Pass:
-        """The points' roots: one state each, targeting 0 with prev = 0."""
-        k, dying = len(points), any(p.dying for p in points)
-        shift = _key_shift(points[0], dying)
-        tables = (np.concatenate([p.step for p in points], axis=1),
-                  *(np.concatenate([getattr(p, name) for p in points], axis=-1)
-                    for name in ("p_first", "p_trans", "cstep")))
+    def start(cls, grid: tuple, group: range) -> _Pass:
+        """The roots of the points ``group`` of ``grid_tables``' stack ``grid``: one
+        state each, targeting 0 with prev = 0."""
+        slots, stages, first, trans, loglik = (x[group.start:group.stop] for x in grid)
+        k = len(slots)
+        ms, inverse = np.unique(stages, return_inverse=True)
+        count_steps = [_count_steps(m) for m in ms.tolist()]  # one per M
+        fits = count_steps[0][1]  # the points of a pass agree
+        dying = not fits or bool(np.isneginf(loglik).any())
+        shift = _key_shift(int(stages[0]), fits, dying)
+        p_off = np.stack((np.tile(first, 4), trans.reshape(k, 4, 16)))  # [bin > 0, k, m, s]
+        tables = (np.tile(loglik[:, :, _kernels.ROLL], (4, 1)).swapaxes(0, 1).reshape(2, -1, 4),
+                  *np.stack((p_off, 1.0 - p_off), axis=3).transpose(0, 2, 3, 1, 4)
+                  .reshape(2, 4, 2, -1),
+                  np.stack([steps for steps, _ in count_steps])[inverse]
+                  .swapaxes(0, 1).reshape(2, -1))
         starts = (np.arange(k + 1, dtype=np.int64) << shift) - (1 << (shift - 1))
-        return cls(slots, [p.stages for p in points], np.ones(k, dtype=np.int64), tables,
-                   shift, starts, (k - 1).bit_length() + shift, dying, points[0].fits, 0,
+        return cls(slots, stages.tolist(), np.ones(k, dtype=np.int64), tables,
+                   shift, starts, (k - 1).bit_length() + shift, dying, fits, 0,
                    np.zeros((k, 4)), np.ones((4, k)), np.arange(k, dtype=np.int64) << shift,
                    np.zeros(k, dtype=np.intp))
 
@@ -536,13 +530,14 @@ def enumerate_points(points) -> list[EnumerationDetail]:
     (the current target is the first-maximum argmax of ``lp``).  Children are
     merged on an int64 key into states whose per-symbol linear weights are
     summed in child order.  A child's key is its parent's plus one
-    ``_count_steps`` row: the differences of the outcome counts that fix
+    ``_count_steps`` entry: the differences of the outcome counts that fix
     ``lp`` up to a constant vector, and the previous target.
 
-    The points are stacked longest first; point k's key carries 2^B k above
-    its own key (``_key_shift``), so a merge never crosses points and the
-    sorted states are point-major.  A state's index ``16 k + 4 prev + cur``
-    picks its rows of four tables stacked once per pass (``_PointTables``), so
+    The points are stacked longest first (``grid_tables``, called once); point
+    k's key carries 2^B k above its own key (``_key_shift``), so a merge never
+    crosses points and the sorted states are point-major.  A state's index
+    ``16 k + 4 prev + cur`` picks its rows of four tables that each pass lays
+    out once from its run of the stack (``_Pass.start``), so
     each of ``lp``, the weights (four rows, one per symbol m) and the key
     takes one ``take`` and one in-place op per layer, whatever the number of
     points; the e = 0 children come first.  The merge sorts the keys once
@@ -569,9 +564,9 @@ def enumerate_points(points) -> list[EnumerationDetail]:
     ``ValueError``.  Points whose index and keys would not fit together in
     ``PASS_BITS`` go to further passes.
     """
-    tables = [_PointTables.of(model, truth) for model, truth in points]
-    details = [None] * len(tables)
-    pending = [_Pass.start(group, [tables[j] for j in group]) for group in _passes(tables)]
+    grid = grid_tables(points)
+    details = [None] * len(points)
+    pending = [_Pass.start(grid, group) for group in _passes(grid)]
     while pending:
         pending.pop().run(pending, details)
     return details

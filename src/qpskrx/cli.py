@@ -58,22 +58,24 @@ def _bounds(cfg: RunConfig) -> list[dict]:
              "helstrom": helstrom_qpsk(a)} for a in alpha_grid(cfg)]
 
 
+def _alpha_points(cfg: RunConfig) -> tuple[list[dict], list]:
+    """The |alpha|^2 grid's label rows and ``(model, None)`` points, the one point
+    list that ``sweep`` and ``enumerate`` hand their estimators."""
+    models = [matched_inference(cfg, float(a)) for a in alpha_grid(cfg)]
+    return ([{"alpha_sq": model.alpha_sq, "alpha_sq_detected": model.eta_total * model.alpha_sq}
+             for model in models], [(model, None) for model in models])
+
+
 def _enumerate(cfg: RunConfig) -> list[dict]:
     """One exact pass over the whole |alpha|^2 grid."""
-    alphas = [float(a) for a in alpha_grid(cfg)]
-    models = [matched_inference(cfg, a) for a in alphas]
-    details = enumerate_points([(model, None) for model in models])
-    return [{"alpha_sq": a, "alpha_sq_detected": model.eta_total * a,
-             "error_prob": detail.error_prob}
-            for a, model, detail in zip(alphas, models, details)]
+    labels, points = _alpha_points(cfg)
+    for label, detail in zip(labels, enumerate_points(points)):  # in place, as _monte_carlo
+        label["error_prob"] = detail.error_prob
+    return labels
 
 
 def _sweep(cfg: RunConfig) -> list[dict]:
-    alphas = [float(a) for a in alpha_grid(cfg)]
-    models = [matched_inference(cfg, a) for a in alphas]
-    labels = [{"alpha_sq": a, "alpha_sq_detected": model.eta_total * a}
-              for a, model in zip(alphas, models)]
-    return _monte_carlo(cfg, labels, [(model, None) for model in models])
+    return _monte_carlo(cfg, *_alpha_points(cfg))
 
 
 def _efficiency_sweep(cfg: RunConfig) -> list[dict]:

@@ -6,7 +6,8 @@ uniform of trial t in bin i is output i * 2**64 + t.  So a given (seed,
 symbol, trial) always sees the same uniforms regardless of chunking, worker
 count, scheduling or the stage count of the point that reads them.  A grid of
 points shares those uniforms (common random numbers), and each chunk's draws
-are generated once, at the grid's largest M, for all points.
+are generated once, at the grid's largest M, for all points, whose tables
+are built once (``bayes.grid_tables``, as for the exact evaluator).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bayes import InferenceModel, TruthTables, point_tables
+from .bayes import InferenceModel, TruthTables, grid_tables
 # ``truth_from_inference`` stays importable from here: perfbench/spans.py traces it by this name.
 from .bayes import truth_from_inference  # noqa: F401
 
@@ -72,8 +73,9 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
     Every point sees the same uniforms for a given (symbol, trial): common
     random numbers.  A trial's first M uniforms are the same for every M, so
     each (symbol, chunk) task draws once, at the grid's largest M, and runs
-    every point over them, longest first, in stacks of at most
-    ``_kernels.STACK_TRIALS`` (point, trial) rows, one kernel call per stack.
+    every point over them, longest first (``bayes.grid_tables``' order), in
+    stacks of at most ``_kernels.STACK_TRIALS`` (point, trial) rows, one
+    kernel call per stack.
     Deterministic for a given ``rng``: the chunk schedule is fixed and the
     tallies are integers, so the results are independent of ``n_workers``
     and of the other points of the grid.  A missing truth is the matched one.
@@ -82,12 +84,9 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
         raise ValueError(f"trials must be >= 4 (one per symbol), got {trials}")
     if not points:
         return []
-    # per point, built once: the tables ``_kernels.run_chunk`` reads, by point and symbol
-    stages = np.array([inference.stages for inference, _ in points])
-    tables = [point_tables(*point) for point in points]
-    first, trans, loglik = (np.array([table[k] for table in tables]) for k in range(3))
-    order = np.argsort(-stages, kind="stable").tolist()  # longest first, as the kernel takes them
-    top = int(stages[order[0]])  # the grid's largest M: every point reads a leading slice
+    # built once, longest first as the kernel takes them: its tables by point and symbol
+    order, stages, first, trans, loglik = grid_tables(points)
+    top = int(stages[0])  # the grid's largest M: every point reads a leading slice
     base, rem = divmod(trials, 4)
     counts = [base + (1 if s < rem else 0) for s in range(4)]
     tasks = [(symbol, start, min(DEFAULT_CHUNK, n_sym - start))
@@ -99,10 +98,10 @@ def estimate_errors(points: Sequence[tuple[InferenceModel, TruthTables | None]],
         per_call = max(1, _kernels.STACK_TRIALS // n)  # points stacked in one kernel call
         tallies = []
         for lo in range(0, len(order), per_call):
-            stack = order[lo:lo + per_call]
-            targets = _kernels.run_chunk(draws[:, :stages[stack[0]]], first[stack, symbol],
+            stack = slice(lo, lo + per_call)
+            targets = _kernels.run_chunk(draws[:, :stages[lo]], first[stack, symbol],
                                          trans[stack, symbol], loglik[stack], stages[stack])
-            tallies.append((stack, symbol, (targets == symbol).sum(axis=1)))
+            tallies.append((order[stack], symbol, (targets == symbol).sum(axis=1)))
             del targets  # not held through the next call
         return tallies
 

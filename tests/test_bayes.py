@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (brute_force_error, decimal_enumeration, kernel_outcomes,
                      lexsort_enumeration, log, normalized, posterior_step,
                      reference_trial, truth_off_prob, walk_enumeration)
-from qpskrx import bayes
+from qpskrx import bayes, montecarlo
 from qpskrx._kernels import step_rows
 from qpskrx.bayes import (InferenceModel, _dyadic, _first_argmax, _grid_exponent, _sort,
                           _value_key, enumerate_detail, enumerate_error_probability,
-                          enumerate_points, point_tables, truth_from_inference)
+                          enumerate_points, grid_tables, truth_from_inference)
 from qpskrx.bounds import helstrom_qpsk, sql_heterodyne
 from qpskrx.cli import matched_inference
 from qpskrx.config import load_config
@@ -470,11 +470,11 @@ class TestCountKeyLayout:
         shifts, _ = bayes._count_fields(stages)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            outcomes = rng.integers(0, 8, size=stages)  # row 2 * cur + e
+            outcomes = rng.integers(0, 8, size=stages)  # 2 * cur + e
             key, prev = 0, 0
-            for row in outcomes.tolist():
-                key += int(steps[row]) - prev
-                prev = row // 2
+            for cur, e in map(divmod, outcomes.tolist(), itertools.repeat(2)):
+                key += int(steps[e, 4 * prev + cur])
+                prev = cur
             n = np.bincount(outcomes, minlength=8).reshape(4, 2)  # n[c, e]
             x = [sum(int(n[c, 0]) * bayes._W[(h - c) % 4] for c in range(4)) for h in range(3)]
             fields = (x[1] - x[0], x[2] - x[0], *(int(n[c, 1] - n[3, 1]) for c in range(3)))
@@ -601,8 +601,7 @@ class TestGridPass:
         points.insert(4, (InferenceModel(2.0, 16), None))
         details = enumerate_points(points)
         monkeypatch.setattr(bayes, "PASS_BITS", 36)
-        tables = [bayes._PointTables.of(model, truth) for model, truth in points]
-        assert [len(group) for group in bayes._passes(tables)] == [4, 2, 1]
+        assert [len(group) for group in bayes._passes(grid_tables(points))] == [4, 2, 1]
         for detail, again in zip(details, enumerate_points(points), strict=True):
             assert_bitwise_equal(again, detail)
 
@@ -651,7 +650,8 @@ class TestTruthTables:
 
 
 class TestPointTables:
-    """The one table layout both estimators read, entry by entry against the oracles."""
+    """One point's tables in ``grid_tables``' layout, which both estimators read,
+    entry by entry against the oracles."""
 
     model = InferenceModel(3.0, 10, 0.65, 0.996, 9.1e-3)
     # delay model, hold 0.37 us and swing 0.63 us in a 20 us bin
@@ -660,8 +660,10 @@ class TestPointTables:
     @pytest.mark.parametrize("dt", [0.0, 0.5, 1.1])
     def test_truth_entries(self, dt):
         truth = oracle_truth(self.model, dt)
-        first, trans, _ = point_tables(self.model, truth)
-        assert first.shape == (4, 4) and trans.shape == (4, 4, 4)
+        order, stages, first, trans, _ = grid_tables([(self.model, truth)])
+        assert order == [0] and stages.tolist() == [10]
+        assert first.shape == (1, 4, 4) and trans.shape == (1, 4, 4, 4)
+        first, trans = first[0], trans[0]
         # the previous target matters until the discard window covers the 1 us ramp
         assert (len(set(trans[0, :, 1].tolist())) > 1) == (dt < 1.0)
         args = (truth.first, truth.trans)
@@ -671,8 +673,9 @@ class TestPointTables:
             assert trans.reshape(4, 16).T[4 * prev + cur, m] == trans[m, prev, cur]
 
     def test_step_rows(self):
-        *_, loglik = point_tables(self.model, self.truth)
-        np.testing.assert_array_equal(loglik, self.model.log_likelihood_table())
+        *_, loglik = grid_tables([(self.model, self.truth)])
+        np.testing.assert_array_equal(loglik, [self.model.log_likelihood_table()])
+        loglik = loglik[0]
         stacked = np.stack([loglik, 2.0 * loglik])  # two points, as run_chunk takes them
         for cur, e, h in itertools.product(range(4), (0, 1), range(4)):
             assert step_rows(loglik)[2 * cur + e, h] == loglik[e][(h - cur) % 4]
@@ -681,13 +684,54 @@ class TestPointTables:
                         == stacked[point, e, (h - cur) % 4])
 
     def test_matched_truth_by_default(self):
-        for default, matched in zip(point_tables(self.model),
-                                    point_tables(self.model, truth_from_inference(self.model))):
+        for default, matched in zip(grid_tables([(self.model, None)]),
+                                    grid_tables([(self.model, truth_from_inference(self.model))])):
             np.testing.assert_array_equal(default, matched)
 
     def test_stage_mismatch_rejected(self):
         with pytest.raises(ValueError, match="stage count"):
-            point_tables(InferenceModel(3.0, 9), self.truth)
+            grid_tables([(InferenceModel(3.0, 9), self.truth)])
+
+
+class TestGridTables:
+    """The stack of a grid's tables, built once for both estimators."""
+
+    def test_longest_first_ties_in_given_order(self):
+        points = grid_points()
+        order, stages, *_ = grid_tables(points)
+        assert sorted(order) == list(range(len(points)))
+        assert stages.tolist() == [points[j][0].stages for j in order]
+        assert order == sorted(range(len(points)), key=lambda j: (-points[j][0].stages, j))
+        assert order.index(4) < order.index(len(points) - 1)  # the repeated point
+
+    def test_each_point_as_alone(self):
+        points = grid_points()
+        order, stages, *tables = grid_tables(points)
+        for row, j in enumerate(order):
+            alone = grid_tables([points[j]])
+            assert alone[0] == [0] and alone[1].tolist() == [stages[row]]
+            for table, single in zip(tables, alone[2:]):
+                assert table[row].tobytes() == single[0].tobytes()
+
+    def test_empty_grid(self):
+        order, stages, first, trans, loglik = grid_tables([])
+        assert order == [] and stages.shape == (0,)
+        assert (first.shape, trans.shape, loglik.shape) == ((0, 4, 4), (0, 4, 4, 4), (0, 2, 4))
+
+    def test_each_estimator_builds_once(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return grid_tables(points)
+
+        monkeypatch.setattr(bayes, "grid_tables", counted)
+        monkeypatch.setattr(montecarlo, "grid_tables", counted)
+        points = grid_points()
+        enumerate_points(points)
+        assert calls == [len(points)]
+        estimate_errors(points, 400, RngSpec(5))
+        assert calls == [len(points)] * 2
 
 
 class TestMirrorTies:

@@ -12,6 +12,7 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_PAIRS = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -411,6 +412,28 @@ class TestTables:
         assert points == [(cli.matched_inference(cfg, a), None) for a in (1.0, 2.0)]
         assert not hasattr(fake, "enumerate_points")
         assert fake.enumerate_error_probability is None
+
+    def test_point_tables_through_either_builder(self):
+        # this tree's grid builder of one point, and a tree's one-point builder
+        # from before it, with that builder's layout: the same bytes
+        from qpskrx import bayes
+        from qpskrx._kernels import ROLL
+        from qpskrx.delay import DelayParams, delay_truth_tables
+
+        def point_tables(model, truth=None):
+            truth = truth or bayes.truth_from_inference(model)
+            m, p, c = np.ix_(range(4), range(4), range(4))
+            return (truth.first[ROLL.T], truth.trans[(m - p) % 4, (c - p) % 4],
+                    model.log_likelihood_table())
+
+        older = types.SimpleNamespace(point_tables=point_tables)
+        model = bayes.InferenceModel(2.0, 6, 0.65, 0.996, 9.1e-3)
+        delayed = (model, delay_truth_tables(model, DelayParams(20.0, 0.37, 0.63), 0.5, True))
+        for point in ((model, None), delayed):
+            tables = bench_pairs.point_tables_of(bayes, *point)
+            assert [t.shape for t in tables] == [(4, 4), (4, 4, 4), (2, 4)]
+            assert [t.tobytes() for t in tables] == [
+                t.tobytes() for t in bench_pairs.point_tables_of(older, *point)]
 
     def test_probe_of_this_tree(self):
         tree = BENCH_PAIRS.parent.parent

@@ -8,6 +8,8 @@ import the submodules.  Each CLI number flag is listed once, in
 ``cli.NUMBER_FLAGS``, with the config field it sets.  A grid point's channel
 is one object, ``bayes.InferenceModel``: only it divides by the stage count,
 and only it computes with the visibility ``xi``, in its one mean-count formula.
+Both estimators read one table builder, ``bayes.grid_tables``: only it calls
+``truth_from_inference`` or ``log_likelihood_table``.
 """
 
 import ast
@@ -59,18 +61,19 @@ def parse(paths) -> dict:
             for path in sorted(paths)}
 
 
-def sites(tree, flagged, where=None):
-    """(enclosing class or None, line) of each node of ``tree`` that ``flagged`` accepts."""
+def sites(tree, flagged, where=None, scopes=(ast.ClassDef,)):
+    """(name of the innermost enclosing ``scopes`` node or None, line) of each node
+    of ``tree`` that ``flagged`` accepts."""
     for node in ast.iter_child_nodes(tree):
-        inside = node.name if isinstance(node, ast.ClassDef) else where
+        inside = node.name if isinstance(node, scopes) else where
         if flagged(node):
             yield inside, node.lineno
-        yield from sites(node, flagged, inside)
+        yield from sites(node, flagged, inside, scopes)
 
 
-def package_sites(flagged):
+def package_sites(flagged, scopes=(ast.ClassDef,)):
     return [(f"{module}:{line}", where) for module, tree in parse(PACKAGE.glob("*.py")).items()
-            for where, line in sites(tree, flagged)]
+            for where, line in sites(tree, flagged, scopes=scopes)]
 
 
 def named(node, name):
@@ -94,6 +97,13 @@ def computes_with_xi(node):
                 else (node.operand,) if isinstance(node, ast.UnaryOp)
                 and not isinstance(node.op, ast.Not) else ())
     return any(named(x, "xi") for x in operands)
+
+
+def builds_tables(node):
+    """A call of a name or attribute called ``truth_from_inference`` or
+    ``log_likelihood_table``."""
+    return isinstance(node, ast.Call) and any(
+        named(node.func, name) for name in ("truth_from_inference", "log_likelihood_table"))
 
 
 def test_every_top_level_name_is_used():
@@ -158,3 +168,24 @@ def test_scan_finds_arithmetic_on_xi():
                      "    return f(xi=ch.xi), 0.0 <= xi <= 1.0, not xi, ch.xi_scale * 2\n")
     assert list(sites(tree, computes_with_xi)) == [("InferenceModel", 3), (None, 5), (None, 6),
                                                    (None, 7)]
+
+
+def test_only_the_grid_builder_builds_tables():
+    # both estimators read one table build per grid; a second builder would
+    # lay the tables out again
+    found = package_sites(builds_tables, scopes=(ast.FunctionDef,))
+    assert found
+    assert [site for site, where in found if where != "grid_tables"] == []
+
+
+def test_scan_finds_table_builds():
+    tree = ast.parse("def grid_tables(points):\n"
+                     "    return [truth_from_inference(m) for m, _ in points]\n"
+                     "def stacked(model):\n"
+                     "    t = bayes.truth_from_inference(model)\n"
+                     "    return model.log_likelihood_table(), truth_from_inference\n"
+                     "class Point:\n"
+                     "    def tables(self):\n        return self.model.log_likelihood_table()\n"
+                     "TABLE = log_likelihood_table(model)\n")
+    assert list(sites(tree, builds_tables, scopes=(ast.FunctionDef,))) == [
+        ("grid_tables", 2), ("stacked", 4), ("stacked", 5), ("tables", 8), (None, 9)]

@@ -53,13 +53,15 @@ The ``size`` section counts the lines of each ``src/qpskrx/*.py`` file per
 side, and their total.
 
 The ``tables`` section hashes the tables the CLI feeds its estimators, from
-each side's source in a fresh interpreter: ``bayes.point_tables`` of every
-point that ``cli.run`` builds (estimators stubbed out, whichever entry the
-side's ``cli`` calls: ``collect_points``) over the golden configs
-of the side's ``tests/test_cli.py`` (``GOLDEN_CSV``), and over the delay grid,
+each side's source in a fresh interpreter.  It takes every point that
+``cli.run`` builds (estimators stubbed out, whichever entry the side's
+``cli`` calls: ``collect_points``) over the golden configs of the side's
+``tests/test_cli.py`` (``GOLDEN_CSV``), and over the delay grid,
 ``delay-sweep`` at its default 13 discard windows for every |alpha|^2 in
-``TABLE_ALPHA_SQ``, M in ``TABLE_STAGES`` and ``truth_delay`` on and off.  Per
-side: the sha256 and point count of each set, and of its points with the
+``TABLE_ALPHA_SQ``, M in ``TABLE_STAGES`` and ``truth_delay`` on and off.
+It reads each point's tables through ``bayes.grid_tables`` of that point
+alone where the side has it, and through ``bayes.point_tables`` otherwise,
+which lays out the same bytes (``point_tables_of``).  Per side: the sha256 and point count of each set, and of its points with the
 matched truth model (``truth_from_inference``), and the delay grid's tables
 whose ``trans`` breaks the mirror symmetry ``trans[a, b] == trans[-a, -b]``
 off the half-turn column.  Between the sides: how many of the delay grid's
@@ -404,19 +406,27 @@ def collect_points(cli, configs) -> list[tuple]:
     return points
 
 
+def point_tables_of(bayes, model, truth) -> list:
+    """One point's truth tables ``first``, ``trans`` and its log-likelihood table:
+    the point's row of ``bayes.grid_tables`` of it alone, or, in a tree without
+    it, ``bayes.point_tables``, which lays them out the same."""
+    if hasattr(bayes, "grid_tables"):
+        return [table[0] for table in bayes.grid_tables([(model, truth)])[2:]]
+    return list(bayes.point_tables(model, truth))
+
+
 def table_probe(tree: str) -> dict:
     """Hash the tables that ``cli.run`` builds from ``tree``'s source, in this
     interpreter (see module doc); for the delay grid also each point's truth
     entries, ``first`` then ``trans`` row-major."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/tests"]
-    from qpskrx import cli
-    from qpskrx.bayes import point_tables
+    from qpskrx import bayes, cli
     from test_cli import GOLDEN_CSV
 
     def tables(points) -> dict:
         digest, matched = hashlib.sha256(), hashlib.sha256()
         for model, truth in points:
-            for table in point_tables(model, truth):
+            for table in point_tables_of(bayes, model, truth):
                 digest.update(table.tobytes())
                 if truth is None:
                     matched.update(table.tobytes())
@@ -462,7 +472,8 @@ def run_tables(trees: dict) -> dict:
     probes = {side: json.loads(subprocess.run(
         [sys.executable, __file__, "--table-probe", str(trees[side])],
         check=True, capture_output=True, text=True).stdout) for side in SIDES}
-    return {"method": "bayes.point_tables of every point cli.run builds, estimators "
+    return {"method": "each point's tables (bayes.grid_tables of the point alone, or "
+                      "bayes.point_tables) of every point cli.run builds, estimators "
                       "stubbed, over tests/test_cli.GOLDEN_CSV and the delay grid: "
                       f"delay-sweep at |alpha|^2 in {TABLE_ALPHA_SQ}, M in "
                       f"{TABLE_STAGES}, truth_delay on and off; moved entries and "
