@@ -205,10 +205,10 @@ def grid_tables(points) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, 
     truths = [points[j][1] or truth_from_inference(model) for j, model in zip(order, models)]
     if any(truth.stages != model.stages for model, truth in zip(models, truths)):
         raise ValueError("truth model stage count must match the inference model")
-    m, p, c = np.ix_(range(4), range(4), range(4))
+    roll = _kernels.ROLL  # [p, c]: (c - p) % 4
     return (order, np.array([model.stages for model in models], dtype=np.int64),
-            np.reshape([t.first for t in truths], (-1, 4))[:, _kernels.ROLL.T],
-            np.reshape([t.trans for t in truths], (-1, 4, 4))[:, (m - p) % 4, (c - p) % 4],
+            np.reshape([t.first for t in truths], (-1, 4))[:, roll.T],
+            np.reshape([t.trans for t in truths], (-1, 4, 4))[:, roll.T[:, :, None], roll],
             np.reshape([model.log_likelihood_table() for model in models], (-1, 2, 4)))
 
 
@@ -378,7 +378,7 @@ def _detail(w: np.ndarray, cur: np.ndarray, peak: int) -> EnumerationDetail:
     return EnumerationDetail(
         error_prob=float(per_symbol.mean()),
         per_symbol_error=per_symbol,
-        branch_totals=w.cumsum(axis=1)[:, -1],
+        branch_totals=w.cumsum(axis=1)[:, -1].copy(),  # not a view that keeps the cumsum
         peak_states=peak,
     )
 
@@ -415,19 +415,18 @@ class _Pass:
         state each, targeting 0 with prev = 0."""
         slots, stages, first, trans, loglik = (x[group.start:group.stop] for x in grid)
         k = len(slots)
-        ms, inverse = np.unique(stages, return_inverse=True)
-        count_steps = [_count_steps(m) for m in ms.tolist()]  # one per M
-        fits = count_steps[0][1]  # the points of a pass agree
+        stages = stages.tolist()
+        count_steps = {m: _count_steps(m) for m in set(stages)}  # one per M
+        fits = count_steps[stages[0]][1]  # the points of a pass agree
         dying = not fits or bool(np.isneginf(loglik).any())
-        shift = _key_shift(int(stages[0]), fits, dying)
+        shift = _key_shift(stages[0], fits, dying)
         p_off = np.stack((np.tile(first, 4), trans.reshape(k, 4, 16)))  # [bin > 0, k, m, s]
         tables = (np.tile(loglik[:, :, _kernels.ROLL], (4, 1)).swapaxes(0, 1).reshape(2, -1, 4),
                   *np.stack((p_off, 1.0 - p_off), axis=3).transpose(0, 2, 3, 1, 4)
                   .reshape(2, 4, 2, -1),
-                  np.stack([steps for steps, _ in count_steps])[inverse]
-                  .swapaxes(0, 1).reshape(2, -1))
+                  np.stack([count_steps[m][0] for m in stages], axis=1).reshape(2, -1))
         starts = (np.arange(k + 1, dtype=np.int64) << shift) - (1 << (shift - 1))
-        return cls(slots, stages.tolist(), np.ones(k, dtype=np.int64), tables,
+        return cls(slots, stages, np.ones(k, dtype=np.int64), tables,
                    shift, starts, (k - 1).bit_length() + shift, dying, fits, 0,
                    np.zeros((k, 4)), np.ones((4, k)), np.arange(k, dtype=np.int64) << shift,
                    np.zeros(k, dtype=np.intp))

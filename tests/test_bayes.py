@@ -472,7 +472,8 @@ class TestCountKeyLayout:
         for _ in range(20):
             outcomes = rng.integers(0, 8, size=stages)  # 2 * cur + e
             key, prev = 0, 0
-            for cur, e in map(divmod, outcomes.tolist(), itertools.repeat(2)):
+            for outcome in outcomes.tolist():
+                cur, e = divmod(outcome, 2)
                 key += int(steps[e, 4 * prev + cur])
                 prev = cur
             n = np.bincount(outcomes, minlength=8).reshape(4, 2)  # n[c, e]
@@ -557,6 +558,7 @@ class TestGridPass:
         details = enumerate_points(points)
         assert len(details) == len(points)
         for (model, truth), detail in zip(points, details):
+            assert detail.branch_totals.base is None  # holds no layer-sized array alive
             assert_bitwise_equal(detail, enumerate_detail(model, truth))
             assert_bitwise_equal(detail, lexsort_enumeration(model, truth))
         assert_bitwise_equal(details[-1], details[4])
