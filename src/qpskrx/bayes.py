@@ -205,7 +205,7 @@ def grid_tables(points) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, 
     truths = [points[j][1] or truth_from_inference(model) for j, model in zip(order, models)]
     if any(truth.stages != model.stages for model, truth in zip(models, truths)):
         raise ValueError("truth model stage count must match the inference model")
-    roll = _kernels.ROLL  # [p, c]: (c - p) % 4
+    roll = _kernels.ROLL  # roll[a, b] = (b - a) % 4
     return (order, np.array([model.stages for model in models], dtype=np.int64),
             np.reshape([t.first for t in truths], (-1, 4))[:, roll.T],
             np.reshape([t.trans for t in truths], (-1, 4, 4))[:, roll.T[:, :, None], roll],
